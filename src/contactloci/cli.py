@@ -59,8 +59,11 @@ SCATTER_COLORS = {
 
 def _write(args, payload: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -258,7 +261,10 @@ def cmd_scatter(args) -> int:
 def _load_poly(spec: str) -> SparseIntPoly:
     spec = spec.strip()
     if spec.startswith("{"):
-        return SparseIntPoly.from_doc(json.loads(spec))
+        try:
+            return SparseIntPoly.from_doc(json.loads(spec))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed polynomial document: {exc!r}") from None
     return parse_poly(spec)
 
 

@@ -1,22 +1,19 @@
 """Brute-force verification layer over small prime fields.
 
 Nothing here trusts the stratification theory.  Jets over F_p are enumerated
-by solving the actual coefficient equations of f(gamma(t)) degree by degree:
-the constraint newly finalized at depth k is brute-forced for k = 1 and is an
-affine-linear equation in gamma_k for k >= 2 (a product of at least d factors
-of positive t-order can contain the top coefficient at most once), so its
-solution set is read off exactly and the search tree stays small.  The per
-order counts are then compared with the predicted base-count times p^fiber
-products, and a Jacobian-ideal rank computation provides an independent
-Milnor number.
+by solving the coefficient equations of f(gamma(t)) degree by degree, up to
+symmetries of f checked mod p, and the per order counts are compared with the
+predicted base-count times p^fiber products.  A Jacobian-ideal rank gives an
+independent Milnor number.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .contact import BASE_MILNOR_FIBER, graded_pieces
@@ -61,10 +58,9 @@ class SparseIntPoly:
 
     @classmethod
     def from_terms(cls, nvars: int, terms) -> "SparseIntPoly":
-        acc: dict[tuple[int, ...], int] = {}
+        acc = Counter()
         for exps, coeff in terms:
-            exps = tuple(exps)
-            acc[exps] = acc.get(exps, 0) + coeff
+            acc[tuple(exps)] += coeff
         return cls(nvars, tuple((e, c) for e, c in acc.items() if c))
 
     @property
@@ -77,8 +73,7 @@ class SparseIntPoly:
         return min(sum(exps) for exps, _ in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(exps) for exps, _ in self.terms}
-        return len(degrees) <= 1
+        return len({sum(exps) for exps, _ in self.terms}) <= 1
 
     def initial_form(self) -> "SparseIntPoly":
         d = self.min_total_degree()
@@ -86,13 +81,9 @@ class SparseIntPoly:
                              tuple(t for t in self.terms if sum(t[0]) == d))
 
     def partial(self, j: int) -> "SparseIntPoly":
-        terms = []
-        for exps, coeff in self.terms:
-            if exps[j]:
-                lowered = list(exps)
-                lowered[j] -= 1
-                terms.append((tuple(lowered), coeff * exps[j]))
-        return SparseIntPoly.from_terms(self.nvars, terms)
+        return SparseIntPoly.from_terms(self.nvars, [
+            (exps[:j] + (exps[j] - 1,) + exps[j + 1:], coeff * exps[j])
+            for exps, coeff in self.terms if exps[j]])
 
     def evaluate_mod(self, point: Sequence[int], p: int) -> int:
         total = 0
@@ -112,11 +103,7 @@ class SparseIntPoly:
         chunks = []
         for exps, coeff in sorted(self.terms, key=lambda t: tuple(-e for e in t[0])):
             factors = [] if coeff == 1 and any(exps) else [str(coeff)]
-            for j, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{j}")
-                elif e > 1:
-                    factors.append(f"x{j}^{e}")
+            factors += [f"x{j}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(exps) if e]
             chunks.append("*".join(factors))
         return " + ".join(chunks)
 
@@ -142,17 +129,14 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> SparseIntPoly:
     Anything outside the grammar is rejected.  The variable count is the
     largest index used plus one unless given explicitly.
     """
-    terms = []
-    pos = 0
-    sign = 1
-    max_index = -1
+    terms, pos, sign, max_index = [], 0, 1, -1
     while True:
         match = _TERM_RE.match(text, pos)
         if not match or match.end() == pos:
             raise ValueError(f"expected a term at position {pos} of {text!r}")
-        coeff = int(match.group(1)) if match.group(1) else 1
+        coeff = int(match.group(1) or 1)
         index = int(match.group(2))
-        exp = int(match.group(3)) if match.group(3) else 1
+        exp = int(match.group(3) or 1)
         max_index = max(max_index, index)
         terms.append((index, exp, sign * coeff))
         pos = match.end()
@@ -166,12 +150,9 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> SparseIntPoly:
     width = nvars if nvars is not None else max_index + 1
     if max_index >= width:
         raise ValueError(f"variable x{max_index} exceeds the declared {width} variables")
-    packed = []
-    for index, exp, coeff in terms:
-        exps = [0] * width
-        exps[index] = exp
-        packed.append((tuple(exps), coeff))
-    poly = SparseIntPoly.from_terms(width, packed)
+    poly = SparseIntPoly.from_terms(
+        width, [(tuple(exp * (j == index) for j in range(width)), coeff)
+                for index, exp, coeff in terms])
     if poly.is_zero:
         raise ValueError("polynomial cancels to zero")
     return poly
@@ -194,67 +175,59 @@ class _WorkCounter:
                 f"enumeration budget {self.budget} exceeded ({self.work} candidates)")
 
 
-def _series_mul(a: list[int], b: list[int], trunc: int, p: int) -> list[int]:
-    out = [0] * (trunc + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            top = min(len(b), trunc - i + 1)
-            for j in range(top):
-                if b[j]:
-                    out[i + j] = (out[i + j] + ai * b[j]) % p
-    return out
+def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:
+    """Scalings and scaled transpositions g(x)_i = scale[i] * x[perm[i]], as
+    (perm, scale), with f(g(x)) = f(x) term by term mod p.  One transposition
+    per pair: the scalings give the rest for diagonal f, and a subgroup only
+    refines the orbits."""
+    n = f.nvars
+    reduced = {exps: c % p for exps, c in f.terms if c % p}
+    found, pairs = [], set()
+    for i, j, c, c2 in product(range(n), range(n), range(1, p), range(1, p)):
+        if i < j and (i, j) not in pairs or i == j and c2 == 1 < c:
+            perm, scale = list(range(n)), [1] * n
+            perm[i], perm[j] = j, i
+            scale[j], scale[i] = c2, c
+            image = {tuple(exps[q] for q in perm):
+                     c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
+                     for exps, c0 in reduced.items()}
+            if image == reduced:
+                found.append((perm, scale))
+                pairs.add((i, j))
+    return found
 
 
-def _jet_coefficient(poly: SparseIntPoly, gammas: Sequence[Sequence[int]],
-                     p: int, alpha: int) -> int:
-    """Coefficient of t^alpha in poly(gamma(t)) mod p, for the jet
-    gamma(t) = sum_k gammas[k-1] t^k with all higher coefficients zero."""
-    trunc = alpha
-    var_series: dict[int, list[int]] = {}
-    power_cache: dict[tuple[int, int], list[int]] = {}
-
-    def series_for(j: int) -> list[int]:
-        if j not in var_series:
-            s = [0] * (trunc + 1)
-            for k, gamma in enumerate(gammas, start=1):
-                if k <= trunc:
-                    s[k] = gamma[j] % p
-            var_series[j] = s
-        return var_series[j]
-
-    def power(j: int, e: int) -> list[int]:
-        key = (j, e)
-        if key not in power_cache:
-            if e == 1:
-                power_cache[key] = series_for(j)
-            else:
-                power_cache[key] = _series_mul(power(j, e - 1), series_for(j), trunc, p)
-        return power_cache[key]
-
-    total = 0
-    for exps, coeff in poly.terms:
-        if sum(exps) > alpha:
-            continue  # order of the product exceeds alpha
-        series = None
-        for j, e in enumerate(exps):
-            if e:
-                factor = power(j, e)
-                series = factor if series is None else _series_mul(series, factor, trunc, p)
-        if series is None:
-            value = 1 if alpha == 0 else 0
-        else:
-            value = series[alpha]
-        total = (total + coeff * value) % p
-    return total
+def _orbits(gens, n: int, p: int) -> list[tuple[tuple, int]]:
+    """(first member, size) of each orbit of F_p^n under the group generated
+    by gens, by closure with a seen-map."""
+    maps = []
+    for perm, scale in gens:
+        # g(v) has index high[v_0..v_(n-2)] + low[v_(n-1)], v in product
+        # order; v_k lands in coordinate perm^-1(k) = perm[k]
+        tables = [[scale[i] * x % p * p ** (n - 1 - i) for x in range(p)] for i in perm]
+        maps.append((list(map(sum, product(*tables[:-1]))), tables[-1]))
+    seen = bytearray(p ** n)
+    orbits = []
+    for start, point in enumerate(product(range(p), repeat=n)):
+        if not seen[start]:
+            seen[start] = 1
+            orbit = [start]
+            for x in orbit:  # grows as walked
+                x, v = divmod(x, p)
+                for high, low in maps:
+                    y = high[x] + low[v]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
+            orbits.append((point, len(orbit)))
+    return orbits
 
 
 def singular_point_mod_p(h: SparseIntPoly, p: int) -> Optional[tuple[int, ...]]:
     """A common zero of the partials of h on F_p^n minus the origin, if any."""
     partials = [h.partial(j) for j in range(h.nvars)]
     for point in product(range(p), repeat=h.nvars):
-        if not any(point):
-            continue
-        if all(g.evaluate_mod(point, p) == 0 for g in partials):
+        if any(point) and all(g.evaluate_mod(point, p) == 0 for g in partials):
             return point
     return None
 
@@ -264,8 +237,7 @@ def count_base(h: SparseIntPoly, p: int) -> tuple[int, int]:
     _require_prime(p)
     if not h.is_homogeneous() or h.is_zero or h.min_total_degree() < 1:
         raise ValueError("base counting expects a homogeneous form of positive degree")
-    zeros = 0
-    ones = 0
+    zeros = ones = 0
     for point in product(range(p), repeat=h.nvars):
         v = h.evaluate_mod(point, p)
         if v == 0:
@@ -292,42 +264,32 @@ class JetCountReport:
         return dict(self.by_order) == dict(self.predicted_by_order)
 
     def to_doc(self) -> dict:
-        return {
-            "p": self.prime,
-            "m": self.m,
-            "total_count": self.total_count,
-            "by_order": {str(rho): c for rho, c in self.by_order},
-            "base_counts": {"cone": self.cone_count, "milnor": self.milnor_count},
-            "predicted_by_order": {str(rho): c for rho, c in self.predicted_by_order},
-        }
+        return {"p": self.prime, "m": self.m, "total_count": self.total_count,
+                "by_order": {str(rho): c for rho, c in self.by_order},
+                "base_counts": {"cone": self.cone_count, "milnor": self.milnor_count},
+                "predicted_by_order": {str(rho): c for rho, c in self.predicted_by_order}}
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "JetCountReport":
-        return cls(
-            int(doc["p"]),
-            int(doc["m"]),
-            int(doc["total_count"]),
-            tuple(sorted((int(k), int(v)) for k, v in doc["by_order"].items())),
-            int(doc["base_counts"]["cone"]),
-            int(doc["base_counts"]["milnor"]),
-            tuple(sorted((int(k), int(v)) for k, v in doc["predicted_by_order"].items())),
-        )
+        base = doc["base_counts"]
+        return cls(int(doc["p"]), int(doc["m"]), int(doc["total_count"]),
+                   _int_pairs(doc["by_order"]), int(base["cone"]), int(base["milnor"]),
+                   _int_pairs(doc["predicted_by_order"]))
 
 
-def _iter_affine_solutions(lin: list[int], rhs: int, p: int) -> Iterator[tuple[int, ...]]:
+def _int_pairs(counts: Mapping) -> tuple:
+    return tuple(sorted((int(k), int(v)) for k, v in counts.items()))
+
+
+def _iter_affine_solutions(lin: list[int], rhs: int, p: int) -> Iterator[list[int]]:
     # all v with lin . v = rhs over F_p, assuming lin != 0
-    n = len(lin)
     pivot = next(j for j, c in enumerate(lin) if c)
     inv = pow(lin[pivot], p - 2, p)
-    others = [j for j in range(n) if j != pivot]
-    for rest in product(range(p), repeat=n - 1):
-        s = 0
-        v = [0] * n
-        for j, val in zip(others, rest):
-            v[j] = val
-            s += lin[j] * val
-        v[pivot] = (rhs - s) * inv % p
-        yield tuple(v)
+    for rest in product(range(p), repeat=len(lin) - 1):
+        v = list(rest)
+        v.insert(pivot, 0)
+        v[pivot] = (rhs - sum(a * b for a, b in zip(lin, v))) * inv % p
+        yield v
 
 
 def count_contact_jets(f: SparseIntPoly, m: int, p: int,
@@ -335,9 +297,9 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     """Count the m-jets gamma with gamma(0) = 0 and f(gamma) = t^m mod t^{m+1}
     over F_p, stratified by the order of gamma.
 
-    The budget caps the number of candidate coefficient vectors the search
-    may enumerate.  The reduction of the initial form must be smooth away
-    from the origin, which is checked by brute force first.
+    The budget caps the candidate vectors enumerated, scans of F_p^n included,
+    charged before each enumeration.  The initial form must be smooth mod p
+    away from 0, which is checked first.
     """
     _require_prime(p)
     if m < 1:
@@ -346,136 +308,139 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     d = f.min_total_degree()
     h = f.initial_form()
     pieces = graded_pieces(n, d, m)  # also validates n >= 3, d >= 2
+    counter = _WorkCounter(budget)
+    counter.charge(2 * p ** n)
     witness = singular_point_mod_p(h, p)
     if witness is not None:
         raise NonSmoothReductionError(
             f"initial form is singular at {witness} over F_{p}; pick another prime")
     cone_count, milnor_count = count_base(h, p)
 
-    counter = _WorkCounter(budget)
-    by_order: dict[int, int] = {}
+    by_order = Counter()
     kstar = m - d + 1
+    f = SparseIntPoly(n, tuple(t for t in f.terms if sum(t[0]) <= m))  # rest: O(t^(m+1))
+    one = [1] + [0] * m
+    # (coeff, [(j, e), ...]) per term of f and its partials
+    plans = [[(c % p, [(j, e) for j, e in enumerate(exps) if e]) for exps, c in g.terms]
+             for g in [f] + [f.partial(j) for j in range(n)]]
+
+    def coefficient(plan, pw, a: int) -> int:
+        # [t^a] of the plan's polynomial, pw[j][e] = x_j^e
+        total = 0
+        for c, ((j, e), *rest) in plan:
+            series = pw[j][e]
+            for j, e in rest:
+                b = pw[j][e]
+                series = [sum(series[i] * b[q - i] for i in range(q + 1)) % p
+                          for q in range(a + 1)]
+            total += c * series[a]
+        return total % p
+
+    def extend(pw, v, k: int):
+        # powers after v * t^k joins the prefix
+        out = list(pw)
+        for j, x in enumerate(v):
+            if x:
+                old = pw[j]
+                out[j] = [one]
+                for e in range(1, len(old)):
+                    s = list(old[e])  # (s + x t^k)^e = sum_i C(e, i) x^i t^(ik) s^(e-i)
+                    for i in range(1, e + 1):
+                        if any(old[e - i]):
+                            c = comb(e, i) * x ** i
+                            s[i * k:] = [(a + c * b) % p for a, b in zip(s[i * k:], old[e - i])]
+                    out[j].append(s)
+        return out
 
     def record(rho: Optional[int], amount: int) -> None:
-        if amount == 0:
-            return
-        if rho is None:
-            raise AssertionError("counted jets of undetermined order")
-        by_order[rho] = by_order.get(rho, 0) + amount
+        if amount:
+            if rho is None:
+                raise AssertionError("counted jets of undetermined order")
+            by_order[rho] += amount
 
-    def descend(prefix: list[tuple[int, ...]], rho: Optional[int]) -> None:
-        k = len(prefix) + 1
+    def descend(pw, k: int, rho: Optional[int], weight: int) -> None:
         alpha = k + d - 1
         target = 1 % p if alpha == m else 0
-        free_factor = p ** (n * (m - k))
-        if k == 1:
-            counter.charge(p ** n)
-            for v in product(range(p), repeat=n):
-                if _jet_coefficient(f, [v], p, alpha) != target:
-                    continue
-                v_rho = 1 if any(v) else None
-                if k == kstar:
-                    record(v_rho, free_factor)
-                else:
-                    descend([v], v_rho)
-            return
-        zero = tuple([0] * n)
-        c0 = _jet_coefficient(f, prefix + [zero], p, alpha)
-        lin = []
-        for j in range(n):
-            unit = [0] * n
-            unit[j] = 1
-            cj = _jet_coefficient(f, prefix + [tuple(unit)], p, alpha)
-            lin.append((cj - c0) % p)
-        rhs = (target - c0) % p
-        has_linear_part = any(lin)
-        if rho is None and has_linear_part:
-            raise AssertionError("zero prefix cannot produce a linear constraint")
-        if k == kstar:
-            if has_linear_part:
-                count = p ** (n - 1)
-            elif rhs == 0:
-                if rho is None:
-                    raise AssertionError("order-ambiguous solutions at the last level")
-                count = p ** n
+        free = weight * p ** (n * (m - k))
+        if rho is None and k < max(kstar, 2):
+            # Each symmetry g of f fixes the zero prefix and maps the subtree
+            # of v onto that of g(v): one representative per orbit.
+            count, candidates = len(orbits), orbits
+        else:
+            # For k >= 2 the level-k coefficient is affine in gamma_k: the part
+            # quadratic in it has t-order >= 2k + d - 2 > alpha.
+            lin = [coefficient(plan, pw, alpha - k) for plan in plans[1:]]
+            rhs = (target - coefficient(plans[0], pw, alpha)) % p
+            if k == kstar:
+                return record(rho, (p ** (n - 1) if any(lin) else 0 if rhs else p ** n) * free)
+            if any(lin):
+                count, vectors = p ** (n - 1), _iter_affine_solutions(lin, rhs, p)
             else:
-                count = 0
-            record(rho, count * free_factor)
-            return
-        if has_linear_part:
-            counter.charge(p ** (n - 1))
-            for v in _iter_affine_solutions(lin, rhs, p):
-                descend(prefix + [v], rho if rho is not None else (k if any(v) else None))
-        elif rhs == 0:
-            counter.charge(p ** n)
-            for v in product(range(p), repeat=n):
-                descend(prefix + [v], rho if rho is not None else (k if any(v) else None))
+                count, vectors = (0, ()) if rhs else (p ** n, product(range(p), repeat=n))
+            candidates = ((v, 1) for v in vectors)
+        counter.charge(count)
+        for v, size in candidates:
+            child = extend(pw, v, k)
+            if coefficient(plans[0], child, alpha) == target:
+                v_rho = k if rho is None and any(v) else rho
+                if k == kstar:
+                    record(v_rho, size * free)
+                else:
+                    descend(child, k + 1, v_rho, weight * size)
 
     if m >= d:
-        descend([], None)
+        counter.charge(p ** n)
+        orbits = _orbits(_symmetries(f, p), n, p)
+        descend([[one] + [[0] * (m + 1)] * max(exps[j] for exps, _ in f.terms)
+                 for j in range(n)], 1, None, 1)
+        del descend  # self-referencing: free its state now
 
-    declared = {piece.rho: piece for piece in pieces}
-    predicted = {
-        rho: (milnor_count if piece.base_kind == BASE_MILNOR_FIBER else cone_count)
-        * p ** piece.fiber_dim
-        for rho, piece in declared.items()
-    }
-    for rho in declared:
-        by_order.setdefault(rho, 0)
-    return JetCountReport(
-        prime=p,
-        m=m,
-        total_count=sum(by_order.values()),
-        by_order=tuple(sorted(by_order.items())),
-        cone_count=cone_count,
-        milnor_count=milnor_count,
-        predicted_by_order=tuple(sorted(predicted.items())),
-    )
+    predicted = {}
+    for piece in pieces:
+        base = milnor_count if piece.base_kind == BASE_MILNOR_FIBER else cone_count
+        predicted[piece.rho] = base * p ** piece.fiber_dim
+        by_order.setdefault(piece.rho, 0)
+    return JetCountReport(p, m, sum(by_order.values()), tuple(sorted(by_order.items())),
+                          cone_count, milnor_count, tuple(sorted(predicted.items())))
 
 
 def verify_stratification(f: SparseIntPoly, m: int, p: int,
                           budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether the enumerated per-order counts equal the predicted affine
-    bundle counts, with no jets outside the declared order range."""
+    """Whether the per-order counts equal the predicted bundle counts, with no
+    jets outside the declared orders."""
     return count_contact_jets(f, m, p, budget).matches
 
 
-def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+def _monomials(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
     if nvars == 1:
-        return [(degree,)]
-    out = []
+        yield (degree,)
+        return
     for first in range(degree + 1):
         for rest in _monomials(nvars - 1, degree - first):
-            out.append((first,) + rest)
-    return out
+            yield (first,) + rest
 
 
-def _rank_sparse_int(rows: list[dict[int, int]]) -> int:
+def _rank_sparse_int(rows: Iterator[dict]) -> int:
     """Rank over Q of integer rows given as {column: value} dicts."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
+    pivots: dict = {}
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
             col = min(row)
             if col not in pivots:
                 pivots[col] = row
-                rank += 1
                 break
             piv = pivots[col]
-            a, b = row[col], piv[col]
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
+            g = gcd(row[col], piv[col])
+            ma, mb = piv[col] // g, row[col] // g
             merged = {c: v * ma for c, v in row.items()}
             for c, v in piv.items():
                 merged[c] = merged.get(c, 0) - v * mb
             row = {c: v for c, v in merged.items() if v}
             if row:
-                shrink = 0
-                for v in row.values():
-                    shrink = gcd(shrink, abs(v))
+                shrink = gcd(*row.values())
                 row = {c: v // shrink for c, v in row.items()}
-    return rank
+    return len(pivots)
 
 
 def milnor_number_oracle(h: SparseIntPoly, max_monomials: int = 20000) -> int:
@@ -498,26 +463,17 @@ def milnor_number_oracle(h: SparseIntPoly, max_monomials: int = 20000) -> int:
     top = n * (d - 2)
     total = 0
     for degree in range(top + 2):
-        if comb(degree + n - 1, n - 1) > max_monomials:
+        columns = comb(degree + n - 1, n - 1)
+        if columns > max_monomials:
             raise BudgetExceededError(
                 f"degree {degree} needs more than {max_monomials} monomials")
-        monomials = _monomials(n, degree)
-        index = {mon: i for i, mon in enumerate(monomials)}
-        rows = []
         shift = degree - (d - 1)
-        if shift >= 0:
-            for factor in _monomials(n, shift):
-                for g in partials:
-                    row = {}
-                    for exps, coeff in g.terms:
-                        mon = tuple(a + b for a, b in zip(exps, factor))
-                        row[index[mon]] = row.get(index[mon], 0) + coeff
-                    rows.append(row)
-        dim = len(monomials) - _rank_sparse_int(rows)
-        if degree == top + 1:
-            if dim != 0:
-                raise NonIsolatedSingularityError(
-                    f"Jacobian quotient has dimension {dim} in degree {degree}")
-        else:
-            total += dim
+        # rows x^factor * dh/dx_j, streamed
+        rows = ({tuple(a + b for a, b in zip(exps, factor)): coeff for exps, coeff in g.terms}
+                for factor in (_monomials(n, shift) if shift >= 0 else ()) for g in partials)
+        dim = columns - _rank_sparse_int(rows)
+        if degree > top and dim:
+            raise NonIsolatedSingularityError(
+                f"Jacobian quotient has dimension {dim} in degree {degree}")
+        total += dim
     return total

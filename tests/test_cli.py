@@ -141,10 +141,12 @@ def test_verify_accepts_json_polynomial(capsys):
 
 
 def test_verify_budget_exit_code(capsys):
-    code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "4",
-                       "--primes", "7", "--budget", "10")
-    assert code == 3
-    assert "budget" in err
+    # with p = 10007 the budget must stop the run before it scans F_p^3
+    for prime in ("7", "10007"):
+        code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "4",
+                           "--primes", prime, "--budget", "10")
+        assert code == 3
+        assert "budget" in err
 
 
 def test_verify_bad_poly_exit_code(capsys):
@@ -185,3 +187,21 @@ def test_deterministic_output(capsys):
     a = run(capsys, "scatter", "--nmax", "12", "--dmax", "12", "--format", "csv")
     b = run(capsys, "scatter", "--nmax", "12", "--dmax", "12", "--format", "csv")
     assert a == b
+
+
+def test_verify_malformed_json_polynomial_exit_code(capsys):
+    for doc in ['{"n":3}', '{"n":3,"terms":5}', '{"n":3,"terms":[1]}',
+                '{"n":null,"terms":[]}', '{"n":1e400,"terms":[]}',
+                '{"n":3,"terms":[{"exps":[2,0,0]}]}', '{"n":3,"terms":[{"exps":3,"coeff":1}]}',
+                '{"n":"a","terms":[]}', '{"n":3,']:
+        code, out, err = run(capsys, "verify", "--f", doc, "--m", "4", "--primes", "5")
+        assert code == 2, doc
+        assert err.startswith("error:") and out == "", doc
+
+
+def test_unwritable_output_path_exit_code(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "chain.json", tmp_path):
+        code, out, err = run(capsys, "resolve", "--n", "3", "--d", "2", "--m", "4",
+                             "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: cannot write") and out == ""

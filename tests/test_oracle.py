@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,6 +8,8 @@ from contactloci.oracle import (
     NonIsolatedSingularityError,
     NonSmoothReductionError,
     SparseIntPoly,
+    _orbits,
+    _symmetries,
     count_base,
     count_contact_jets,
     milnor_number_oracle,
@@ -18,6 +21,13 @@ QUADRIC = parse_poly("x0^2+x1^2+x2^2")
 CUBIC = parse_poly("x0^3+x1^3+x2^3")
 QUARTIC = parse_poly("x0^4+x1^4+x2^4")
 PERTURBED = parse_poly("x0^2+x1^2+x2^2+x0^3")
+QUATERNARY = parse_poly("x0^2+x1^2+x2^2+x3^2")
+LOWSYM = parse_poly("x0^2+x1^2+x2^2+x0^3+2*x1^3")
+# its symmetries over F_7 swap x0 and x1 only with scales c, c' where c^2 = 2
+SCALED = parse_poly("x0^2+2*x1^2+3*x2^2")
+MIXED_CUBIC = SparseIntPoly.from_terms(3, [
+    ((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1), ((1, 1, 1), 1)])
+HYPERBOLIC = SparseIntPoly.from_terms(3, [((1, 1, 0), 1), ((0, 0, 2), 1)])
 
 
 def brute_force_value_counts(poly, p):
@@ -131,10 +141,10 @@ def test_stratification_with_three_strata():
 
 
 def test_counts_depend_only_on_the_initial_form():
-    for m in (2, 3, 4):
-        perturbed = count_contact_jets(PERTURBED, m, 5)
-        plain = count_contact_jets(QUADRIC, m, 5)
-        assert perturbed == plain
+    # a term of degree above m contributes nothing, however large its exponent
+    for perturbed in (PERTURBED, parse_poly("x0^2+x1^2+x2^2+x0^3000")):
+        for m in (2, 3, 4):
+            assert count_contact_jets(perturbed, m, 5) == count_contact_jets(QUADRIC, m, 5)
 
 
 def test_mixed_monomial_perturbation_agrees_too():
@@ -184,6 +194,9 @@ def test_non_smooth_reduction_is_detected():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         count_contact_jets(QUADRIC, 4, 7, budget=10)
+    # charged before the scans of F_p^n, so 10007^3 points are never visited
+    with pytest.raises(BudgetExceededError):
+        count_contact_jets(QUADRIC, 4, 10007, budget=10)
 
 
 def test_prime_validation():
@@ -216,3 +229,133 @@ def test_non_isolated_singularity_is_detected():
     degenerate = parse_poly("x0^2", nvars=2)
     with pytest.raises(NonIsolatedSingularityError):
         milnor_number_oracle(degenerate)
+
+
+# by_order of count_contact_jets as computed by the unreduced search, which
+# rebuilt every power series from the whole prefix and expanded every vector
+PINNED_COUNTS = [
+    (QUADRIC, 5, 5, ((1, 46875000), (2, 9375000))),
+    (QUADRIC, 6, 3, ((1, 1417176), (2, 472392), (3, 118098))),
+    (QUADRIC, 4, 7, ((1, 39530064), (2, 4941258))),
+    (CUBIC, 5, 7, ((1, 15253663446),)),
+    (CUBIC, 6, 5, ((1, 5859375000), (2, 6103515625))),
+    (CUBIC, 4, 13, ((1, 88098917868),)),
+    (QUATERNARY, 4, 3, ((1, 1889568), (2, 157464))),
+    (QUATERNARY, 3, 7, ((1, 316240512),)),
+    (LOWSYM, 4, 7, ((1, 39530064), (2, 4941258))),
+    (LOWSYM, 5, 5, ((1, 46875000), (2, 9375000))),
+    (SCALED, 3, 7, ((1, 806736),)),
+    (SCALED, 4, 7, ((1, 39530064), (2, 6588344))),
+    (MIXED_CUBIC, 4, 5, ((1, 9375000),)),
+    (MIXED_CUBIC, 5, 5, ((1, 234375000),)),
+    (MIXED_CUBIC, 4, 11, ((1, 25723065720),)),
+    (HYPERBOLIC, 4, 7, ((1, 39530064), (2, 6588344))),
+]
+
+
+@pytest.mark.parametrize("poly,m,p,by_order", PINNED_COUNTS)
+def test_counts_pinned_to_the_unreduced_search(poly, m, p, by_order):
+    report = count_contact_jets(poly, m, p)
+    assert report.by_order == by_order
+    assert report.matches
+
+
+def _apply(g, point, p):
+    perm, scale = g
+    return tuple(scale[i] * point[perm[i]] % p for i in range(len(point)))
+
+
+def _orbit_labels(gens, n, p):
+    # each point of F_p^n mapped to the first point of its orbit, by search
+    label = {}
+    for start in product(range(p), repeat=n):
+        if start not in label:
+            label[start] = start
+            frontier = [start]
+            while frontier:
+                point = frontier.pop()
+                for g in gens:
+                    image = _apply(g, point, p)
+                    if image not in label:
+                        label[image] = start
+                        frontier.append(image)
+    return label
+
+
+def _family(n, p):
+    # every single-coordinate scaling and scaled transposition of F_p^n
+    for i in range(n):
+        for c in range(2, p):
+            yield list(range(n)), [c if k == i else 1 for k in range(n)]
+        for j in range(i + 1, n):
+            perm = list(range(n))
+            perm[i], perm[j] = j, i
+            for c, c2 in product(range(1, p), repeat=2):
+                yield perm, [c if k == i else c2 if k == j else 1 for k in range(n)]
+
+
+@pytest.mark.parametrize("poly,p", [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7),
+                                    (LOWSYM, 3), (LOWSYM, 7), (MIXED_CUBIC, 7),
+                                    (HYPERBOLIC, 5), (QUATERNARY, 3)])
+def test_accepted_symmetries_fix_f_at_every_point(poly, p):
+    accepted = _symmetries(poly, p)
+    assert accepted
+    for g in accepted:
+        for point in product(range(p), repeat=poly.nvars):
+            assert poly.evaluate_mod(_apply(g, point, p), p) == poly.evaluate_mod(point, p)
+
+
+@pytest.mark.parametrize("poly,p", [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7),
+                                    (LOWSYM, 7), (QUATERNARY, 3)])
+def test_diagonal_forms_lose_no_symmetry_of_the_family(poly, p):
+    # Every exponent is below p, so a member of the family that fixes f at
+    # every point fixes it term by term, and must then preserve each orbit.
+    n = poly.nvars
+    label = _orbit_labels(_symmetries(poly, p), n, p)
+    for g in _family(n, p):
+        if all(poly.evaluate_mod(_apply(g, x, p), p) == poly.evaluate_mod(x, p) for x in label):
+            assert all(label[_apply(g, x, p)] == label[x] for x in label), g
+
+
+def test_scaled_form_needs_scaled_transpositions():
+    swaps = [(perm, scale) for perm, scale in _symmetries(SCALED, 7) if perm != [0, 1, 2]]
+    assert swaps and all(perm == [1, 0, 2] for perm, _ in swaps)
+    assert all(scale[0] ** 2 % 7 == 2 for _, scale in swaps)
+
+
+@pytest.mark.parametrize("poly,p", [(SCALED, 7), (CUBIC, 7), (HYPERBOLIC, 5), (LOWSYM, 5),
+                                    (MIXED_CUBIC, 7)])
+def test_orbits_are_the_closures_under_the_generators(poly, p):
+    gens = _symmetries(poly, p)
+    sizes = Counter(_orbit_labels(gens, poly.nvars, p).values())
+    assert _orbits(gens, poly.nvars, p) == sorted(sizes.items())
+
+
+def brute_force_jet_counts(poly, m, p):
+    # every jet gamma_1 t + ... + gamma_m t^m over F_p, by direct truncated
+    # polynomial arithmetic: nothing shared with the library's search
+    n = poly.nvars
+    counts = {}
+    for flat in product(range(p), repeat=n * m):
+        gammas = [flat[k * n:(k + 1) * n] for k in range(m)]
+        series = [[0] + [g[j] for g in gammas] for j in range(n)]
+        value = [0] * (m + 1)
+        for exps, coeff in poly.terms:
+            term = [coeff] + [0] * m
+            for j, e in enumerate(exps):
+                for _ in range(e):
+                    term = [sum(term[i] * series[j][q - i] for i in range(q + 1))
+                            for q in range(m + 1)]
+            value = [a + b for a, b in zip(value, term)]
+        if all(c % p == 0 for c in value[:m]) and value[m] % p == 1:
+            order = next(k + 1 for k, g in enumerate(gammas) if any(g))
+            counts[order] = counts.get(order, 0) + 1
+    return counts
+
+
+def test_counts_agree_with_enumerating_every_jet():
+    twisted = SparseIntPoly.from_terms(3, [
+        ((2, 0, 0), 1), ((0, 2, 0), 2), ((0, 0, 2), 1), ((1, 1, 1), 1)])
+    for poly in (QUADRIC, twisted):
+        report = count_contact_jets(poly, 3, 3)
+        assert {rho: c for rho, c in report.by_order if c} == brute_force_jet_counts(poly, 3, 3)
