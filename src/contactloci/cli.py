@@ -4,8 +4,9 @@ One executable, subcommand style, every numeric parameter an explicit flag.
 Default output is human-readable text; --format json is the stable machine
 interface and the scatter command also emits CSV or a dependency-free SVG.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 budget
-exceeded.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input (outside the
+domain table), 3 budget exceeded (the oracle's budget, or a work cap of the
+domain table checked before any work starts).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .contact import (
     graded_pieces,
     piece_compact_cohomology,
 )
+from .domain import CHAIN, CLI_MAX_DIVISORS, CLI_MAX_STRATA, COHOMOLOGY, M_MIN, SCATTER_MAX
 from .groups import GradedGroup
 from .nash import valuation_report
 from .oracle import (
@@ -40,9 +42,9 @@ from .spectral import (
     condition_degeneration,
     condition_filtration,
     floer_cohomology,
+    lefschetz_closed_form,
     scatter_grid,
 )
-from .surface import milnor_number
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -109,15 +111,13 @@ def cmd_resolve(args) -> int:
 def cmd_cohomology(args) -> int:
     n, d, m = args.n, args.d, args.m
     pieces = graded_pieces(n, d, m)
+    profiles = [piece_compact_cohomology(piece, n, d) for piece in pieces]
     total = contact_cohomology(n, d, m)
     cls = contact_class(n, d, m)
     doc = {
         "n": n, "d": d, "m": m,
-        "pieces": [
-            {**piece.to_doc(),
-             "cohomology": piece_compact_cohomology(piece, n, d).to_doc()}
-            for piece in pieces
-        ],
+        "pieces": [{**piece.to_doc(), "cohomology": profile.to_doc()}
+                   for piece, profile in zip(pieces, profiles)],
         "total": total.to_doc(),
         "euler": total.euler_char(),
         "dimension": contact_dimension(n, d, m),
@@ -126,8 +126,7 @@ def cmd_cohomology(args) -> int:
     lines = [f"compactly supported cohomology of the contact locus, n={n}, d={d}, m={m}"]
     if not pieces:
         lines.append("empty locus: m < d")
-    for piece in pieces:
-        profile = piece_compact_cohomology(piece, n, d)
+    for piece, profile in zip(pieces, profiles):
         lines.extend(_graded_lines(
             profile,
             f"order {piece.rho} stratum ({piece.base_kind}, fiber dim {piece.fiber_dim}, "
@@ -187,7 +186,7 @@ def cmd_nash(args) -> int:
 def cmd_euler(args) -> int:
     n, d, m = args.n, args.d, args.m
     chi = contact_euler(n, d, m)
-    closed = 0 if m % d else 1 + (-1) ** (n - 1) * milnor_number(n, d)
+    closed = lefschetz_closed_form(n, d, m)
     match = chi == closed
     doc = {"n": n, "d": d, "m": m, "chi": chi, "lefschetz": closed, "match": match}
     text = (f"chi_c(X_m) = {chi}\n"
@@ -204,30 +203,31 @@ def _scatter_csv(rows) -> str:
 
 
 def _scatter_svg(rows, n_max: int, d_max: int) -> str:
+    n0, d0 = COHOMOLOGY.n_min, COHOMOLOGY.d_min
     cell = 12
     left, bottom, top, right = 40, 30, 14, 150
-    width = left + (n_max - 3 + 1) * cell + right
-    height = top + (d_max - 2 + 1) * cell + bottom
+    width = left + (n_max - n0 + 1) * cell + right
+    height = top + (d_max - d0 + 1) * cell + bottom
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for n, d, cls in rows:
-        x = left + (n - 3) * cell
+        x = left + (n - n0) * cell
         y = top + (d_max - d) * cell
         parts.append(f'<rect x="{x}" y="{y}" width="{cell - 1}" height="{cell - 1}" '
                      f'fill="{SCATTER_COLORS[cls.color]}"><title>n={n}, d={d}: '
                      f'{cls.color}</title></rect>')
-    axis_y = top + (d_max - 2 + 1) * cell + 12
-    for n in range(3, n_max + 1, 5):
-        x = left + (n - 3) * cell
+    axis_y = top + (d_max - d0 + 1) * cell + 12
+    for n in range(n0, n_max + 1, 5):
+        x = left + (n - n0) * cell
         parts.append(f'<text x="{x}" y="{axis_y}" font-size="9">{n}</text>')
-    for d in range(2, d_max + 1, 5):
+    for d in range(d0, d_max + 1, 5):
         y = top + (d_max - d) * cell + 9
         parts.append(f'<text x="{left - 24}" y="{y}" font-size="9">{d}</text>')
     parts.append(f'<text x="{left}" y="{axis_y + 14}" font-size="10">n (variables)</text>')
     parts.append(f'<text x="4" y="{top - 2}" font-size="10">d (degree)</text>')
-    legend_x = left + (n_max - 3 + 1) * cell + 12
+    legend_x = left + (n_max - n0 + 1) * cell + 12
     legend = [("blue", "isomorphism proved"),
               ("orange", "filtration condition can fail"),
               ("yellow", "degeneration condition can fail"),
@@ -242,11 +242,11 @@ def _scatter_svg(rows, n_max: int, d_max: int) -> str:
 
 
 def cmd_scatter(args) -> int:
-    if not 3 <= args.nmax <= 200:
-        raise ValueError("nmax must lie in [3, 200]")
-    if not 2 <= args.dmax <= 200:
-        raise ValueError("dmax must lie in [2, 200]")
-    rows = scatter_grid(range(3, args.nmax + 1), range(2, args.dmax + 1))
+    n0, d0 = COHOMOLOGY.n_min, COHOMOLOGY.d_min
+    for name, low, value in (("nmax", n0, args.nmax), ("dmax", d0, args.dmax)):
+        if not low <= value <= SCATTER_MAX:
+            raise ValueError(f"{name} must lie in [{low}, {SCATTER_MAX}]")
+    rows = scatter_grid(range(n0, args.nmax + 1), range(d0, args.dmax + 1))
     if args.format == "svg":
         _write(args, _scatter_svg(rows, args.nmax, args.dmax))
         return EXIT_OK
@@ -297,11 +297,25 @@ def cmd_verify(args) -> int:
     return code if all_match else EXIT_MISMATCH
 
 
-def _add_ndm(sub, n_min: int) -> None:
+def _add_ndm(sub, domain) -> None:
     sub.add_argument("--n", type=int, required=True,
-                     help=f"number of variables (>= {n_min})")
-    sub.add_argument("--d", type=int, required=True, help="degree of the initial form")
-    sub.add_argument("--m", type=int, required=True, help="contact order (>= 1)")
+                     help=f"number of variables (>= {domain.n_min})")
+    sub.add_argument("--d", type=int, required=True,
+                     help=f"degree of the initial form (>= {domain.d_min})")
+    sub.add_argument("--m", type=int, required=True, help=f"contact order (>= {M_MIN})")
+    sub.set_defaults(domain=domain)
+
+
+def _check_size(args) -> None:
+    """Reject (n, d, m) outside the subcommand's domain, then inputs whose
+    closed-form size is over a cap, before any work starts."""
+    args.domain.check(args.n, args.d, args.m)
+    q = args.m // args.d
+    divisors = q * args.m - args.d * q * (q + 1) // 2 if args.command == "resolve" else 0
+    for what, size, cap in (("strata", q, CLI_MAX_STRATA),
+                            ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS)):
+        if size > cap:
+            raise BudgetExceededError(f"{what}: {size} is over the command-line cap of {cap}")
 
 
 def _add_output(sub, choices=("text", "json")) -> None:
@@ -315,30 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of contact loci of semihomogeneous singularities.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    resolve = subs.add_parser("resolve", help="minimal m-separating resolution chain")
-    _add_ndm(resolve, 2)
-    _add_output(resolve)
-    resolve.set_defaults(handler=cmd_resolve)
-
-    cohomology = subs.add_parser("cohomology", help="H_c of the restricted contact locus")
-    _add_ndm(cohomology, 3)
-    _add_output(cohomology)
-    cohomology.set_defaults(handler=cmd_cohomology)
-
-    floer = subs.add_parser("floer", help="Floer cohomology of the m-th monodromy iterate")
-    _add_ndm(floer, 3)
-    _add_output(floer)
-    floer.set_defaults(handler=cmd_floer)
-
-    nash = subs.add_parser("nash", help="dlt, contact and essential m-valuations")
-    _add_ndm(nash, 2)
-    _add_output(nash)
-    nash.set_defaults(handler=cmd_nash)
-
-    euler = subs.add_parser("euler", help="Euler characteristic versus Lefschetz number")
-    _add_ndm(euler, 3)
-    _add_output(euler)
-    euler.set_defaults(handler=cmd_euler)
+    for name, handler, domain, summary in (
+            ("resolve", cmd_resolve, CHAIN, "minimal m-separating resolution chain"),
+            ("cohomology", cmd_cohomology, COHOMOLOGY, "H_c of the restricted contact locus"),
+            ("floer", cmd_floer, COHOMOLOGY, "Floer cohomology of the m-th monodromy iterate"),
+            ("nash", cmd_nash, CHAIN, "dlt, contact and essential m-valuations"),
+            ("euler", cmd_euler, COHOMOLOGY, "Euler characteristic versus Lefschetz number")):
+        sub = subs.add_parser(name, help=summary)
+        _add_ndm(sub, domain)
+        _add_output(sub)
+        sub.set_defaults(handler=handler)
 
     scatter = subs.add_parser("scatter", help="classify (n, d) pairs on a grid")
     scatter.add_argument("--nmax", type=int, required=True)
@@ -366,6 +366,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if hasattr(args, "domain"):
+            _check_size(args)
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,28 +14,20 @@ total cohomology is the degreewise direct sum over strata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional
 
-from .groups import GradedGroup, ZERO_GRADED
+from .domain import COHOMOLOGY
+from .groups import GradedGroup, graded_sum
 from .surface import (
     cone_compact_cohomology,
     euler_characteristic,
     milnor_fiber_compact_cohomology,
-    milnor_number,
+    milnor_fiber_euler,
 )
 
 BASE_CONE = "cone"
 BASE_MILNOR_FIBER = "milnor_fiber"
-
-
-def _validate(n: int, d: int, m: int) -> None:
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if d < 2:
-        raise ValueError("requires d >= 2: the degeneration theorem excludes d = 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -50,30 +42,18 @@ class GradedPiece:
     total_dim: int
 
     def to_doc(self) -> dict:
-        return {
-            "rho": self.rho,
-            "base_kind": self.base_kind,
-            "hyperplane_vars": self.hyperplane_vars,
-            "free_vars": self.free_vars,
-            "fiber_dim": self.fiber_dim,
-            "total_dim": self.total_dim,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "GradedPiece":
-        return cls(
-            int(doc["rho"]),
-            str(doc["base_kind"]),
-            int(doc["hyperplane_vars"]),
-            int(doc["free_vars"]),
-            int(doc["fiber_dim"]),
-            int(doc["total_dim"]),
-        )
+        return cls(int(doc["rho"]), str(doc["base_kind"]),
+                   *(int(doc[key]) for key in ("hyperplane_vars", "free_vars",
+                                               "fiber_dim", "total_dim")))
 
 
 def graded_pieces(n: int, d: int, m: int) -> list[GradedPiece]:
     """One piece per jet order rho in [1, floor(m/d)]; empty when m < d."""
-    _validate(n, d, m)
+    COHOMOLOGY.check(n, d, m)
     pieces = []
     for rho in range(1, m // d + 1):
         hyperplane_vars = m - d * rho
@@ -113,11 +93,7 @@ def contact_cohomology(n: int, d: int, m: int) -> GradedGroup:
     of the spectral module excludes anyway, the split form is the stated
     convention for reassembling the abutment.
     """
-    _validate(n, d, m)
-    total = ZERO_GRADED
-    for piece in graded_pieces(n, d, m):
-        total = total.direct_sum(piece_compact_cohomology(piece, n, d))
-    return total
+    return graded_sum(piece_compact_cohomology(piece, n, d) for piece in graded_pieces(n, d, m))
 
 
 def contact_euler(n: int, d: int, m: int) -> int:
@@ -206,7 +182,6 @@ def contact_class(n: int, d: int, m: int) -> MotivicClass:
     Each stratum is an affine bundle, so it contributes L^{D_rho} times its
     base class; the punctured cone is (L - 1)[S].
     """
-    _validate(n, d, m)
     terms = []
     for piece in graded_pieces(n, d, m):
         if piece.base_kind == BASE_MILNOR_FIBER:
@@ -222,5 +197,5 @@ def euler_specialization(n: int, d: int, m: int) -> int:
 
     Must agree with contact_euler; the tests quantify this over a grid.
     """
-    chi_milnor = 1 + (-1) ** (n - 1) * milnor_number(n, d)
-    return contact_class(n, d, m).specialize(1, euler_characteristic(n, d), chi_milnor)
+    return contact_class(n, d, m).specialize(1, euler_characteristic(n, d),
+                                             milnor_fiber_euler(n, d))

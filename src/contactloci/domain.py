@@ -1,0 +1,40 @@
+"""The parameter domain of every layer, in one table.
+
+Chains, m-divisors and valuation counts take n >= 2, d >= 1; the topology of
+S needs n >= 3 (S connected); the cohomology layers also need d >= 2.  The
+command line reads this table for its help text and error messages, and its
+caps bound the work one invocation may start; the library is not capped.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+M_MIN = 1
+SCATTER_MAX = 200  # largest nmax and dmax of the scatter grid
+# Command-line caps, checked before any work: the pairs (kappa, r) >= 1 with
+# kappa + r*d <= m, coprime or not, bound the chain length; m // d strata.
+CLI_MAX_DIVISORS = 250_000
+CLI_MAX_STRATA = 20_000
+
+
+@dataclass(frozen=True)
+class Domain:
+    n_min: int
+    d_min: int
+    d_reason: str = ""
+
+    def check(self, n: int, d: int, m: Optional[int] = None) -> None:
+        if n < self.n_min:
+            raise ValueError(f"n must be >= {self.n_min}")
+        if d < self.d_min:
+            raise ValueError(f"requires d >= {self.d_min}: {self.d_reason}" if self.d_reason
+                             else f"d must be >= {self.d_min}")
+        if m is not None and m < M_MIN:
+            raise ValueError(f"m must be >= {M_MIN}")
+
+
+CHAIN = Domain(2, 1)
+SURFACE = Domain(3, 1)
+COHOMOLOGY = Domain(3, 2, "the degeneration theorem excludes d = 1")

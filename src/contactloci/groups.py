@@ -164,10 +164,7 @@ class GradedGroup:
         return not self.entries
 
     def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
-        merged = {k: g for k, g in self.entries}
-        for k, g in other.entries:
-            merged[k] = merged[k].direct_sum(g) if k in merged else g
-        return GradedGroup.from_dict(merged)
+        return graded_sum((self, other))
 
     __add__ = direct_sum
 
@@ -191,7 +188,18 @@ class GradedGroup:
         return cls(tuple((int(row["degree"]), FgAbGroup.from_doc(row)) for row in doc))
 
 
-ZERO_GRADED = GradedGroup()
+def graded_sum(groups: Iterable[GradedGroup]) -> GradedGroup:
+    """Degreewise direct sum of any number of graded groups in one pass: ranks
+    add, torsion orders pool, and each degree is normalized once."""
+    ranks: dict[int, int] = {}
+    orders: dict[int, list[int]] = {}
+    for group in groups:
+        for k, g in group.entries:
+            ranks[k] = ranks.get(k, 0) + g.rank
+            orders.setdefault(k, []).extend(g.torsion)
+    # stored groups are nonzero, so no sum of them is zero
+    return GradedGroup(tuple((k, FgAbGroup(rank, invariant_factors(orders[k])))
+                             for k, rank in ranks.items()))
 
 
 def direct_sum(a: GradedGroup, b: GradedGroup) -> GradedGroup:

@@ -19,38 +19,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .resolution import Divisor, exceptional_m_divisors, m_divisor, m_divisor_indices
-
-
-def _validate(n: int, d: int, m: int) -> None:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+from .domain import CHAIN
+from .resolution import Divisor, exceptional_m_divisor, exceptional_m_divisors
 
 
 def essential_valuations(n: int, d: int, m: int) -> tuple[Divisor, ...]:
     """All exceptional m-divisors, E_{-floor(m/d)} through E_{-1}."""
-    _validate(n, d, m)
+    CHAIN.check(n, d, m)
     return exceptional_m_divisors(n, d, m)
 
 
 def contact_valuations(n: int, d: int, m: int) -> tuple[Divisor, ...]:
     """The m-divisors whose stratum closure is an irreducible component."""
-    _validate(n, d, m)
+    CHAIN.check(n, d, m)
     if d >= n:
         return exceptional_m_divisors(n, d, m)
     if m >= d:
-        return (m_divisor(n, d, m, -1),)
+        return (exceptional_m_divisor(n, d, m, -1),)
     return ()
 
 
 def dlt_valuations(n: int, d: int, m: int) -> tuple[Divisor, ...]:
     """Empty when d < n, where every exceptional divisor has log discrepancy
     exceeding its multiplicity; all exceptional m-divisors when d >= n."""
-    _validate(n, d, m)
+    CHAIN.check(n, d, m)
     if d >= n:
         return exceptional_m_divisors(n, d, m)
     return ()
@@ -59,10 +51,7 @@ def dlt_valuations(n: int, d: int, m: int) -> tuple[Divisor, ...]:
 def stratum_codimension(n: int, d: int, m: int, i: int) -> int:
     """Codimension m + i(d - n) of the order-(-i) stratum of the unrestricted
     contact locus, checked against m * nu_i / N_i."""
-    _validate(n, d, m)
-    if i not in m_divisor_indices(d, m) or i == 0:
-        raise ValueError(f"index {i} outside [-{m // d}, -1]")
-    div = m_divisor(n, d, m, i)
+    div = exceptional_m_divisor(n, d, m, i)
     codim = m + i * (d - n)
     if m * div.log_discrepancy != codim * div.multiplicity:
         raise AssertionError(f"codimension formulas disagree at i = {i}")
@@ -122,16 +111,7 @@ class ValuationReport:
 
 
 def valuation_report(n: int, d: int, m: int) -> ValuationReport:
-    _validate(n, d, m)
-    codims = tuple(
-        (i, stratum_codimension(n, d, m, i))
-        for i in m_divisor_indices(d, m)
-        if i != 0
-    )
-    return ValuationReport(
-        n, d, m,
-        essential_valuations(n, d, m),
-        contact_valuations(n, d, m),
-        dlt_valuations(n, d, m),
-        codims,
-    )
+    essential = essential_valuations(n, d, m)  # checks the domain first
+    codims = tuple((i, stratum_codimension(n, d, m, i)) for i in range(-(m // d), 0))
+    return ValuationReport(n, d, m, essential, contact_valuations(n, d, m),
+                           dlt_valuations(n, d, m), codims)

@@ -113,9 +113,10 @@ class SparseIntPoly:
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "SparseIntPoly":
-        return cls(int(doc["n"]),
-                   tuple((tuple(int(e) for e in t["exps"]), int(t["coeff"]))
-                         for t in doc["terms"]))
+        values = [doc["n"]] + [v for t in doc["terms"] for v in (*t["exps"], t["coeff"])]
+        if any(type(v) is not int for v in values):  # no bool, float or str
+            raise TypeError("n, exps and coeff must be JSON integers")
+        return cls(doc["n"], tuple((tuple(t["exps"]), t["coeff"]) for t in doc["terms"]))
 
 
 _TERM_RE = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x(\d+)(?:\s*\^\s*(\d+))?\s*")
@@ -172,7 +173,7 @@ class _WorkCounter:
         self.work += amount
         if self.work > self.budget:
             raise BudgetExceededError(
-                f"enumeration budget {self.budget} exceeded ({self.work} candidates)")
+                f"enumeration budget exceeded (more than {self.budget} candidates)")
 
 
 def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:

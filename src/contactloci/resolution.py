@@ -15,6 +15,7 @@ from math import gcd
 from typing import Iterator, Mapping
 
 from .arith import parents_from_cf
+from .domain import CHAIN
 
 KIND_STRICT_TRANSFORM = "strict_transform"
 KIND_FIRST_EXCEPTIONAL = "first_exceptional"
@@ -103,15 +104,6 @@ class Divisor:
         )
 
 
-def _validate_params(n: int, d: int, m: int) -> None:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
-
 def _chain_pairs(d: int, m: int) -> list[CoprimePair]:
     # In-order expansion of the mediant tree: an adjacent pair of divisors
     # gets its intersection blown up exactly when the multiplicities sum to
@@ -192,7 +184,7 @@ def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
     coprime (kappa, r) with kappa, r >= 1 and kappa + r*d <= m) are kept
     separate so one can be checked against the other; see verify_minimality.
     """
-    _validate_params(n, d, m)
+    CHAIN.check(n, d, m)
     divisors = tuple(Divisor.for_params(p, n, d) for p in _chain_pairs(d, m))
     chain = ResolutionChain(n, d, m, divisors)
     _check_chain_invariants(chain)
@@ -299,7 +291,7 @@ def m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
     Index 0 is the strict transform; when d divides m, index -m/d is the
     first exceptional divisor (0, 1).
     """
-    _validate_params(n, d, m)
+    CHAIN.check(n, d, m)
     if i not in m_divisor_indices(d, m):
         raise ValueError(f"index {i} outside [-{m // d}, 0]")
     a, b = m + i * d, -i
@@ -311,6 +303,14 @@ def m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
     return div
 
 
+def exceptional_m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
+    """The exceptional m-divisor E_i, for i in [-floor(m/d), -1]."""
+    CHAIN.check(n, d, m)
+    if i == 0 or i not in m_divisor_indices(d, m):
+        raise ValueError(f"index {i} outside [-{m // d}, -1]")
+    return m_divisor(n, d, m, i)
+
+
 @dataclass(frozen=True)
 class MDivisor:
     index: int
@@ -319,10 +319,6 @@ class MDivisor:
 
     def to_doc(self) -> dict:
         return {"i": self.index, **self.divisor.to_doc(), "exceptional": self.exceptional}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "MDivisor":
-        return cls(int(doc["i"]), Divisor.from_doc(doc), bool(doc["exceptional"]))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .contact import contact_cohomology, contact_euler, graded_pieces, piece_compact_cohomology
+from .domain import COHOMOLOGY
 from .groups import FgAbGroup, GradedGroup
-from .surface import cover_homology, milnor_number
+from .surface import cover_homology, milnor_fiber_euler
 
 PAGE_MCLEAN = "mclean"
 PAGE_ORDER = "order"
@@ -28,15 +29,6 @@ COLOR_BLUE = "blue"
 COLOR_ORANGE = "orange"
 COLOR_YELLOW = "yellow"
 COLOR_PINK = "pink"
-
-
-def _validate(n: int, d: int, m: int) -> None:
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -57,12 +49,6 @@ class SpectralPage:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-
-    def entry(self, column: int, degree: int) -> FgAbGroup:
-        for (i, s), group in self.entries:
-            if (i, s) == (column, degree):
-                return group
-        return FgAbGroup()
 
     def columns(self) -> tuple[int, ...]:
         return tuple(sorted({i for (i, _), _ in self.entries}))
@@ -86,7 +72,7 @@ class SpectralPage:
 def mclean_e1(n: int, d: int, m: int) -> SpectralPage:
     """First page of the fixed-point spectral sequence over the exceptional
     m-divisors (the strict transform never contributes)."""
-    _validate(n, d, m)
+    COHOMOLOGY.check(n, d, m)
     entries = []
     for i in range(-(m // d), 0):
         homology = cover_homology(n, d, i, m)
@@ -99,7 +85,6 @@ def mclean_e1(n: int, d: int, m: int) -> SpectralPage:
 def order_e1(n: int, d: int, m: int) -> SpectralPage:
     """First page of the order-filtration spectral sequence: column -rho
     holds the compactly supported cohomology of the order-rho stratum."""
-    _validate(n, d, m)
     entries = []
     for piece in graded_pieces(n, d, m):
         profile = piece_compact_cohomology(piece, n, d)
@@ -185,7 +170,7 @@ def floer_cohomology(n: int, d: int, m: int) -> Optional[GradedGroup]:
     monodromy iterate equals the contact cohomology shifted down by
     (n-1)(2m+1).  Outside that region nothing is claimed.
     """
-    _validate(n, d, m)
+    COHOMOLOGY.check(n, d, m)
     deg = condition_degeneration(n, d, m)
     filt = condition_filtration(n, d, m)
     if not (deg.holds and filt.holds):
@@ -224,10 +209,7 @@ def classify_pair(n: int, d: int, k_bound: Optional[int] = None) -> PairClass:
     """Color of the pair (n, d): blue if both conditions hold for every m,
     orange/yellow if only the filtration/degeneration condition can fail,
     pink if both can."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    COHOMOLOGY.check(n, d)
     if k_bound is None:
         k_bound = default_k_bound(n, d)
     deg_ks = _scan(n, d, _deg_forbidden(n), 1, k_bound)
@@ -248,15 +230,21 @@ def scatter_grid(n_range, d_range) -> list[tuple[int, int, PairClass]]:
     return [(n, d, classify_pair(n, d)) for n in n_range for d in d_range]
 
 
+def lefschetz_closed_form(n: int, d: int, m: int) -> int:
+    """Closed form of the Lefschetz number of the m-th monodromy iterate:
+    0 unless d | m, in which case the iterate is isotopic to the identity
+    and the number is chi of the Milnor fiber, 1 + (-1)^(n-1) (d-1)^n."""
+    return 0 if m % d else milnor_fiber_euler(n, d)
+
+
 def lefschetz_number(n: int, d: int, m: int) -> int:
     """Lefschetz number of the m-th monodromy iterate.
 
     Computed as the compactly supported Euler characteristic of X_m and
-    cross-checked against the closed form: 0 unless d | m, in which case
-    1 + (-1)^(n-1) (d-1)^n.
+    cross-checked against lefschetz_closed_form.
     """
     chi = contact_euler(n, d, m)
-    closed = 0 if m % d else 1 + (-1) ** (n - 1) * milnor_number(n, d)
+    closed = lefschetz_closed_form(n, d, m)
     if chi != closed:
         raise AssertionError(f"Euler characteristic {chi} disagrees with closed form {closed}")
     return chi

@@ -16,22 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
+from .domain import SURFACE
 from .groups import FgAbGroup, GradedGroup, ZERO_GROUP, cyclic, free_group
-from .resolution import PAIR_FIRST, CoprimePair, m_divisor_indices
-
-
-def _validate(n: int, d: int) -> None:
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+from .resolution import PAIR_FIRST, exceptional_m_divisor
 
 
 def euler_characteristic(n: int, d: int) -> int:
     """chi of a smooth degree-d hypersurface in P^{n-1}."""
-    _validate(n, d)
+    SURFACE.check(n, d)
     numerator = (1 - d) ** n - 1
     if numerator % d:
         raise AssertionError("chi formula produced a non-integer")
@@ -55,7 +49,7 @@ def middle_rank_alternating_sum(n: int, d: int) -> int:
     middle_rank derives b from chi instead and the tests compare the two on
     odd n only.
     """
-    _validate(n, d)
+    SURFACE.check(n, d)
     correction = (-1) ** (n - 1) * 2 * (n // 2)  # n // 2 == ceil((n-1)/2)
     total = sum((-1) ** k * comb(n, k) * d ** (n - 1 - k) for k in range(n - 1))
     return correction + total
@@ -64,6 +58,11 @@ def middle_rank_alternating_sum(n: int, d: int) -> int:
 def milnor_number(n: int, d: int) -> int:
     """(d-1)^n, the Milnor number of a homogeneous isolated singularity."""
     return (d - 1) ** n
+
+
+def milnor_fiber_euler(n: int, d: int) -> int:
+    """chi of the Milnor fiber, a bouquet of (d-1)^n spheres of dimension n-1."""
+    return 1 + (-1) ** (n - 1) * milnor_number(n, d)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def _cohomology_rank(n: int, b: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def hypersurface_data(n: int, d: int) -> HypersurfaceData:
-    _validate(n, d)
+    SURFACE.check(n, d)
     b = middle_rank(n, d)
     entries = {}
     for k in range(0, 2 * n - 3):
@@ -147,7 +146,7 @@ class LefschetzData:
 
 @lru_cache(maxsize=None)
 def lefschetz_data(n: int, d: int) -> LefschetzData:
-    _validate(n, d)
+    SURFACE.check(n, d)
     return LefschetzData(n, d, middle_rank(n, d))
 
 
@@ -192,17 +191,11 @@ def milnor_fiber_compact_cohomology(n: int, d: int) -> GradedGroup:
     dimension n-1 and is a smooth (2n-2)-manifold, so duality puts the two
     groups at degrees n-1 and 2n-2.
     """
-    _validate(n, d)
+    SURFACE.check(n, d)
     return GradedGroup.from_dict({
         n - 1: free_group(milnor_number(n, d)),
         2 * n - 2: free_group(1),
     })
-
-
-def _pair_for_index(d: int, m: int, i: int) -> CoprimePair:
-    a, b = m + i * d, -i
-    g = gcd(a, b)
-    return CoprimePair(a // g, b // g)
 
 
 def cover_homology(n: int, d: int, i: int, m: int) -> GradedGroup:
@@ -214,11 +207,8 @@ def cover_homology(n: int, d: int, i: int, m: int) -> GradedGroup:
     Euler class +-h; its homology is the Poincare dual (k -> 2n-2-k) of the
     Gysin profile and depends only on n and d.
     """
-    _validate(n, d)
-    if i not in m_divisor_indices(d, m) or i == 0:
-        raise ValueError(f"index {i} outside [-{m // d}, -1]")
-    pair = _pair_for_index(d, m, i)
-    if pair == PAIR_FIRST:
+    SURFACE.check(n, d)
+    if exceptional_m_divisor(n, d, m, i).pair == PAIR_FIRST:
         return GradedGroup.from_dict({0: free_group(1),
                                       n - 1: free_group(milnor_number(n, d))})
     profile = cone_compact_cohomology(n, d)

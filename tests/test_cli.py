@@ -1,7 +1,9 @@
 import json
+import time
 
 from contactloci import cli
 from contactloci.cli import main
+from contactloci.domain import CHAIN, COHOMOLOGY
 from contactloci.groups import GradedGroup
 from contactloci.oracle import JetCountReport
 from contactloci.resolution import ResolutionChain
@@ -147,6 +149,11 @@ def test_verify_budget_exit_code(capsys):
                            "--primes", prime, "--budget", "10")
         assert code == 3
         assert "budget" in err
+    # 5^100000 candidates: the message must not try to print that number
+    code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2+x99999^3", "--m", "3",
+                       "--primes", "5")
+    assert code == 3
+    assert "budget" in err and len(err) < 200
 
 
 def test_verify_bad_poly_exit_code(capsys):
@@ -197,6 +204,20 @@ def test_verify_malformed_json_polynomial_exit_code(capsys):
         code, out, err = run(capsys, "verify", "--f", doc, "--m", "4", "--primes", "5")
         assert code == 2, doc
         assert err.startswith("error:") and out == "", doc
+    # only JSON integers count: no float, bool or string is rounded or cast
+    for doc in ['{"n":3,"terms":[{"exps":[2,0,0],"coeff":1.5},{"exps":[0,2,0.9],"coeff":1},'
+                '{"exps":[0,0,2],"coeff":true}]}',
+                '{"n":3,"terms":[{"exps":[2,0,0],"coeff":1},{"exps":[0,2,0],"coeff":1},'
+                '{"exps":[0,0,2],"coeff":true}]}',
+                '{"n":3,"terms":[{"exps":[2,0,0],"coeff":1},{"exps":[0,2.0,0],"coeff":1},'
+                '{"exps":[0,0,2],"coeff":1}]}',
+                '{"n":3.0,"terms":[{"exps":[2,0,0],"coeff":1}]}',
+                '{"n":true,"terms":[{"exps":[2],"coeff":1}]}',
+                '{"n":3,"terms":[{"exps":[2,0,0],"coeff":"1"}]}',
+                '{"n":3,"terms":[{"exps":["2",0,0],"coeff":1}]}']:
+        code, out, err = run(capsys, "verify", "--f", doc, "--m", "3", "--primes", "5")
+        assert code == 2, doc
+        assert err.startswith("error: malformed polynomial document") and out == "", doc
 
 
 def test_unwritable_output_path_exit_code(tmp_path, capsys):
@@ -205,3 +226,33 @@ def test_unwritable_output_path_exit_code(tmp_path, capsys):
                              "--out", str(target))
         assert code == 2
         assert err.startswith("error: cannot write") and out == ""
+
+
+def test_work_caps_stop_before_work(capsys, tmp_path):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "resolve", "--n", "3", "--d", "1", "--m", "3000")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == "" and err.startswith("error:")
+    # m // d strata: 20000 is the cap
+    for argv, want in ((("floer", "--n", "3", "--d", "3", "--m", "60002"), 0),
+                       (("floer", "--n", "3", "--d", "3", "--m", "60003"), 3),
+                       (("nash", "--n", "2", "--d", "1", "--m", "20001"), 3),
+                       (("euler", "--n", "3", "--d", "2", "--m", "40002"), 3)):
+        code, _, err = run(capsys, *argv)
+        assert code == want, argv
+        assert ("cap" in err) == (want == 3), argv
+    # the chain bound q*m - d*q*(q+1)/2 with q = m // d: 249571 for m = 707, d = 1
+    code, _, _ = run(capsys, "resolve", "--n", "3", "--d", "1", "--m", "707",
+                     "--out", str(tmp_path / "chain.txt"))
+    assert code == 0
+    code, _, err = run(capsys, "resolve", "--n", "3", "--d", "1", "--m", "708")
+    assert code == 3 and "250278" in err
+
+
+def test_help_text_reads_the_domain_table(capsys):
+    for command, domain in (("resolve", CHAIN), ("nash", CHAIN), ("cohomology", COHOMOLOGY),
+                            ("floer", COHOMOLOGY), ("euler", COHOMOLOGY)):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert f"number of variables (>= {domain.n_min})" in out
+        assert f"degree of the initial form (>= {domain.d_min})" in out

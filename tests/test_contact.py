@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,6 +120,15 @@ def test_rank_additivity_over_pieces():
         degrees = {k for profile in pieces for k in profile.degrees()}
         for k in degrees:
             assert total.at(k).rank == sum(p.at(k).rank for p in pieces)
+
+
+def test_stratum_sum_is_linear_in_the_strata():
+    # 2000 strata: a pairwise sum that rebuilds the total once per stratum
+    # took 3.7 s on a 2-core x86 VM, the one-pass sum 0.04 s
+    started = time.perf_counter()
+    total = contact_cohomology(5, 2, 4000)
+    assert time.perf_counter() - started < 1
+    assert total.euler_char() == 1 + (2 - 1) ** 5
 
 
 def test_contact_class_examples():

@@ -8,6 +8,7 @@ from contactloci.groups import (
     direct_sum,
     euler_char,
     free_group,
+    graded_sum,
     invariant_factors,
     shift,
 )
@@ -94,6 +95,26 @@ def test_shift_round_trip(g, s):
 @given(graded_groups, graded_groups)
 def test_direct_sum_commutes(a, b):
     assert direct_sum(a, b) == direct_sum(b, a)
+
+
+@given(st.lists(graded_groups, max_size=6))
+def test_graded_sum_is_the_degreewise_sum(groups):
+    total = graded_sum(groups)
+    degrees = {k for g in groups for k in g.degrees()}
+    assert set(total.degrees()) == degrees
+    for k in degrees:
+        want = FgAbGroup()
+        for g in groups:
+            want = want.direct_sum(g.at(k))
+        assert total.at(k) == want
+
+
+def test_graded_sum_pools_torsion():
+    z3 = GradedGroup.from_dict({5: cyclic(3)})
+    assert graded_sum([]) == GradedGroup()
+    assert graded_sum([z3] * 4).at(5) == FgAbGroup(0, (3, 3, 3, 3))
+    mixed = [z3, GradedGroup.from_dict({5: cyclic(2), 6: free_group(1)})]
+    assert graded_sum(mixed) == GradedGroup.from_dict({5: cyclic(6), 6: free_group(1)})
 
 
 def test_graded_group_rejects_stored_zero():
