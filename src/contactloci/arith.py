@@ -67,11 +67,22 @@ def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int
     ``(low, high)`` where ``low`` has the smaller value kappa/r, i.e. it is
     the parent on the (0, 1) side of the Stern-Brocot tree.  The endpoints
     (1, 0) and (0, 1) have no parents and are rejected.
+
+    One Euclidean pass runs the convergent recurrence h_i = q_i h_(i-1) +
+    h_(i-2) alongside: the truncated expansion evaluates to the next-to-last
+    convergent, and the decremented one to (q_k - 1) h_(k-1) + h_(k-2).
     """
     _require_coprime_positive(kappa, r)
-    quotients = continued_fraction(kappa, r)
-    truncated = cf_value(quotients[:-1])
-    decremented = cf_value(quotients[:-1] + [quotients[-1] - 1])
+    # (h1, k1) and (h2, k2): the last two convergents before the current one
+    h2, k2, h1, k1 = 0, 1, 1, 0
+    a, b = kappa, r
+    q = a // b
+    while a != q * b:
+        a, b = b, a - q * b
+        h2, k2, h1, k1 = h1, k1, q * h1 + h2, q * k1 + k2
+        q = a // b
+    truncated = (h1, k1)
+    decremented = ((q - 1) * h1 + h2, (q - 1) * k1 + k2)
     first, second = truncated, decremented
     if pair_less(second, first):
         first, second = second, first

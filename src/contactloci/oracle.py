@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .contact import BASE_MILNOR_FIBER, graded_pieces
@@ -160,7 +160,7 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> SparseIntPoly:
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
 
 
@@ -302,7 +302,6 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     charged before each enumeration.  The initial form must be smooth mod p
     away from 0, which is checked first.
     """
-    _require_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
     n = f.nvars
@@ -310,7 +309,12 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     h = f.initial_form()
     pieces = graded_pieces(n, d, m)  # also validates n >= 3, d >= 2
     counter = _WorkCounter(budget)
-    counter.charge(2 * p ** n)
+    if p > 1:
+        # The two scans of F_p^n, charged before p is trial-divided; p^n is
+        # not formed when its bit length alone puts it over the budget.
+        counter.charge(budget + 1 if n * (p.bit_length() - 1) > budget.bit_length()
+                       else 2 * p ** n)
+    _require_prime(p)
     witness = singular_point_mod_p(h, p)
     if witness is not None:
         raise NonSmoothReductionError(

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Iterator, Mapping, NamedTuple
 
 from .arith import parents_from_cf
 from .domain import CHAIN
@@ -21,77 +22,92 @@ KIND_STRICT_TRANSFORM = "strict_transform"
 KIND_FIRST_EXCEPTIONAL = "first_exceptional"
 KIND_INTERMEDIATE = "intermediate"
 
+_ENDPOINT_KINDS = {(1, 0): KIND_STRICT_TRANSFORM, (0, 1): KIND_FIRST_EXCEPTIONAL}
 
-@dataclass(frozen=True)
-class CoprimePair:
-    kappa: int
-    r: int
 
-    def __post_init__(self) -> None:
-        if self.kappa < 0 or self.r < 0:
-            raise ValueError(f"({self.kappa}, {self.r}): entries must be non-negative")
-        if (self.kappa, self.r) == (0, 0):
-            raise ValueError("(0, 0) is not a valid pair")
-        if gcd(self.kappa, self.r) != 1:
-            raise ValueError(f"({self.kappa}, {self.r}) is not coprime")
+class CoprimePair(tuple):
+    """A coprime pair (kappa, r) of non-negative integers.
+
+    A tuple underneath, so hashing and equality run in C; it compares and
+    hashes equal to the plain tuple ``(kappa, r)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kappa: int, r: int) -> "CoprimePair":
+        if kappa < 0 or r < 0:
+            raise ValueError(f"({kappa}, {r}): entries must be non-negative")
+        if gcd(kappa, r) != 1:
+            if kappa == r == 0:
+                raise ValueError("(0, 0) is not a valid pair")
+            raise ValueError(f"({kappa}, {r}) is not coprime")
+        return tuple.__new__(cls, (kappa, r))
+
+    kappa = property(itemgetter(0))
+    r = property(itemgetter(1))
 
     @property
     def kind(self) -> str:
-        if (self.kappa, self.r) == (1, 0):
-            return KIND_STRICT_TRANSFORM
-        if (self.kappa, self.r) == (0, 1):
-            return KIND_FIRST_EXCEPTIONAL
-        return KIND_INTERMEDIATE
+        return _ENDPOINT_KINDS.get(self, KIND_INTERMEDIATE)
 
     @property
     def is_intermediate(self) -> bool:
-        return self.kind == KIND_INTERMEDIATE
+        return self not in _ENDPOINT_KINDS
 
     def as_tuple(self) -> tuple[int, int]:
-        return (self.kappa, self.r)
+        return (self[0], self[1])
 
     def mediant(self, other: "CoprimePair") -> "CoprimePair":
-        return CoprimePair(self.kappa + other.kappa, self.r + other.r)
+        return CoprimePair(self[0] + other[0], self[1] + other[1])
 
     def __str__(self) -> str:
-        return f"({self.kappa},{self.r})"
+        return f"({self[0]},{self[1]})"
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        # copy and pickle call __new__ with these arguments
+        return tuple(self)
 
 
 PAIR_FIRST = CoprimePair(0, 1)
 PAIR_STRICT = CoprimePair(1, 0)
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(tuple):
     """One irreducible component of the total transform.
 
     multiplicity is the order of the pulled-back function along the divisor
     and log_discrepancy is 1 + the order of the relative canonical divisor;
-    for the pair (kappa, r) these are kappa + r*d and kappa + r*n.
+    for the pair (kappa, r) these are kappa + r*d and kappa + r*n.  A tuple
+    ``(pair, multiplicity, log_discrepancy, kind)`` underneath.
     """
 
-    pair: CoprimePair
-    multiplicity: int
-    log_discrepancy: int
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1 or self.log_discrepancy < 1:
+    def __new__(cls, pair: CoprimePair, multiplicity: int, log_discrepancy: int,
+                kind: str) -> "Divisor":
+        if multiplicity < 1 or log_discrepancy < 1:
             raise ValueError("multiplicity and log discrepancy must be positive")
-        if self.kind != self.pair.kind:
-            raise ValueError(f"kind {self.kind!r} does not match pair {self.pair}")
+        if kind != pair.kind:
+            raise ValueError(f"kind {kind!r} does not match pair {pair}")
+        return tuple.__new__(cls, (pair, multiplicity, log_discrepancy, kind))
+
+    pair = property(itemgetter(0))
+    multiplicity = property(itemgetter(1))
+    log_discrepancy = property(itemgetter(2))
+    kind = property(itemgetter(3))
 
     @classmethod
     def for_params(cls, pair: CoprimePair, n: int, d: int) -> "Divisor":
-        return cls(pair, pair.kappa + pair.r * d, pair.kappa + pair.r * n, pair.kind)
+        return cls(pair, pair[0] + pair[1] * d, pair[0] + pair[1] * n, pair.kind)
 
     def to_doc(self) -> dict:
+        pair, multiplicity, log_discrepancy, kind = self
         return {
-            "kappa": self.pair.kappa,
-            "r": self.pair.r,
-            "N": self.multiplicity,
-            "nu": self.log_discrepancy,
-            "kind": self.kind,
+            "kappa": pair[0],
+            "r": pair[1],
+            "N": multiplicity,
+            "nu": log_discrepancy,
+            "kind": kind,
         }
 
     @classmethod
@@ -103,24 +119,28 @@ class Divisor:
             str(doc["kind"]),
         )
 
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
-def _chain_pairs(d: int, m: int) -> list[CoprimePair]:
+
+def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
     # In-order expansion of the mediant tree: an adjacent pair of divisors
     # gets its intersection blown up exactly when the multiplicities sum to
-    # at most m, which inserts the mediant between them.
-    def mult(p: CoprimePair) -> int:
-        return p.kappa + p.r * d
-
-    out = [PAIR_FIRST]
-    stack = [(PAIR_FIRST, PAIR_STRICT)]
+    # at most m, which inserts the mediant between them.  The stack holds
+    # the right ends (kappa, r, N, nu) still to be reached from the current
+    # left end; N and nu add under mediants as kappa and r do.  (1, 0) sits
+    # at the bottom of the stack, so it is the one divisor popped last.
+    out = [Divisor(PAIR_FIRST, d, n, KIND_FIRST_EXCEPTIONAL)]
+    kappa, r, mult, disc = 0, 1, d, n
+    stack = [(1, 0, 1, 1)]
     while stack:
-        left, right = stack.pop()
-        if mult(left) + mult(right) <= m:
-            mid = left.mediant(right)
-            stack.append((mid, right))
-            stack.append((left, mid))
+        right = stack[-1]
+        if mult + right[2] <= m:
+            stack.append((kappa + right[0], r + right[1], mult + right[2], disc + right[3]))
         else:
-            out.append(right)
+            kappa, r, mult, disc = stack.pop()
+            out.append(Divisor(CoprimePair(kappa, r), mult, disc,
+                               KIND_INTERMEDIATE if stack else KIND_STRICT_TRANSFORM))
     return out
 
 
@@ -136,10 +156,10 @@ class ResolutionChain:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index",
-                           {div.pair: idx for idx, div in enumerate(self.divisors)})
+                           {div[0]: idx for idx, div in enumerate(self.divisors)})
 
     def pairs(self) -> tuple[CoprimePair, ...]:
-        return tuple(div.pair for div in self.divisors)
+        return tuple(div[0] for div in self.divisors)
 
     def index_of(self, pair: CoprimePair) -> int:
         idx = self._index.get(pair)
@@ -151,7 +171,7 @@ class ResolutionChain:
         return self.divisors[self.index_of(pair)]
 
     def intermediate_divisors(self) -> tuple[Divisor, ...]:
-        return tuple(div for div in self.divisors if div.pair.is_intermediate)
+        return tuple(div for div in self.divisors if div[3] == KIND_INTERMEDIATE)
 
     def __iter__(self) -> Iterator[Divisor]:
         return iter(self.divisors)
@@ -185,48 +205,63 @@ def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
     separate so one can be checked against the other; see verify_minimality.
     """
     CHAIN.check(n, d, m)
-    divisors = tuple(Divisor.for_params(p, n, d) for p in _chain_pairs(d, m))
-    chain = ResolutionChain(n, d, m, divisors)
+    chain = ResolutionChain(n, d, m, tuple(_chain_divisors(n, d, m)))
     _check_chain_invariants(chain)
     return chain
 
 
 def _check_chain_invariants(chain: ResolutionChain) -> None:
     divs = chain.divisors
-    if divs[0].pair != PAIR_FIRST or divs[-1].pair != PAIR_STRICT:
+    if divs[0][0] != PAIR_FIRST or divs[-1][0] != PAIR_STRICT:
         raise AssertionError("chain endpoints are wrong")
-    for div in divs:
-        if div.multiplicity != div.pair.kappa + div.pair.r * chain.d:
-            raise AssertionError(f"multiplicity of {div.pair} is inconsistent")
-        if div.log_discrepancy != div.pair.kappa + div.pair.r * chain.n:
-            raise AssertionError(f"log discrepancy of {div.pair} is inconsistent")
-    for a, b in zip(divs, divs[1:]):
-        det = a.pair.kappa * b.pair.r - b.pair.kappa * a.pair.r
-        if det not in (1, -1):
-            raise AssertionError(f"{a.pair}, {b.pair} are not Farey neighbors")
-        if a.multiplicity + b.multiplicity <= chain.m:
-            raise AssertionError(f"chain is not {chain.m}-separating at {a.pair}, {b.pair}")
+    n, d, m = chain.n, chain.d, chain.m
+    for (kappa, r), mult, disc, _ in divs:
+        if mult != kappa + r * d:
+            raise AssertionError(f"multiplicity of ({kappa},{r}) is inconsistent")
+        if disc != kappa + r * n:
+            raise AssertionError(f"log discrepancy of ({kappa},{r}) is inconsistent")
+    prev = divs[0]
+    for div in divs[1:]:
+        (ka, ra), (kb, rb) = prev[0], div[0]
+        if ka * rb - kb * ra not in (1, -1):
+            raise AssertionError(f"{prev[0]}, {div[0]} are not Farey neighbors")
+        if prev[1] + div[1] <= m:
+            raise AssertionError(f"chain is not {m}-separating at {prev[0]}, {div[0]}")
+        prev = div
+
+
+def _closed_form_pairs(d: int, m: int) -> set[tuple[int, int]]:
+    return {(kappa, r) for r in range(1, m // d + 1)
+            for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1}
 
 
 def closed_form_intermediate_pairs(d: int, m: int) -> set[CoprimePair]:
     """The predicted set of intermediate pairs: coprime, both >= 1, N <= m."""
-    pairs = set()
-    for r in range(1, m // d + 1):
-        for kappa in range(1, m - r * d + 1):
-            if gcd(kappa, r) == 1:
-                pairs.add(CoprimePair(kappa, r))
-    return pairs
+    return {CoprimePair(kappa, r) for kappa, r in _closed_form_pairs(d, m)}
 
 
 def verify_minimality(chain: ResolutionChain) -> bool:
-    """Check the closed-form membership predicate and the separation bound."""
-    actual = {div.pair for div in chain.intermediate_divisors()}
-    if actual != closed_form_intermediate_pairs(chain.d, chain.m):
+    """Check the closed-form membership predicate and the separation bound.
+
+    The chain's pairs hash and compare as plain tuples, so the closed form is
+    enumerated as tuples and never wrapped.
+    """
+    actual = {div[0] for div in chain.intermediate_divisors()}
+    if actual != _closed_form_pairs(chain.d, chain.m):
         return False
-    for a, b in zip(chain.divisors, chain.divisors[1:]):
-        if a.multiplicity + b.multiplicity <= chain.m:
-            return False
-    return True
+    mults = [div[1] for div in chain.divisors]
+    m = chain.m
+    return all(a + b > m for a, b in zip(mults, mults[1:]))
+
+
+def _flanks(chain: ResolutionChain, pair: CoprimePair) -> tuple[Divisor, Divisor, Divisor]:
+    # An intermediate divisor between its left and right chain neighbours,
+    # found by one index lookup.
+    if not pair.is_intermediate:
+        raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
+    idx = chain.index_of(pair)
+    divs = chain.divisors
+    return divs[idx - 1], divs[idx], divs[idx + 1]
 
 
 def adjacency(chain: ResolutionChain, pair: CoprimePair) -> tuple[CoprimePair, CoprimePair]:
@@ -234,10 +269,24 @@ def adjacency(chain: ResolutionChain, pair: CoprimePair) -> tuple[CoprimePair, C
 
     Left means closer to (0, 1), i.e. smaller kappa/r.
     """
-    if not pair.is_intermediate:
-        raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
-    idx = chain.index_of(pair)
-    return chain.divisors[idx - 1].pair, chain.divisors[idx + 1].pair
+    left, _, right = _flanks(chain, pair)
+    return left[0], right[0]
+
+
+def _counts(pair: CoprimePair, left: CoprimePair, right: CoprimePair) -> tuple[int, int]:
+    kappa, r = pair
+    low, high = parents_from_cf(kappa, r)
+    dk, dr = left[0] - low[0], left[1] - low[1]
+    n_left = dk // kappa
+    if dk % kappa or dr % r or n_left != dr // r:
+        raise AssertionError(f"non-integral blow-up count at {pair}")
+    dk, dr = right[0] - high[0], right[1] - high[1]
+    n_right = dk // kappa
+    if dk % kappa or dr % r or n_right != dr // r:
+        raise AssertionError(f"non-integral blow-up count at {pair}")
+    if n_left < 0 or n_right < 0:
+        raise AssertionError(f"negative blow-up count at {pair}")
+    return n_left, n_right
 
 
 def blowup_counts(chain: ResolutionChain, pair: CoprimePair) -> tuple[int, int]:
@@ -249,40 +298,34 @@ def blowup_counts(chain: ResolutionChain, pair: CoprimePair) -> tuple[int, int]:
     n' = (kappa* - kappa')/kappa = (r* - r')/r and symmetrically n''.
     Non-integrality would mean the chain was built wrong and raises.
     """
-    parent_low, parent_high = parents_from_cf(pair.kappa, pair.r)
-    left, right = adjacency(chain, pair)
-    counts = []
-    for parent, neighbor in ((parent_low, left), (parent_high, right)):
-        dk = neighbor.kappa - parent[0]
-        dr = neighbor.r - parent[1]
-        if dk % pair.kappa or dr % pair.r or dk // pair.kappa != dr // pair.r:
-            raise AssertionError(f"non-integral blow-up count at {pair}")
-        count = dk // pair.kappa
-        if count < 0:
-            raise AssertionError(f"negative blow-up count at {pair}")
-        counts.append(count)
-    return counts[0], counts[1]
+    left, _, right = _flanks(chain, pair)
+    return _counts(pair, left[0], right[0])
 
 
 def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     """Fiber-degree identity for both linear invariants of an intermediate
     divisor: the neighbor values sum to (1 + n' + n'') times the divisor's own,
     both for N and for nu."""
-    n_left, n_right = blowup_counts(chain, pair)
-    left, right = adjacency(chain, pair)
-    div = chain.divisor(pair)
-    div_left = chain.divisor(left)
-    div_right = chain.divisor(right)
+    left, div, right = _flanks(chain, pair)
+    n_left, n_right = _counts(pair, left[0], right[0])
     factor = 1 + n_left + n_right
-    return (
-        div_left.log_discrepancy + div_right.log_discrepancy == factor * div.log_discrepancy
-        and div_left.multiplicity + div_right.multiplicity == factor * div.multiplicity
-    )
+    return (left[2] + right[2] == factor * div[2]
+            and left[1] + right[1] == factor * div[1])
 
 
 def m_divisor_indices(d: int, m: int) -> range:
     """All m-divisor indices i, from -floor(m/d) to 0 inclusive."""
     return range(-(m // d), 1)
+
+
+def _m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
+    # E_i for (n, d, m) in the chain domain and i already range-checked
+    a, b = m + i * d, -i
+    g = gcd(a, b)
+    div = Divisor.for_params(CoprimePair(a // g, b // g), n, d)
+    if m % div.multiplicity != 0:
+        raise AssertionError(f"multiplicity of E_{i} does not divide m")
+    return div
 
 
 def m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
@@ -294,13 +337,7 @@ def m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
     CHAIN.check(n, d, m)
     if i not in m_divisor_indices(d, m):
         raise ValueError(f"index {i} outside [-{m // d}, 0]")
-    a, b = m + i * d, -i
-    g = gcd(a, b)
-    pair = CoprimePair(a // g, b // g)
-    div = Divisor.for_params(pair, n, d)
-    if m % div.multiplicity != 0:
-        raise AssertionError(f"multiplicity of E_{i} does not divide m")
-    return div
+    return _m_divisor(n, d, m, i)
 
 
 def exceptional_m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
@@ -308,11 +345,10 @@ def exceptional_m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
     CHAIN.check(n, d, m)
     if i == 0 or i not in m_divisor_indices(d, m):
         raise ValueError(f"index {i} outside [-{m // d}, -1]")
-    return m_divisor(n, d, m, i)
+    return _m_divisor(n, d, m, i)
 
 
-@dataclass(frozen=True)
-class MDivisor:
+class MDivisor(NamedTuple):
     index: int
     divisor: Divisor
     exceptional: bool
@@ -337,17 +373,19 @@ def m_divisors(chain: ResolutionChain) -> MDivisorList:
 
     Each listed pair is checked to be present in the chain.
     """
+    n, d, m = chain.n, chain.d, chain.m
+    CHAIN.check(n, d, m)
     entries = []
-    chain_pairs = set(chain.pairs())
-    for i in m_divisor_indices(chain.d, chain.m):
-        div = m_divisor(chain.n, chain.d, chain.m, i)
-        if div.pair not in chain_pairs:
+    for i in m_divisor_indices(d, m):
+        div = _m_divisor(n, d, m, i)
+        if div.pair not in chain._index:
             raise AssertionError(f"m-divisor {div.pair} missing from chain")
         entries.append(MDivisor(i, div, i != 0))
-    return MDivisorList(chain.n, chain.d, chain.m, tuple(entries))
+    return MDivisorList(n, d, m, tuple(entries))
 
 
 def exceptional_m_divisors(n: int, d: int, m: int) -> tuple[Divisor, ...]:
     """The exceptional m-divisors E_{-floor(m/d)}, ..., E_{-1} without
     building the full chain."""
-    return tuple(m_divisor(n, d, m, i) for i in m_divisor_indices(d, m) if i != 0)
+    CHAIN.check(n, d, m)
+    return tuple(_m_divisor(n, d, m, i) for i in range(-(m // d), 0))

@@ -96,3 +96,27 @@ def test_parents_are_mediant_summands(pair):
     # parent and child are Farey neighbors
     assert abs(low[0] * r - kappa * low[1]) == 1
     assert abs(high[0] * r - kappa * high[1]) == 1
+
+
+def stern_brocot_parents(kappa, r):
+    # descend the Stern-Brocot tree from the endpoints (0, 1) and (1, 0),
+    # keeping the interval that contains kappa / r, until the mediant hits it
+    low, high = (0, 1), (1, 0)
+    while True:
+        mid = (low[0] + high[0], low[1] + high[1])
+        if mid == (kappa, r):
+            return low, high
+        if kappa * mid[1] < mid[0] * r:
+            high = mid
+        else:
+            low = mid
+
+
+def test_parents_match_stern_brocot_descent():
+    checked = 0
+    for kappa in range(1, 151):
+        for r in range(1, 151):
+            if math_gcd(kappa, r) == 1:
+                assert parents_from_cf(kappa, r) == stern_brocot_parents(kappa, r), (kappa, r)
+                checked += 1
+    assert checked == 13_715

@@ -143,17 +143,26 @@ def test_verify_accepts_json_polynomial(capsys):
 
 
 def test_verify_budget_exit_code(capsys):
-    # with p = 10007 the budget must stop the run before it scans F_p^3
-    for prime in ("7", "10007"):
+    # with p = 10007 the budget must stop the run before it scans F_p^3, and
+    # a prime near 10^20 or a 401-digit p before trial division of p
+    for prime in ("7", "10007", "100000000000000000039", "1" + "0" * 399 + "1"):
         code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "4",
                            "--primes", prime, "--budget", "10")
         assert code == 3
         assert "budget" in err
-    # 5^100000 candidates: the message must not try to print that number
-    code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2+x99999^3", "--m", "3",
-                       "--primes", "5")
-    assert code == 3
-    assert "budget" in err and len(err) < 200
+    # the same two primes at the default budget
+    for prime in ("100000000000000000039", "1" + "0" * 399 + "1"):
+        code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "2",
+                           "--primes", prime)
+        assert code == 3
+        assert "budget" in err
+    # 5^100000 candidates: the message must not try to print that number, and
+    # a 401-digit p must not be raised to the 100000th power either
+    for prime in ("5", "1" + "0" * 399 + "1"):
+        code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2+x99999^3", "--m", "3",
+                           "--primes", prime)
+        assert code == 3
+        assert "budget" in err and len(err) < 200
 
 
 def test_verify_bad_poly_exit_code(capsys):

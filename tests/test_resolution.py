@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +9,7 @@ from contactloci.resolution import (
     CoprimePair,
     Divisor,
     ResolutionChain,
+    _check_chain_invariants,
     adjacency,
     blowup_counts,
     build_minimal_resolution,
@@ -46,7 +50,8 @@ def test_chain_3_2_6_matches_closed_form():
 
 
 def test_build_rejects_bad_parameters():
-    for bad in ((1, 2, 4), (2, 0, 4), (2, 2, 0)):
+    for bad in ((1, 2, 4), (2, 0, 4), (2, 2, 0), (0, 2, 4), (-3, 2, 4), (2, -1, 4),
+                (2, 2, -5), (1, 0, 0)):
         with pytest.raises(ValueError):
             build_minimal_resolution(*bad)
 
@@ -180,9 +185,139 @@ def test_chain_doc_round_trip():
 
 
 def test_coprime_pair_validation():
-    with pytest.raises(ValueError):
-        CoprimePair(2, 4)
-    with pytest.raises(ValueError):
-        CoprimePair(0, 0)
-    with pytest.raises(ValueError):
-        CoprimePair(-1, 2)
+    for bad, message in (((2, 4), "not coprime"), ((0, 2), "not coprime"),
+                         ((6, 9), "not coprime"), ((0, 0), "not a valid pair"),
+                         ((-1, 2), "non-negative"), ((1, -1), "non-negative"),
+                         ((-1, 0), "non-negative")):
+        with pytest.raises(ValueError, match=message):
+            CoprimePair(*bad)
+
+
+def test_divisor_validation():
+    pair = CoprimePair(2, 1)
+    with pytest.raises(ValueError, match="does not match"):
+        Divisor(pair, 4, 5, "strict_transform")
+    with pytest.raises(ValueError, match="does not match"):
+        Divisor(CoprimePair(1, 0), 1, 1, "intermediate")
+    with pytest.raises(ValueError, match="does not match"):
+        Divisor(CoprimePair(0, 1), 2, 3, "strict_transform")
+    for mult, disc in ((0, 5), (4, 0), (-1, 5)):
+        with pytest.raises(ValueError, match="positive"):
+            Divisor(pair, mult, disc, "intermediate")
+
+
+def chain_of(pairs, n=3, d=2, m=4):
+    return ResolutionChain(n, d, m, tuple(Divisor.for_params(CoprimePair(*p), n, d)
+                                          for p in pairs))
+
+
+@pytest.mark.parametrize("pairs", [
+    # missing (2, 1), whose multiplicity 4 is at most m
+    [(0, 1), (1, 1), (1, 0)],
+    # missing (1, 1), N = 3; every adjacent pair is separated
+    [(0, 1), (2, 1), (1, 0)],
+    # missing both
+    [(0, 1), (1, 0)],
+])
+def test_verify_minimality_rejects_missing_divisor(pairs):
+    assert not verify_minimality(chain_of(pairs))
+
+
+def test_verify_minimality_rejects_non_separating_chain():
+    # the intermediate divisors are the closed-form set, but (0, 1) sits
+    # next to (1, 0) and 2 + 1 <= 4
+    chain = chain_of([(0, 1), (1, 0), (1, 1), (2, 1)])
+    assert {div.pair.as_tuple() for div in chain.intermediate_divisors()} == {(1, 1), (2, 1)}
+    assert not verify_minimality(chain)
+
+
+@pytest.mark.parametrize("pairs,pair", [
+    # right neighbour (4, 1) of (2, 1): (4 - 1) / 2 is not integral
+    ([(0, 1), (1, 1), (2, 1), (4, 1), (1, 0)], (2, 1)),
+    # right neighbour (3, 1) of (1, 1): kappa and r give different counts
+    ([(0, 1), (1, 1), (3, 1), (1, 0)], (1, 1)),
+    # left neighbour (0, 1) of (2, 1): (0 - 1) / 2 is not integral
+    ([(0, 1), (2, 1), (1, 0)], (2, 1)),
+    # left neighbour (4, 3) of (2, 1): (4 - 1) / 2 is not integral
+    ([(0, 1), (4, 3), (2, 1), (1, 0)], (2, 1)),
+])
+def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
+    chain = chain_of(pairs)
+    with pytest.raises(AssertionError, match="blow-up count"):
+        blowup_counts(chain, CoprimePair(*pair))
+    with pytest.raises(AssertionError, match="blow-up count"):
+        nef_fiber_identity(chain, CoprimePair(*pair))
+
+
+@pytest.mark.parametrize("divisors,message", [
+    ([((1, 1), 3, 4), ((2, 1), 4, 5), ((1, 0), 1, 1)], "endpoints"),
+    ([((0, 1), 2, 3), ((1, 1), 3, 4), ((2, 1), 4, 5)], "endpoints"),
+    ([((0, 1), 2, 3), ((1, 1), 4, 4), ((2, 1), 4, 5), ((1, 0), 1, 1)], "multiplicity"),
+    ([((0, 1), 2, 3), ((1, 1), 3, 5), ((2, 1), 4, 5), ((1, 0), 1, 1)], "log discrepancy"),
+    ([((0, 1), 2, 3), ((2, 1), 4, 5), ((1, 1), 3, 4), ((1, 0), 1, 1)], "Farey"),
+    ([((0, 1), 2, 3), ((1, 0), 1, 1)], "separating"),
+])
+def test_chain_invariant_check_rejects_broken_chains(divisors, message):
+    chain = ResolutionChain(3, 2, 4, tuple(
+        Divisor(CoprimePair(*pair), mult, disc, CoprimePair(*pair).kind)
+        for pair, mult, disc in divisors))
+    with pytest.raises(AssertionError, match=message):
+        _check_chain_invariants(chain)
+    _check_chain_invariants(build_minimal_resolution(3, 2, 4))
+
+
+def test_m_divisors_rejects_chain_without_an_m_divisor():
+    # E_{-1} = (2, 1) for (n, d, m) = (3, 2, 4)
+    with pytest.raises(AssertionError, match="missing"):
+        m_divisors(chain_of([(0, 1), (1, 1), (1, 0)]))
+    # E_{-2} = (0, 1)
+    with pytest.raises(AssertionError, match="missing"):
+        m_divisors(chain_of([(1, 1), (2, 1), (1, 0)]))
+    assert len(m_divisors(chain_of([(0, 1), (1, 1), (2, 1), (1, 0)])).entries) == 3
+
+
+def test_value_semantics():
+    a, b = CoprimePair(3, 2), CoprimePair(3, 2)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != CoprimePair(2, 3)
+    assert len({a, b, CoprimePair(2, 3)}) == 2
+    div = Divisor.for_params(a, 4, 5)
+    assert div == Divisor(CoprimePair(3, 2), 13, 11, "intermediate")
+    assert hash(div) == hash(Divisor.for_params(b, 4, 5))
+    assert div != Divisor.for_params(a, 5, 5)
+
+    chain = build_minimal_resolution(3, 2, 12)
+    pairs = set(chain.pairs())
+    assert CoprimePair(5, 3) in pairs and CoprimePair(3, 5) not in pairs
+    assert chain.divisor(CoprimePair(5, 3)) == Divisor.for_params(CoprimePair(5, 3), 3, 2)
+    assert chain.index_of(CoprimePair(1, 0)) == len(chain) - 1
+
+    for obj in (a, div, chain):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.deepcopy(obj) == obj
+
+    for obj, attr in ((a, "kappa"), (a, "r"), (a, "other"), (div, "multiplicity"),
+                      (div, "pair"), (div, "kind"), (div, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 1)
+
+
+def test_value_text_and_documents():
+    assert str(CoprimePair(5, 3)) == "(5,3)"
+    assert str(CoprimePair(1, 0)) == "(1,0)"
+    assert CoprimePair(5, 3).as_tuple() == (5, 3)
+    assert type(CoprimePair(5, 3).as_tuple()) is tuple
+    assert CoprimePair(2, 1).mediant(CoprimePair(3, 2)) == CoprimePair(5, 3)
+    kinds = {(1, 0): ("strict_transform", False), (0, 1): ("first_exceptional", False),
+             (1, 1): ("intermediate", True), (7, 2): ("intermediate", True)}
+    for pair, (kind, intermediate) in kinds.items():
+        assert CoprimePair(*pair).kind == kind
+        assert CoprimePair(*pair).is_intermediate is intermediate
+    assert Divisor.for_params(CoprimePair(5, 3), 4, 2).to_doc() == {
+        "kappa": 5, "r": 3, "N": 11, "nu": 17, "kind": "intermediate"}
+    assert list(Divisor.for_params(CoprimePair(1, 0), 4, 2).to_doc()) == [
+        "kappa", "r", "N", "nu", "kind"]
+    entry = m_divisors(build_minimal_resolution(3, 2, 4)).entries[1]
+    assert entry.to_doc() == {"i": -1, "kappa": 2, "r": 1, "N": 4, "nu": 5,
+                              "kind": "intermediate", "exceptional": True}
+    assert list(entry.to_doc()) == ["i", "kappa", "r", "N", "nu", "kind", "exceptional"]
