@@ -1,130 +1,95 @@
 """Exact invariants of contact loci of semihomogeneous hypersurface
-singularities, from the three integers (n, d, m)."""
+singularities, from the three integers (n, d, m).
 
-from .arith import continued_fraction, gcd, parents_from_cf
-from .contact import (
-    GradedPiece,
-    MotivicClass,
-    contact_class,
-    contact_cohomology,
-    contact_dimension,
-    contact_euler,
-    graded_pieces,
-    piece_compact_cohomology,
-)
-from .groups import FgAbGroup, GradedGroup, direct_sum, euler_char, shift
-from .nash import (
-    ValuationReport,
-    contact_valuations,
-    dlt_valuations,
-    essential_valuations,
-    stratum_codimension,
-    valuation_report,
-)
-from .oracle import (
-    JetCountReport,
-    SparseIntPoly,
-    count_base,
-    count_contact_jets,
-    milnor_number_oracle,
-    parse_poly,
-    verify_stratification,
-)
-from .resolution import (
-    CoprimePair,
-    Divisor,
-    MDivisorList,
-    ResolutionChain,
-    adjacency,
-    blowup_counts,
-    build_minimal_resolution,
-    m_divisors,
-    nef_fiber_identity,
-    verify_minimality,
-)
-from .spectral import (
-    ConditionReport,
-    PairClass,
-    SpectralPage,
-    classify_pair,
-    compare_pages,
-    condition_degeneration,
-    condition_filtration,
-    floer_cohomology,
-    lefschetz_number,
-    mclean_e1,
-    order_e1,
-    scatter_grid,
-)
-from .surface import (
-    HypersurfaceData,
-    cone_compact_cohomology,
-    cover_homology,
-    gysin_cx_bundle,
-    hypersurface_data,
-    middle_rank,
-    milnor_fiber_compact_cohomology,
-)
+Importing the package loads none of its layers.  The first access to any
+exported name imports the layers and binds every exported name into this
+namespace (PEP 562), so from then on each is a plain module global.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionReport",
-    "CoprimePair",
-    "Divisor",
-    "FgAbGroup",
-    "GradedGroup",
-    "GradedPiece",
-    "HypersurfaceData",
-    "JetCountReport",
-    "MDivisorList",
-    "MotivicClass",
-    "PairClass",
-    "ResolutionChain",
-    "SparseIntPoly",
-    "SpectralPage",
-    "ValuationReport",
-    "adjacency",
-    "blowup_counts",
-    "build_minimal_resolution",
-    "classify_pair",
-    "compare_pages",
-    "condition_degeneration",
-    "condition_filtration",
-    "cone_compact_cohomology",
-    "contact_class",
-    "contact_cohomology",
-    "contact_dimension",
-    "contact_euler",
-    "contact_valuations",
-    "continued_fraction",
-    "count_base",
-    "count_contact_jets",
-    "cover_homology",
-    "direct_sum",
-    "dlt_valuations",
-    "essential_valuations",
-    "euler_char",
-    "floer_cohomology",
-    "gcd",
-    "graded_pieces",
-    "gysin_cx_bundle",
-    "hypersurface_data",
-    "lefschetz_number",
-    "m_divisors",
-    "mclean_e1",
-    "middle_rank",
-    "milnor_fiber_compact_cohomology",
-    "milnor_number_oracle",
-    "nef_fiber_identity",
-    "order_e1",
-    "parents_from_cf",
-    "parse_poly",
-    "piece_compact_cohomology",
-    "scatter_grid",
-    "shift",
-    "stratum_codimension",
-    "valuation_report",
-    "verify_minimality",
-    "verify_stratification",
-]
+_LAYERS = {
+    "arith": ("continued_fraction", "gcd", "parents_from_cf"),
+    "contact": (
+        "GradedPiece",
+        "MotivicClass",
+        "contact_class",
+        "contact_cohomology",
+        "contact_dimension",
+        "contact_euler",
+        "graded_pieces",
+        "piece_compact_cohomology",
+    ),
+    "groups": ("FgAbGroup", "GradedGroup", "direct_sum", "euler_char", "shift"),
+    "nash": (
+        "ValuationReport",
+        "contact_valuations",
+        "dlt_valuations",
+        "essential_valuations",
+        "stratum_codimension",
+        "valuation_report",
+    ),
+    "oracle": (
+        "JetCountReport",
+        "SparseIntPoly",
+        "count_base",
+        "count_contact_jets",
+        "milnor_number_oracle",
+        "parse_poly",
+        "verify_stratification",
+    ),
+    "resolution": (
+        "CoprimePair",
+        "Divisor",
+        "MDivisorList",
+        "ResolutionChain",
+        "adjacency",
+        "blowup_counts",
+        "build_minimal_resolution",
+        "m_divisors",
+        "nef_fiber_identity",
+        "verify_minimality",
+    ),
+    "spectral": (
+        "ConditionReport",
+        "PairClass",
+        "SpectralPage",
+        "classify_pair",
+        "compare_pages",
+        "condition_degeneration",
+        "condition_filtration",
+        "floer_cohomology",
+        "lefschetz_number",
+        "mclean_e1",
+        "order_e1",
+        "scatter_grid",
+    ),
+    "surface": (
+        "HypersurfaceData",
+        "cone_compact_cohomology",
+        "cover_homology",
+        "gysin_cx_bundle",
+        "hypersurface_data",
+        "middle_rank",
+        "milnor_fiber_compact_cohomology",
+    ),
+}
+
+__all__ = sorted(name for names in _LAYERS.values() for name in names)
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    for layer, names in _LAYERS.items():
+        module = import_module("." + layer, __name__)
+        for export in names:
+            namespace[export] = getattr(module, export)
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

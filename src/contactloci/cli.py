@@ -7,6 +7,9 @@ interface and the scatter command also emits CSV or a dependency-free SVG.
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input (outside the
 domain table), 3 budget exceeded (the oracle's budget, or a work cap of the
 domain table checked before any work starts).
+
+Each handler imports the layers it runs, so a process loads only those: an
+input rejected by the domain table exits before any layer is loaded.
 """
 
 from __future__ import annotations
@@ -14,37 +17,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .contact import (
-    contact_class,
-    contact_cohomology,
-    contact_dimension,
-    contact_euler,
-    graded_pieces,
-    piece_compact_cohomology,
-)
-from .domain import CHAIN, CLI_MAX_DIVISORS, CLI_MAX_STRATA, COHOMOLOGY, M_MIN, SCATTER_MAX
-from .groups import GradedGroup
-from .nash import valuation_report
-from .oracle import (
-    BudgetExceededError,
+from .domain import (
+    CHAIN,
+    CLI_MAX_DIVISORS,
+    CLI_MAX_STRATA,
+    COHOMOLOGY,
     DEFAULT_BUDGET,
+    M_MIN,
+    SCATTER_MAX,
+    BudgetExceededError,
     NonIsolatedSingularityError,
     NonSmoothReductionError,
-    SparseIntPoly,
-    count_contact_jets,
-    parse_poly,
 )
-from .resolution import build_minimal_resolution, m_divisors
-from .spectral import (
-    comparison_shift,
-    condition_degeneration,
-    condition_filtration,
-    floer_cohomology,
-    lefschetz_closed_form,
-    scatter_grid,
-)
+
+if TYPE_CHECKING:
+    from .groups import GradedGroup
+    from .oracle import SparseIntPoly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -88,6 +78,8 @@ def _graded_lines(profile: GradedGroup, label: str) -> list[str]:
 
 
 def cmd_resolve(args) -> int:
+    from .resolution import build_minimal_resolution, m_divisors
+
     chain = build_minimal_resolution(args.n, args.d, args.m)
     mlist = m_divisors(chain)
     doc = chain.to_doc()
@@ -109,6 +101,14 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .contact import (
+        contact_class,
+        contact_cohomology,
+        contact_dimension,
+        graded_pieces,
+        piece_compact_cohomology,
+    )
+
     n, d, m = args.n, args.d, args.m
     pieces = graded_pieces(n, d, m)
     profiles = [piece_compact_cohomology(piece, n, d) for piece in pieces]
@@ -138,6 +138,13 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_floer(args) -> int:
+    from .spectral import (
+        comparison_shift,
+        condition_degeneration,
+        condition_filtration,
+        floer_cohomology,
+    )
+
     n, d, m = args.n, args.d, args.m
     deg = condition_degeneration(n, d, m)
     filt = condition_filtration(n, d, m)
@@ -161,6 +168,8 @@ def cmd_floer(args) -> int:
 
 
 def cmd_nash(args) -> int:
+    from .nash import valuation_report
+
     report = valuation_report(args.n, args.d, args.m)
     doc = report.to_doc()
     dlt, contact, essential = report.counts()
@@ -184,6 +193,9 @@ def cmd_nash(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from .contact import contact_euler
+    from .spectral import lefschetz_closed_form
+
     n, d, m = args.n, args.d, args.m
     chi = contact_euler(n, d, m)
     closed = lefschetz_closed_form(n, d, m)
@@ -242,6 +254,8 @@ def _scatter_svg(rows, n_max: int, d_max: int) -> str:
 
 
 def cmd_scatter(args) -> int:
+    from .spectral import scatter_grid
+
     n0, d0 = COHOMOLOGY.n_min, COHOMOLOGY.d_min
     for name, low, value in (("nmax", n0, args.nmax), ("dmax", d0, args.dmax)):
         if not low <= value <= SCATTER_MAX:
@@ -259,6 +273,8 @@ def cmd_scatter(args) -> int:
 
 
 def _load_poly(spec: str) -> SparseIntPoly:
+    from .oracle import SparseIntPoly, parse_poly
+
     spec = spec.strip()
     if spec.startswith("{"):
         try:
@@ -269,10 +285,13 @@ def _load_poly(spec: str) -> SparseIntPoly:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import count_contact_jets
+
     poly = _load_poly(args.f)
     primes = [int(chunk) for chunk in args.primes.split(",") if chunk.strip()]
     if not primes:
         raise ValueError("no primes given")
+    _check_size("verify", COHOMOLOGY, poly.nvars, poly.min_total_degree(), args.m)
     reports = [count_contact_jets(poly, args.m, p, budget=args.budget) for p in primes]
     all_match = all(report.matches for report in reports)
     doc = {
@@ -306,12 +325,12 @@ def _add_ndm(sub, domain) -> None:
     sub.set_defaults(domain=domain)
 
 
-def _check_size(args) -> None:
+def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     """Reject (n, d, m) outside the subcommand's domain, then inputs whose
     closed-form size is over a cap, before any work starts."""
-    args.domain.check(args.n, args.d, args.m)
-    q = args.m // args.d
-    divisors = q * args.m - args.d * q * (q + 1) // 2 if args.command == "resolve" else 0
+    domain.check(n, d, m)
+    q = m // d
+    divisors = q * m - d * q * (q + 1) // 2 if command == "resolve" else 0
     for what, size, cap in (("strata", q, CLI_MAX_STRATA),
                             ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS)):
         if size > cap:
@@ -367,7 +386,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         if hasattr(args, "domain"):
-            _check_size(args)
+            _check_size(args.command, args.domain, args.n, args.d, args.m)
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,8 @@ Chains, m-divisors and valuation counts take n >= 2, d >= 1; the topology of
 S needs n >= 3 (S connected); the cohomology layers also need d >= 2.  The
 command line reads this table for its help text and error messages, and its
 caps bound the work one invocation may start; the library is not capped.
+The errors the command line maps to exit codes 2 and 3 live here too, so
+that it can catch them without loading the layers that raise them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,19 @@ SCATTER_MAX = 200  # largest nmax and dmax of the scatter grid
 # kappa + r*d <= m, coprime or not, bound the chain length; m // d strata.
 CLI_MAX_DIVISORS = 250_000
 CLI_MAX_STRATA = 20_000
+DEFAULT_BUDGET = 10_000_000  # candidate vectors one finite-field jet count may enumerate
+
+
+class BudgetExceededError(RuntimeError):
+    """More work than a budget or a command-line cap allows."""
+
+
+class NonSmoothReductionError(RuntimeError):
+    """The initial form is singular over the chosen prime field."""
+
+
+class NonIsolatedSingularityError(RuntimeError):
+    """The Jacobian quotient does not vanish past the socle degree bound."""
 
 
 @dataclass(frozen=True)

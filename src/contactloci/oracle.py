@@ -17,20 +17,12 @@ from math import comb, gcd, isqrt, prod
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .contact import BASE_MILNOR_FIBER, graded_pieces
-
-DEFAULT_BUDGET = 10_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """The enumeration would examine more candidate vectors than allowed."""
-
-
-class NonSmoothReductionError(RuntimeError):
-    """The initial form is singular over the chosen prime field."""
-
-
-class NonIsolatedSingularityError(RuntimeError):
-    """The Jacobian quotient does not vanish past the socle degree bound."""
+from .domain import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    NonIsolatedSingularityError,
+    NonSmoothReductionError,
+)
 
 
 @dataclass(frozen=True)

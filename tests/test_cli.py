@@ -1,7 +1,7 @@
 import json
 import time
 
-from contactloci import cli
+from contactloci import cli, oracle
 from contactloci.cli import main
 from contactloci.domain import CHAIN, COHOMOLOGY
 from contactloci.groups import GradedGroup
@@ -178,7 +178,7 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
                               by_order=((1, 1),), cone_count=0, milnor_count=0,
                               predicted_by_order=((1, 2),))
 
-    monkeypatch.setattr(cli, "count_contact_jets", fake_count)
+    monkeypatch.setattr(oracle, "count_contact_jets", fake_count)
     code, out, _ = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "2",
                        "--primes", "3")
     assert code == 1
@@ -256,6 +256,15 @@ def test_work_caps_stop_before_work(capsys, tmp_path):
     assert code == 0
     code, _, err = run(capsys, "resolve", "--n", "3", "--d", "1", "--m", "708")
     assert code == 3 and "250278" in err
+    # verify takes d from the polynomial: m // 2 strata for a quadric.  Just
+    # under the cap the strata are built and the budget stops the count.
+    for m, cap in (("2000000", True), ("40001", False)):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", m,
+                             "--primes", "5", "--budget", "10")
+        assert time.perf_counter() - started < 1, m
+        assert code == 3 and out == "", m
+        assert ("cap" in err) == cap and ("budget" in err) != cap, m
 
 
 def test_help_text_reads_the_domain_table(capsys):
