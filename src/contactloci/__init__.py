@@ -11,7 +11,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _LAYERS = {
-    "arith": ("continued_fraction", "gcd", "parents_from_cf"),
+    "arith": ("continued_fraction", "parents_from_cf"),
     "contact": (
         "GradedPiece",
         "MotivicClass",
@@ -22,7 +22,7 @@ _LAYERS = {
         "graded_pieces",
         "piece_compact_cohomology",
     ),
-    "groups": ("FgAbGroup", "GradedGroup", "direct_sum", "euler_char", "shift"),
+    "groups": ("FgAbGroup", "GradedGroup"),
     "nash": (
         "ValuationReport",
         "contact_valuations",

@@ -1,4 +1,4 @@
-"""Exact integer helpers: gcd, continued fractions, Stern-Brocot mediant parents.
+"""Exact integer helpers: continued fractions, Stern-Brocot mediant parents.
 
 Everything here is plain arbitrary-precision integer arithmetic.  Coprime
 pairs are passed around as bare ``(kappa, r)`` tuples; the resolution layer
@@ -7,23 +7,14 @@ wraps them in a richer type.
 
 from __future__ import annotations
 
-from math import gcd as _math_gcd
+from math import gcd
 from typing import Sequence
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two non-negative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be non-negative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return _math_gcd(a, b)
 
 
 def _require_coprime_positive(kappa: int, r: int) -> None:
     if kappa < 1 or r < 1:
         raise ValueError(f"({kappa}, {r}): both entries must be >= 1")
-    if _math_gcd(kappa, r) != 1:
+    if gcd(kappa, r) != 1:
         raise ValueError(f"({kappa}, {r}) is not a coprime pair")
 
 

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .domain import (
     CHAIN,
+    CLI_MAX_DIGITS,
     CLI_MAX_DIVISORS,
     CLI_MAX_STRATA,
     COHOMOLOGY,
@@ -325,6 +326,25 @@ def _add_ndm(sub, domain) -> None:
     sub.set_defaults(domain=domain)
 
 
+def _largest_output(command: str, n: int, d: int, m: int) -> int:
+    """A bound, within m // d + 2, on the integers cohomology, floer and euler
+    print: rank M = (d-1)^n for the Milnor fiber stratum (d | m), at most
+    M // d + 1 for a cone stratum, all strata summed in one degree when
+    d = n, else one rank-one group more; euler prints 1 -+ M or 0.  M is not
+    formed when its bit length alone puts M / d over 2^(4 * CLI_MAX_DIGITS)."""
+    q, fiber = m // d, m % d == 0
+    if not q or command == "euler" and not fiber:
+        return 0
+    if (n - 1) * ((d - 1).bit_length() - 1) > 4 * CLI_MAX_DIGITS + 1:
+        return 10 ** CLI_MAX_DIGITS
+    milnor, cones = (d - 1) ** n, q - fiber
+    if command == "euler":
+        return milnor + 1
+    if d == n:
+        return cones * (milnor // d + 1) + fiber * milnor + 2
+    return max(cones and milnor // d + 1, fiber * milnor) + 2
+
+
 def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     """Reject (n, d, m) outside the subcommand's domain, then inputs whose
     closed-form size is over a cap, before any work starts."""
@@ -334,7 +354,18 @@ def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     for what, size, cap in (("strata", q, CLI_MAX_STRATA),
                             ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS)):
         if size > cap:
-            raise BudgetExceededError(f"{what}: {size} is over the command-line cap of {cap}")
+            shown = size if size < 10 ** CLI_MAX_DIGITS else "a number too long to print"
+            raise BudgetExceededError(f"{what}: {shown} is over the command-line cap of {cap}")
+    if command in ("cohomology", "floer", "euler") \
+            and _largest_output(command, n, d, m) >= 10 ** CLI_MAX_DIGITS:
+        if command == "floer":  # prints no rank where the theorem does not apply
+            from .spectral import condition_degeneration, condition_filtration
+
+            if not (condition_degeneration(n, d, m).holds
+                    and condition_filtration(n, d, m).holds):
+                return
+        raise BudgetExceededError(f"output: an integer of more than {CLI_MAX_DIGITS} digits "
+                                  "is over the command-line cap")
 
 
 def _add_output(sub, choices=("text", "json")) -> None:

@@ -14,10 +14,10 @@ total cohomology is the degreewise direct sum over strata.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Optional
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .domain import COHOMOLOGY
+from .domain import COHOMOLOGY, Value
 from .groups import GradedGroup, graded_sum
 from .surface import (
     cone_compact_cohomology,
@@ -30,8 +30,7 @@ BASE_CONE = "cone"
 BASE_MILNOR_FIBER = "milnor_fiber"
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(NamedTuple):
     """One order stratum of X_m: the jets of order exactly rho."""
 
     rho: int
@@ -42,7 +41,7 @@ class GradedPiece:
     total_dim: int
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "GradedPiece":
@@ -115,26 +114,27 @@ BASIS_MILNOR = "Mh"
 _BASES = (BASIS_POINT, BASIS_SURFACE, BASIS_MILNOR)
 
 
-@dataclass(frozen=True)
-class MotivicClass:
+class MotivicClass(Value):
     """Integer combination of L^e * [S], L^e * [Mh], L^e * [pt], where L is
     the class of the affine line.  The punctured cone never appears as a
     basis element: it is always expanded as (L - 1)[S]."""
 
-    terms: tuple[tuple[str, int, int], ...] = ()  # (basis, L exponent, coeff)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for basis, exp, coeff in self.terms:
+    def __new__(cls, terms: tuple[tuple[str, int, int], ...] = ()) -> "MotivicClass":
+        for basis, exp, coeff in terms:
             if basis not in _BASES:
                 raise ValueError(f"unknown basis symbol {basis!r}")
             if exp < 0:
                 raise ValueError("negative powers of L are not allowed")
             if coeff == 0:
                 raise ValueError("zero terms must be dropped")
-        keys = [(basis, exp) for basis, exp, _ in self.terms]
+        keys = [(basis, exp) for basis, exp, _ in terms]
         if len(keys) != len(set(keys)):
             raise ValueError("duplicate terms")
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+        return tuple.__new__(cls, (tuple(sorted(terms)),))
+
+    terms = property(itemgetter(0))  # (basis, L exponent, coeff)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[str, int, int]]) -> "MotivicClass":

@@ -5,13 +5,13 @@ S needs n >= 3 (S connected); the cohomology layers also need d >= 2.  The
 command line reads this table for its help text and error messages, and its
 caps bound the work one invocation may start; the library is not capped.
 The errors the command line maps to exit codes 2 and 3 live here too, so
-that it can catch them without loading the layers that raise them.
+that it can catch them without loading the layers that raise them, and the
+base of the value types that check or normalise their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 M_MIN = 1
 SCATTER_MAX = 200  # largest nmax and dmax of the scatter grid
@@ -19,7 +19,24 @@ SCATTER_MAX = 200  # largest nmax and dmax of the scatter grid
 # kappa + r*d <= m, coprime or not, bound the chain length; m // d strata.
 CLI_MAX_DIVISORS = 250_000
 CLI_MAX_STRATA = 20_000
+# Decimal digits of the largest integer cohomology, floer and euler may print:
+# Python's default limit on int-to-str conversion, which is left in place.
+CLI_MAX_DIGITS = 4300
 DEFAULT_BUDGET = 10_000_000  # candidate vectors one finite-field jet count may enumerate
+
+
+class Value(tuple):
+    """An immutable value that is a tuple of its fields underneath.
+
+    A subclass declares ``__slots__ = ()``, checks and normalises its fields
+    in ``__new__`` and reads each one through an ``itemgetter`` property.
+    """
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle call __new__ with these arguments
+        return tuple(self)
 
 
 class BudgetExceededError(RuntimeError):
@@ -34,8 +51,7 @@ class NonIsolatedSingularityError(RuntimeError):
     """The Jacobian quotient does not vanish past the socle degree bound."""
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     n_min: int
     d_min: int
     d_reason: str = ""

@@ -9,8 +9,10 @@ in this package.  All values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
+
+from .domain import Value
 
 
 def _factorize(x: int) -> dict[int, int]:
@@ -53,23 +55,25 @@ def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple(reversed(factors))
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Value):
     """A finitely generated abelian group in invariant-factor form."""
 
-    rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __new__(cls, rank: int = 0, torsion: Iterable[int] = ()) -> "FgAbGroup":
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for t in self.torsion:
+        torsion = tuple(torsion)
+        for t in torsion:
             if t < 2:
                 raise ValueError(f"invariant factor {t} is not >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"invariant factors {self.torsion} not ordered by divisibility")
+                raise ValueError(f"invariant factors {torsion} not ordered by divisibility")
+        return tuple.__new__(cls, (rank, torsion))
+
+    rank = property(itemgetter(0))
+    torsion = property(itemgetter(1))
 
     @classmethod
     def from_orders(cls, rank: int = 0, orders: Iterable[int] = ()) -> "FgAbGroup":
@@ -90,7 +94,7 @@ class FgAbGroup:
 
     @property
     def is_zero(self) -> bool:
-        return self.rank == 0 and not self.torsion
+        return self[0] == 0 and not self[1]  # rank 0, no torsion
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup.from_orders(self.rank + other.rank, self.torsion + other.torsion)
@@ -126,25 +130,26 @@ def cyclic(order: int) -> FgAbGroup:
     return FgAbGroup.from_orders(0, (order,)) if order != 0 else FgAbGroup(1)
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(Value):
     """A finitely supported map from integer degrees to FgAbGroup.
 
     Degrees that would carry the zero group are never stored, so equality of
     the sorted entry tuples is equality of graded groups.
     """
 
-    entries: tuple[tuple[int, FgAbGroup], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, entries: tuple[tuple[int, FgAbGroup], ...] = ()) -> "GradedGroup":
         seen = set()
-        for degree, group in self.entries:
+        for degree, group in entries:
             if degree in seen:
                 raise ValueError(f"duplicate degree {degree}")
             seen.add(degree)
             if group.is_zero:
                 raise ValueError(f"zero group stored at degree {degree}")
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        return tuple.__new__(cls, (tuple(sorted(entries)),))
+
+    entries = property(itemgetter(0))
 
     @classmethod
     def from_dict(cls, mapping: Mapping[int, FgAbGroup]) -> "GradedGroup":
@@ -173,7 +178,7 @@ class GradedGroup:
 
     def euler_char(self) -> int:
         """Alternating sum of ranks; torsion is invisible to it."""
-        return sum((-1) ** k * g.rank for k, g in self.entries)
+        return sum((-1) ** k * rank for k, (rank, _) in self.entries)
 
     def __str__(self) -> str:
         if not self.entries:
@@ -194,21 +199,10 @@ def graded_sum(groups: Iterable[GradedGroup]) -> GradedGroup:
     ranks: dict[int, int] = {}
     orders: dict[int, list[int]] = {}
     for group in groups:
-        for k, g in group.entries:
-            ranks[k] = ranks.get(k, 0) + g.rank
-            orders.setdefault(k, []).extend(g.torsion)
+        for k, (rank, torsion) in group.entries:
+            ranks[k] = ranks.get(k, 0) + rank
+            orders.setdefault(k, []).extend(torsion)
     # stored groups are nonzero, so no sum of them is zero
     return GradedGroup(tuple((k, FgAbGroup(rank, invariant_factors(orders[k])))
                              for k, rank in ranks.items()))
 
-
-def direct_sum(a: GradedGroup, b: GradedGroup) -> GradedGroup:
-    return a.direct_sum(b)
-
-
-def shift(g: GradedGroup, s: int) -> GradedGroup:
-    return g.shift(s)
-
-
-def euler_char(g: GradedGroup) -> int:
-    return g.euler_char()

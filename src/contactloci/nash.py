@@ -16,10 +16,10 @@ n >= 3 on top of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
-from .domain import CHAIN
+from .domain import CHAIN, Value
 from .resolution import Divisor, exceptional_m_divisor, exceptional_m_divisors
 
 
@@ -58,56 +58,44 @@ def stratum_codimension(n: int, d: int, m: int, i: int) -> int:
     return codim
 
 
-@dataclass(frozen=True)
-class ValuationReport:
-    n: int
-    d: int
-    m: int
-    essential: tuple[Divisor, ...]
-    contact: tuple[Divisor, ...]
-    dlt: tuple[Divisor, ...]
-    codims: tuple[tuple[int, int], ...]  # (index i, codimension)
+_FAMILIES = ("essential", "contact", "dlt")
 
-    def __post_init__(self) -> None:
-        essential = set(div.pair for div in self.essential)
-        contact = set(div.pair for div in self.contact)
-        dlt = set(div.pair for div in self.dlt)
-        if not (dlt <= contact <= essential):
+
+class ValuationReport(Value):
+    __slots__ = ()
+
+    def __new__(cls, n: int, d: int, m: int, essential: tuple[Divisor, ...],
+                contact: tuple[Divisor, ...], dlt: tuple[Divisor, ...],
+                codims: tuple[tuple[int, int], ...]) -> "ValuationReport":
+        if not (set(div.pair for div in dlt) <= set(div.pair for div in contact)
+                <= set(div.pair for div in essential)):
             raise ValueError("valuation families must be nested")
-        if len(self.essential) != self.m // self.d:
+        if len(essential) != m // d:
             raise ValueError("wrong number of essential valuations")
+        return tuple.__new__(cls, (n, d, m, essential, contact, dlt, codims))
+
+    n = property(itemgetter(0))
+    d = property(itemgetter(1))
+    m = property(itemgetter(2))
+    essential = property(itemgetter(3))
+    contact = property(itemgetter(4))
+    dlt = property(itemgetter(5))
+    codims = property(itemgetter(6))  # (index i, codimension)
 
     def counts(self) -> tuple[int, int, int]:
         return len(self.dlt), len(self.contact), len(self.essential)
 
     def to_doc(self) -> dict:
-        def docs(divs):
-            return [div.to_doc() for div in divs]
-
-        return {
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "essential": docs(self.essential),
-            "contact": docs(self.contact),
-            "dlt": docs(self.dlt),
-            "codims": {str(i): c for i, c in self.codims},
-        }
+        families = (self.essential, self.contact, self.dlt)
+        return {"n": self.n, "d": self.d, "m": self.m,
+                **{key: [div.to_doc() for div in divs] for key, divs in zip(_FAMILIES, families)},
+                "codims": {str(i): c for i, c in self.codims}}
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "ValuationReport":
-        def divs(rows):
-            return tuple(Divisor.from_doc(row) for row in rows)
-
-        return cls(
-            int(doc["n"]),
-            int(doc["d"]),
-            int(doc["m"]),
-            divs(doc["essential"]),
-            divs(doc["contact"]),
-            divs(doc["dlt"]),
-            tuple(sorted((int(i), int(c)) for i, c in doc["codims"].items())),
-        )
+        return cls(*(int(doc[key]) for key in ("n", "d", "m")),
+                   *(tuple(map(Divisor.from_doc, doc[key])) for key in _FAMILIES),
+                   tuple(sorted((int(i), int(c)) for i, c in doc["codims"].items())))
 
 
 def valuation_report(n: int, d: int, m: int) -> ValuationReport:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd, isqrt, prod
-from typing import Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .contact import BASE_MILNOR_FIBER, graded_pieces
 from .domain import (
@@ -22,22 +22,22 @@ from .domain import (
     BudgetExceededError,
     NonIsolatedSingularityError,
     NonSmoothReductionError,
+    Value,
 )
 
 
-@dataclass(frozen=True)
-class SparseIntPoly:
+class SparseIntPoly(Value):
     """Integer polynomial in nvars variables, as (exponent vector, coeff) terms."""
 
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nvars < 1:
+    def __new__(cls, nvars: int,
+                terms: tuple[tuple[tuple[int, ...], int], ...]) -> "SparseIntPoly":
+        if nvars < 1:
             raise ValueError("need at least one variable")
         seen = set()
-        for exps, coeff in self.terms:
-            if len(exps) != self.nvars:
+        for exps, coeff in terms:
+            if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
@@ -46,7 +46,10 @@ class SparseIntPoly:
             if exps in seen:
                 raise ValueError(f"duplicate exponent vector {exps}")
             seen.add(exps)
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+        return tuple.__new__(cls, (nvars, tuple(sorted(terms))))
+
+    nvars = property(itemgetter(0))
+    terms = property(itemgetter(1))
 
     @classmethod
     def from_terms(cls, nvars: int, terms) -> "SparseIntPoly":
@@ -79,7 +82,7 @@ class SparseIntPoly:
 
     def evaluate_mod(self, point: Sequence[int], p: int) -> int:
         total = 0
-        for exps, coeff in self.terms:
+        for exps, coeff in self[1]:  # the terms, by index: this runs once per point
             v = coeff % p
             for x, e in zip(point, exps):
                 if e:
@@ -240,8 +243,7 @@ def count_base(h: SparseIntPoly, p: int) -> tuple[int, int]:
     return zeros - 1, ones
 
 
-@dataclass(frozen=True)
-class JetCountReport:
+class JetCountReport(NamedTuple):
     """Per-order jet counts over F_p next to the predicted bundle counts."""
 
     prime: int
@@ -302,10 +304,11 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     pieces = graded_pieces(n, d, m)  # also validates n >= 3, d >= 2
     counter = _WorkCounter(budget)
     if p > 1:
-        # The two scans of F_p^n, charged before p is trial-divided; p^n is
-        # not formed when its bit length alone puts it over the budget.
+        # The two scans of F_p^n, and the orbit pass over it when there are
+        # jets to count, charged before p is trial-divided; p^n is not formed
+        # when its bit length alone puts it over the budget.
         counter.charge(budget + 1 if n * (p.bit_length() - 1) > budget.bit_length()
-                       else 2 * p ** n)
+                       else (3 if m >= d else 2) * p ** n)
     _require_prime(p)
     witness = singular_point_mod_p(h, p)
     if witness is not None:
@@ -386,7 +389,6 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
                     descend(child, k + 1, v_rho, weight * size)
 
     if m >= d:
-        counter.charge(p ** n)
         orbits = _orbits(_symmetries(f, p), n, p)
         descend([[one] + [[0] * (m + 1)] * max(exps[j] for exps, _ in f.terms)
                  for j in range(n)], 1, None, 1)
@@ -456,7 +458,7 @@ def milnor_number_oracle(h: SparseIntPoly, max_monomials: int = 20000) -> int:
         raise ValueError("expected positive degree")
     if d == 1:
         return 0  # the gradient is a nonzero constant vector
-    partials = [h.partial(j) for j in range(n)]
+    partials = [h.partial(j).terms for j in range(n)]
     top = n * (d - 2)
     total = 0
     for degree in range(top + 2):
@@ -466,8 +468,8 @@ def milnor_number_oracle(h: SparseIntPoly, max_monomials: int = 20000) -> int:
                 f"degree {degree} needs more than {max_monomials} monomials")
         shift = degree - (d - 1)
         # rows x^factor * dh/dx_j, streamed
-        rows = ({tuple(a + b for a, b in zip(exps, factor)): coeff for exps, coeff in g.terms}
-                for factor in (_monomials(n, shift) if shift >= 0 else ()) for g in partials)
+        rows = ({tuple(a + b for a, b in zip(exps, factor)): coeff for exps, coeff in terms}
+                for factor in (_monomials(n, shift) if shift >= 0 else ()) for terms in partials)
         dim = columns - _rank_sparse_int(rows)
         if degree > top and dim:
             raise NonIsolatedSingularityError(

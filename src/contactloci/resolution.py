@@ -10,13 +10,12 @@ and log discrepancy are the linear forms N = kappa + r*d and nu = kappa + r*n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple
 
 from .arith import parents_from_cf
-from .domain import CHAIN
+from .domain import CHAIN, Value
 
 KIND_STRICT_TRANSFORM = "strict_transform"
 KIND_FIRST_EXCEPTIONAL = "first_exceptional"
@@ -53,9 +52,6 @@ class CoprimePair(tuple):
     @property
     def is_intermediate(self) -> bool:
         return self not in _ENDPOINT_KINDS
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self[0], self[1])
 
     def mediant(self, other: "CoprimePair") -> "CoprimePair":
         return CoprimePair(self[0] + other[0], self[1] + other[1])
@@ -144,25 +140,29 @@ def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
     return out
 
 
-@dataclass(frozen=True)
-class ResolutionChain:
+class ResolutionChain(Value):
     """The divisor chain of the minimal m-separating resolution, left to right
-    from (0, 1) to (1, 0)."""
+    from (0, 1) to (1, 0).  Iteration and len run over the divisors; a fifth
+    item maps each pair to its position.
+    """
 
-    n: int
-    d: int
-    m: int
-    divisors: tuple[Divisor, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index",
-                           {div[0]: idx for idx, div in enumerate(self.divisors)})
+    def __new__(cls, n: int, d: int, m: int, divisors: tuple[Divisor, ...]) -> "ResolutionChain":
+        index = {div[0]: idx for idx, div in enumerate(divisors)}
+        return tuple.__new__(cls, (n, d, m, divisors, index))
+
+    n = property(itemgetter(0))
+    d = property(itemgetter(1))
+    m = property(itemgetter(2))
+    divisors = property(itemgetter(3))
+    _index = property(itemgetter(4))
 
     def pairs(self) -> tuple[CoprimePair, ...]:
         return tuple(div[0] for div in self.divisors)
 
     def index_of(self, pair: CoprimePair) -> int:
-        idx = self._index.get(pair)
+        idx = self[4].get(pair)  # the pair index
         if idx is None:
             raise ValueError(f"pair {pair} is not a divisor of this chain")
         return idx
@@ -180,21 +180,17 @@ class ResolutionChain:
         return len(self.divisors)
 
     def to_doc(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "divisors": [div.to_doc() for div in self.divisors],
-        }
+        return {"n": self.n, "d": self.d, "m": self.m,
+                "divisors": [div.to_doc() for div in self.divisors]}
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "ResolutionChain":
-        return cls(
-            int(doc["n"]),
-            int(doc["d"]),
-            int(doc["m"]),
-            tuple(Divisor.from_doc(row) for row in doc["divisors"]),
-        )
+        return cls(*(int(doc[key]) for key in ("n", "d", "m")),
+                   tuple(Divisor.from_doc(row) for row in doc["divisors"]))
+
+    def __getnewargs__(self) -> tuple:
+        # the index is rebuilt; tuple(self) would iterate the divisors
+        return self[:4]
 
 
 def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
@@ -230,27 +226,19 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
         prev = div
 
 
-def _closed_form_pairs(d: int, m: int) -> set[tuple[int, int]]:
-    return {(kappa, r) for r in range(1, m // d + 1)
-            for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1}
-
-
-def closed_form_intermediate_pairs(d: int, m: int) -> set[CoprimePair]:
-    """The predicted set of intermediate pairs: coprime, both >= 1, N <= m."""
-    return {CoprimePair(kappa, r) for kappa, r in _closed_form_pairs(d, m)}
-
-
 def verify_minimality(chain: ResolutionChain) -> bool:
     """Check the closed-form membership predicate and the separation bound.
 
-    The chain's pairs hash and compare as plain tuples, so the closed form is
-    enumerated as tuples and never wrapped.
+    The predicted intermediate pairs are the coprime (kappa, r) with both
+    >= 1 and N <= m.  The chain's pairs hash and compare as plain tuples, so
+    the closed form is enumerated as tuples and never wrapped.
     """
+    d, m = chain.d, chain.m
     actual = {div[0] for div in chain.intermediate_divisors()}
-    if actual != _closed_form_pairs(chain.d, chain.m):
+    if actual != {(kappa, r) for r in range(1, m // d + 1)
+                  for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1}:
         return False
     mults = [div[1] for div in chain.divisors]
-    m = chain.m
     return all(a + b > m for a, b in zip(mults, mults[1:]))
 
 
@@ -260,7 +248,7 @@ def _flanks(chain: ResolutionChain, pair: CoprimePair) -> tuple[Divisor, Divisor
     if not pair.is_intermediate:
         raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
     idx = chain.index_of(pair)
-    divs = chain.divisors
+    divs = chain[3]  # the divisors
     return divs[idx - 1], divs[idx], divs[idx + 1]
 
 
@@ -357,8 +345,7 @@ class MDivisor(NamedTuple):
         return {"i": self.index, **self.divisor.to_doc(), "exceptional": self.exceptional}
 
 
-@dataclass(frozen=True)
-class MDivisorList:
+class MDivisorList(NamedTuple):
     n: int
     d: int
     m: int

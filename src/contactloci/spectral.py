@@ -14,11 +14,11 @@ iterate is determined by the contact cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Optional
 
 from .contact import contact_cohomology, contact_euler, graded_pieces, piece_compact_cohomology
-from .domain import COHOMOLOGY
+from .domain import COHOMOLOGY, Value
 from .groups import FgAbGroup, GradedGroup
 from .surface import cover_homology, milnor_fiber_euler
 
@@ -31,8 +31,7 @@ COLOR_YELLOW = "yellow"
 COLOR_PINK = "pink"
 
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(Value):
     """An E1 = Einfinity page: finitely many groups at (column, total degree).
 
     Columns are canonicalized to the m-divisor index i itself.  Any choice of
@@ -41,14 +40,17 @@ class SpectralPage:
     spacing.
     """
 
-    kind: str
-    n: int
-    d: int
-    m: int
-    entries: tuple[tuple[tuple[int, int], FgAbGroup], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+    def __new__(cls, kind: str, n: int, d: int, m: int,
+                entries: tuple[tuple[tuple[int, int], FgAbGroup], ...]) -> "SpectralPage":
+        return tuple.__new__(cls, (kind, n, d, m, tuple(sorted(entries))))
+
+    kind = property(itemgetter(0))
+    n = property(itemgetter(1))
+    d = property(itemgetter(2))
+    m = property(itemgetter(3))
+    entries = property(itemgetter(4))
 
     def columns(self) -> tuple[int, ...]:
         return tuple(sorted({i for (i, _), _ in self.entries}))
@@ -57,16 +59,9 @@ class SpectralPage:
         return {s: group for (col, s), group in self.entries if col == i}
 
     def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "entries": [
-                {"column": i, "degree": s, **group.to_doc()}
-                for (i, s), group in self.entries
-            ],
-        }
+        return {"kind": self.kind, "n": self.n, "d": self.d, "m": self.m,
+                "entries": [{"column": i, "degree": s, **group.to_doc()}
+                            for (i, s), group in self.entries]}
 
 
 def mclean_e1(n: int, d: int, m: int) -> SpectralPage:
@@ -113,14 +108,16 @@ def compare_pages(n: int, d: int, m: int) -> bool:
     return shifted == dict(order.entries)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    holds: bool
-    violating_k: tuple[int, ...]
+class ConditionReport(Value):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.holds != (not self.violating_k):
+    def __new__(cls, holds: bool, violating_k: tuple[int, ...]) -> "ConditionReport":
+        if holds != (not violating_k):
             raise ValueError("holds flag inconsistent with witnesses")
+        return tuple.__new__(cls, (holds, violating_k))
+
+    holds = property(itemgetter(0))
+    violating_k = property(itemgetter(1))
 
     def to_doc(self) -> dict:
         return {"holds": self.holds, "violating_k": list(self.violating_k)}
@@ -178,8 +175,7 @@ def floer_cohomology(n: int, d: int, m: int) -> Optional[GradedGroup]:
     return contact_cohomology(n, d, m).shift(-comparison_shift(n, m))
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     """Classification of (n, d) by which conditions can fail for some m."""
 
     color: str

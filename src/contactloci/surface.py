@@ -14,9 +14,9 @@ is free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .domain import SURFACE
 from .groups import FgAbGroup, GradedGroup, ZERO_GROUP, cyclic, free_group
@@ -65,19 +65,13 @@ def milnor_fiber_euler(n: int, d: int) -> int:
     return 1 + (-1) ** (n - 1) * milnor_number(n, d)
 
 
-@dataclass(frozen=True)
-class HypersurfaceData:
+class HypersurfaceData(NamedTuple):
     n: int
     d: int
     middle: int
     milnor: int
     euler: int
     ring: GradedGroup
-
-    @property
-    def is_degenerate(self) -> bool:
-        """d = 1 cuts out a hyperplane; allowed here, rejected downstream."""
-        return self.d < 2
 
 
 def _cohomology_rank(n: int, b: int, k: int) -> int:
@@ -104,8 +98,7 @@ def hypersurface_data(n: int, d: int) -> HypersurfaceData:
     return data
 
 
-@dataclass(frozen=True)
-class LefschetzData:
+class LefschetzData(NamedTuple):
     """Kernel and cokernel of cupping with h, H^k(S) -> H^{k+2}(S), per degree.
 
     Away from the three middle degrees the map is an isomorphism wherever

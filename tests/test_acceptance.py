@@ -181,7 +181,7 @@ def test_criterion_9_resolution_invariants():
             if not verify_minimality(chain):
                 failures.append((d, m, "closed form"))
                 continue
-            pairs = [p.as_tuple() for p in chain.pairs()]
+            pairs = chain.pairs()
             mults = [k + r * d for k, r in pairs]
             for idx in range(len(pairs) - 1):
                 (k1, r1), (k2, r2) = pairs[idx], pairs[idx + 1]
@@ -217,5 +217,5 @@ def test_criterion_9_resolution_invariants():
         chain = build_minimal_resolution(n, d, m)
         for div in chain.intermediate_divisors():
             if not nef_fiber_identity(chain, div.pair):
-                failures.append((n, d, m, "nef op", div.pair.as_tuple()))
+                failures.append((n, d, m, "nef op", div.pair))
     _report(9, "resolution invariants", failures, time.perf_counter() - start, 5.0)

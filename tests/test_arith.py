@@ -4,7 +4,7 @@ from math import gcd as math_gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from contactloci.arith import cf_value, continued_fraction, gcd, pair_less, parents_from_cf
+from contactloci.arith import cf_value, continued_fraction, pair_less, parents_from_cf
 
 
 def cf_fraction(quotients):
@@ -20,19 +20,6 @@ coprime_pairs = st.builds(
     st.integers(min_value=1, max_value=500),
     st.integers(min_value=1, max_value=500),
 )
-
-
-def test_gcd_examples():
-    assert gcd(4, 2) == 2
-    assert gcd(1, 0) == 1
-    assert gcd(6, 9) == 3
-
-
-def test_gcd_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gcd(0, 0)
-    with pytest.raises(ValueError):
-        gcd(-2, 4)
 
 
 def test_continued_fraction_examples():

@@ -150,6 +150,12 @@ def test_verify_budget_exit_code(capsys):
                            "--primes", prime, "--budget", "10")
         assert code == 3
         assert "budget" in err
+    # the orbit pass is charged with the two scans: 3 * 101^3 > 2.5 * 10^6
+    started = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "2",
+                       "--primes", "101", "--budget", "2500000")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and "budget" in err
     # the same two primes at the default budget
     for prime in ("100000000000000000039", "1" + "0" * 399 + "1"):
         code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "2",
@@ -256,6 +262,10 @@ def test_work_caps_stop_before_work(capsys, tmp_path):
     assert code == 0
     code, _, err = run(capsys, "resolve", "--n", "3", "--d", "1", "--m", "708")
     assert code == 3 and "250278" in err
+    # a bound too long to print: 36 * 10^4299 for m = 9 * 10^4299, d = 10^4299
+    code, _, err = run(capsys, "resolve", "--n", "3", "--d", "1" + "0" * 4299,
+                       "--m", "9" + "0" * 4299)
+    assert code == 3 and "cap" in err and "set_int_max_str_digits" not in err
     # verify takes d from the polynomial: m // 2 strata for a quadric.  Just
     # under the cap the strata are built and the budget stops the count.
     for m, cap in (("2000000", True), ("40001", False)):
@@ -265,6 +275,56 @@ def test_work_caps_stop_before_work(capsys, tmp_path):
         assert time.perf_counter() - started < 1, m
         assert code == 3 and out == "", m
         assert ("cap" in err) == cap and ("budget" in err) != cap, m
+
+
+def test_output_cap_stops_before_work(capsys):
+    # integers over Python's 4300-digit str limit exit 3 before any work
+    for argv in (("euler", "--n", "3000", "--d", "3000", "--m", "3000"),
+                 ("cohomology", "--n", "3000", "--d", "3000", "--m", "3000"),
+                 ("floer", "--n", "3001", "--d", "3000", "--m", "3000"),
+                 ("cohomology", "--n", "10", "--d", "10" * 1000, "--m", "10" * 1000)):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 1, argv
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: output") and "set_int_max_str_digits" not in err, argv
+    # the largest integer of each of these fits: a 4295-digit Milnor number,
+    # 4300-digit ranks of a cone stratum, chi = 0, an empty locus, and a
+    # floer input the theorem does not determine
+    for argv in (("cohomology", "--n", "3000", "--d", "28", "--m", "28"),
+                 ("cohomology", "--n", "3005", "--d", "28", "--m", "29"),
+                 ("euler", "--n", "3000", "--d", "3000", "--m", "3001"),
+                 ("cohomology", "--n", "3000", "--d", "3000", "--m", "5"),
+                 ("floer", "--n", "3000", "--d", "3000", "--m", "6000")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+    assert len(str(27 ** 3000)) == 4295
+
+
+def _printed_ranks(command, doc):
+    if command == "euler":
+        return [doc["chi"], doc["lefschetz"]]
+    groups = (doc["floer"] or []) if command == "floer" else doc["total"] + [
+        row for piece in doc["pieces"] for row in piece["cohomology"]]
+    return [row["rank"] for row in groups] + [t for row in groups for t in row["torsion"]] + (
+        [doc["euler"]] if command == "cohomology" else [])
+
+
+def test_output_bound_is_tight(capsys):
+    # the closed-form bound on the printed ranks exceeds the largest by at
+    # most m // d + 2, so the cap refuses only what would not print
+    for command in ("cohomology", "floer", "euler"):
+        for n in range(3, 7):
+            for d in range(2, 8):
+                for m in range(1, 2 * d + 2):
+                    _, out, _ = run(capsys, command, "--n", str(n), "--d", str(d),
+                                    "--m", str(m), "--format", "json")
+                    doc = json.loads(out)
+                    largest = max(map(abs, _printed_ranks(command, doc)), default=0)
+                    slack = cli._largest_output(command, n, d, m) - largest
+                    # floer prints no rank where the theorem does not apply
+                    loose = command == "floer" and not doc["determined"]
+                    assert 0 <= slack and (loose or slack <= m // d + 2), (command, n, d, m)
 
 
 def test_help_text_reads_the_domain_table(capsys):

@@ -1,4 +1,5 @@
-"""Each command-line process loads only the layers its subcommand runs.
+"""Each command-line process loads only the layers its subcommand runs, and
+none of them loads ``dataclasses`` or the ``inspect`` module it imports.
 
 Every case runs in a fresh interpreter, since the test process has loaded
 the whole package already.
@@ -15,7 +16,7 @@ from contactloci.cli import main
 with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
 layers = sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith("contactloci."))
-print(json.dumps([code, layers]))
+print(json.dumps([code, layers, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
 """
 
 ENTRY = {"cli", "domain"}
@@ -35,6 +36,7 @@ ALLOWED = {
     ("resolve", "--n", "1", "--d", "2", "--m", "4"): (2, ENTRY),
     ("cohomology", "--n", "3", "--d", "1", "--m", "4"): (2, ENTRY),
     ("floer", "--n", "3", "--d", "3", "--m", "60003"): (3, ENTRY),
+    ("euler", "--n", "3000", "--d", "3000", "--m", "3000"): (3, ENTRY),
     ("resolve", "--bogus"): (2, ENTRY),
 }
 
@@ -48,6 +50,7 @@ def test_import_loads_no_layer(fresh_python):
 @pytest.mark.parametrize("argv", list(ALLOWED), ids=" ".join)
 def test_subcommand_loads_only_its_layers(argv, fresh_python):
     want_code, allowed = ALLOWED[argv]
-    code, layers = json.loads(fresh_python(PROBE, *argv))
+    code, layers, slow_imports = json.loads(fresh_python(PROBE, *argv))
     assert code == want_code
     assert set(layers) <= allowed, sorted(set(layers) - allowed)
+    assert slow_imports == []

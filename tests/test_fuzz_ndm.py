@@ -1,0 +1,52 @@
+"""Fuzzing the (n, d, m) subcommands against the exit-code contract.
+
+Whatever the integers, `resolve`, `cohomology`, `floer`, `nash` and `euler`
+must end with exit 0, 2 or 3, never with an uncaught exception, and every
+nonzero exit must say `error:`.  Exit 2 means an input outside the domain
+table, and only that.  n and d reach 10^4, where the Milnor
+number (d-1)^n outgrows Python's 4300-digit limit on int-to-str conversion.
+m stays within a few multiples of d, so that an accepted input runs in well
+under a second, or lies far over the strata cap.
+"""
+
+import contextlib
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contactloci.cli import main
+from contactloci.domain import CHAIN, COHOMOLOGY
+
+DOMAINS = {"resolve": CHAIN, "nash": CHAIN, "cohomology": COHOMOLOGY, "floer": COHOMOLOGY,
+           "euler": COHOMOLOGY}
+
+sizes = st.one_of(st.integers(-2, 12), st.integers(0, 10 ** 4))
+
+
+@st.composite
+def triples(draw):
+    """(n, d, m): m small, near a small multiple of d (so the locus is often
+    nonempty and d often divides m), or far over the strata cap."""
+    n, d = draw(sizes), draw(sizes)
+    m = draw(st.one_of(st.integers(-2, 60),
+                       st.builds(lambda k, r: d * k + r, st.integers(0, 3), st.integers(-1, 1)),
+                       st.just(10 ** 9)))
+    return n, d, m
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(["resolve", "cohomology", "floer", "nash", "euler"]),
+       ndm=triples(), fmt=st.sampled_from(["text", "json"]))
+def test_ndm_subcommands_meet_the_exit_code_contract(command, ndm, fmt):
+    n, d, m = ndm
+    argv = [command, "--n", str(n), "--d", str(d), "--m", str(m), "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    domain = DOMAINS[command]
+    assert (code == 2) == (n < domain.n_min or d < domain.d_min or m < 1), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code:
+        assert "error:" in err.getvalue(), argv

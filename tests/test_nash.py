@@ -14,7 +14,7 @@ GRID = [(n, d, m) for n in (2, 3, 4, 6) for d in (1, 2, 3, 4, 7) for m in range(
 
 
 def tuples(divisors):
-    return [div.pair.as_tuple() for div in divisors]
+    return [div.pair for div in divisors]
 
 
 def test_essential_examples():

@@ -1,5 +1,5 @@
-"""The package namespace: the same 58 names as the eagerly imported package
-had, resolved on first use and then bound as plain globals."""
+"""The package namespace: 54 names, resolved on first use and then bound as
+plain globals."""
 
 import importlib
 
@@ -15,12 +15,12 @@ EXPORTED = [
     "condition_degeneration", "condition_filtration", "cone_compact_cohomology",
     "contact_class", "contact_cohomology", "contact_dimension", "contact_euler",
     "contact_valuations", "continued_fraction", "count_base", "count_contact_jets",
-    "cover_homology", "direct_sum", "dlt_valuations", "essential_valuations", "euler_char",
-    "floer_cohomology", "gcd", "graded_pieces", "gysin_cx_bundle", "hypersurface_data",
+    "cover_homology", "dlt_valuations", "essential_valuations",
+    "floer_cohomology", "graded_pieces", "gysin_cx_bundle", "hypersurface_data",
     "lefschetz_number", "m_divisors", "mclean_e1", "middle_rank",
     "milnor_fiber_compact_cohomology", "milnor_number_oracle", "nef_fiber_identity",
     "order_e1", "parents_from_cf", "parse_poly", "piece_compact_cohomology", "scatter_grid",
-    "shift", "stratum_codimension", "valuation_report", "verify_minimality",
+    "stratum_codimension", "valuation_report", "verify_minimality",
     "verify_stratification",
 ]
 
@@ -29,7 +29,7 @@ LAYERS = ("arith", "contact", "groups", "nash", "oracle", "resolution", "spectra
 
 def test_all_is_unchanged():
     assert contactloci.__all__ == EXPORTED
-    assert len(EXPORTED) == 58
+    assert len(EXPORTED) == 54
 
 
 def test_each_name_is_its_layers_object():

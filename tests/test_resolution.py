@@ -1,5 +1,6 @@
 import copy
 import pickle
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,6 @@ from contactloci.resolution import (
     adjacency,
     blowup_counts,
     build_minimal_resolution,
-    closed_form_intermediate_pairs,
     exceptional_m_divisors,
     m_divisor,
     m_divisors,
@@ -43,7 +43,7 @@ def test_chain_without_insertions():
 
 def test_chain_3_2_6_matches_closed_form():
     chain = build_minimal_resolution(3, 2, 6)
-    intermediate = {p.as_tuple() for p in chain.pairs()[1:-1]}
+    intermediate = set(chain.pairs()[1:-1])
     assert intermediate == {(1, 2), (1, 1), (2, 1), (3, 1), (4, 1)}
     # ordered by decreasing slope r/kappa
     assert pairs_of(chain) == [(0, 1), (1, 2), (1, 1), (2, 1), (3, 1), (4, 1), (1, 0)]
@@ -73,9 +73,10 @@ def test_chain_invariants(n, d, m):
 def test_closed_form_equivalence_over_grid():
     for n, d, m in GRID:
         chain = build_minimal_resolution(n, d, m)
-        actual = {p.as_tuple() for p in chain.pairs()[1:-1]}
-        expected = {p.as_tuple() for p in closed_form_intermediate_pairs(d, m)}
-        assert actual == expected, (n, d, m)
+        # the closed form: coprime (kappa, r) with both >= 1 and kappa + r*d <= m
+        expected = {(kappa, r) for r in range(1, m // d + 1)
+                    for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1}
+        assert set(chain.pairs()[1:-1]) == expected, (n, d, m)
 
 
 def test_verify_minimality_rejects_extra_divisor():
@@ -89,16 +90,16 @@ def test_verify_minimality_rejects_extra_divisor():
 def test_m_divisors_examples():
     chain = build_minimal_resolution(3, 2, 4)
     entries = m_divisors(chain).entries
-    assert [(e.index, e.divisor.pair.as_tuple()) for e in entries] == [
+    assert [(e.index, e.divisor.pair) for e in entries] == [
         (-2, (0, 1)), (-1, (2, 1)), (0, (1, 0))]
     assert [e.exceptional for e in entries] == [True, True, False]
 
     only_strict = m_divisors(build_minimal_resolution(3, 5, 4)).entries
-    assert [(e.index, e.divisor.pair.as_tuple()) for e in only_strict] == [(0, (1, 0))]
+    assert [(e.index, e.divisor.pair) for e in only_strict] == [(0, (1, 0))]
 
     chain8 = build_minimal_resolution(3, 4, 8)
     entries8 = m_divisors(chain8).entries
-    assert [(e.index, e.divisor.pair.as_tuple()) for e in entries8] == [
+    assert [(e.index, e.divisor.pair) for e in entries8] == [
         (-2, (0, 1)), (-1, (4, 1)), (0, (1, 0))]
     assert all(8 % e.divisor.multiplicity == 0 for e in entries8)
 
@@ -116,7 +117,7 @@ def test_m_divisor_index_range():
         m_divisor(3, 2, 4, -3)
     with pytest.raises(ValueError):
         m_divisor(3, 2, 4, 1)
-    assert m_divisor(3, 2, 4, 0).pair.as_tuple() == (1, 0)
+    assert m_divisor(3, 2, 4, 0).pair == (1, 0)
 
 
 def test_exceptional_m_divisors_shortcut_agrees_with_chain():
@@ -150,7 +151,7 @@ def test_fresh_mediant_has_zero_counts():
     for div in chain.intermediate_divisors():
         low, high = parents_from_cf(div.pair.kappa, div.pair.r)
         left, right = adjacency(chain, div.pair)
-        if (left.as_tuple(), right.as_tuple()) == (low, high):
+        if (left, right) == (low, high):
             assert blowup_counts(chain, div.pair) == (0, 0)
 
 
@@ -227,7 +228,7 @@ def test_verify_minimality_rejects_non_separating_chain():
     # the intermediate divisors are the closed-form set, but (0, 1) sits
     # next to (1, 0) and 2 + 1 <= 4
     chain = chain_of([(0, 1), (1, 0), (1, 1), (2, 1)])
-    assert {div.pair.as_tuple() for div in chain.intermediate_divisors()} == {(1, 1), (2, 1)}
+    assert {div.pair for div in chain.intermediate_divisors()} == {(1, 1), (2, 1)}
     assert not verify_minimality(chain)
 
 
@@ -305,8 +306,6 @@ def test_value_semantics():
 def test_value_text_and_documents():
     assert str(CoprimePair(5, 3)) == "(5,3)"
     assert str(CoprimePair(1, 0)) == "(1,0)"
-    assert CoprimePair(5, 3).as_tuple() == (5, 3)
-    assert type(CoprimePair(5, 3).as_tuple()) is tuple
     assert CoprimePair(2, 1).mediant(CoprimePair(3, 2)) == CoprimePair(5, 3)
     kinds = {(1, 0): ("strict_transform", False), (0, 1): ("first_exceptional", False),
              (1, 1): ("intermediate", True), (7, 2): ("intermediate", True)}

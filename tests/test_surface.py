@@ -160,11 +160,6 @@ def test_cover_is_poincare_dual_of_cone():
             assert cover == dual, (n, d)
 
 
-def test_degenerate_degree_is_flagged():
-    assert hypersurface_data(3, 1).is_degenerate
-    assert not hypersurface_data(3, 2).is_degenerate
-
-
 def test_euler_characteristic_closed_form():
     # cross-check chi against the alternating rank sum of the stored ring
     for n in (3, 4, 5, 6):
