@@ -33,13 +33,12 @@ _LAYERS = {
     ),
     "oracle": (
         "JetCountReport",
-        "SparseIntPoly",
         "count_base",
         "count_contact_jets",
         "milnor_number_oracle",
-        "parse_poly",
         "verify_stratification",
     ),
+    "poly": ("SparseIntPoly", "parse_poly"),
     "resolution": (
         "CoprimePair",
         "Divisor",

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .domain import (
     CHAIN,
+    CLI_MAX_DEGREES,
     CLI_MAX_DIGITS,
     CLI_MAX_DIVISORS,
     CLI_MAX_STRATA,
@@ -35,7 +36,7 @@ from .domain import (
 
 if TYPE_CHECKING:
     from .groups import GradedGroup
-    from .oracle import SparseIntPoly
+    from .poly import SparseIntPoly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -274,7 +275,7 @@ def cmd_scatter(args) -> int:
 
 
 def _load_poly(spec: str) -> SparseIntPoly:
-    from .oracle import SparseIntPoly, parse_poly
+    from .poly import SparseIntPoly, parse_poly
 
     spec = spec.strip()
     if spec.startswith("{"):
@@ -351,8 +352,10 @@ def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     domain.check(n, d, m)
     q = m // d
     divisors = q * m - d * q * (q + 1) // 2 if command == "resolve" else 0
+    degrees = 2 * n if command in ("cohomology", "floer", "euler") else 0
     for what, size, cap in (("strata", q, CLI_MAX_STRATA),
-                            ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS)):
+                            ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS),
+                            ("degrees of S (2n)", degrees, CLI_MAX_DEGREES)):
         if size > cap:
             shown = size if size < 10 ** CLI_MAX_DIGITS else "a number too long to print"
             raise BudgetExceededError(f"{what}: {shown} is over the command-line cap of {cap}")

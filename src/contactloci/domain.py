@@ -19,6 +19,8 @@ SCATTER_MAX = 200  # largest nmax and dmax of the scatter grid
 # kappa + r*d <= m, coprime or not, bound the chain length; m // d strata.
 CLI_MAX_DIVISORS = 250_000
 CLI_MAX_STRATA = 20_000
+# cohomology, floer and euler loop over the 2n degrees of S.
+CLI_MAX_DEGREES = 20_000
 # Decimal digits of the largest integer cohomology, floer and euler may print:
 # Python's default limit on int-to-str conversion, which is left in place.
 CLI_MAX_DIGITS = 4300

@@ -9,12 +9,11 @@ independent Milnor number.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from itertools import product
 from math import comb, gcd, isqrt, prod
-from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from operator import add, getitem, mul
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .contact import BASE_MILNOR_FIBER, graded_pieces
 from .domain import (
@@ -22,153 +21,13 @@ from .domain import (
     BudgetExceededError,
     NonIsolatedSingularityError,
     NonSmoothReductionError,
-    Value,
 )
-
-
-class SparseIntPoly(Value):
-    """Integer polynomial in nvars variables, as (exponent vector, coeff) terms."""
-
-    __slots__ = ()
-
-    def __new__(cls, nvars: int,
-                terms: tuple[tuple[tuple[int, ...], int], ...]) -> "SparseIntPoly":
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        seen = set()
-        for exps, coeff in terms:
-            if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has wrong length")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            if coeff == 0:
-                raise ValueError("zero coefficients must be dropped")
-            if exps in seen:
-                raise ValueError(f"duplicate exponent vector {exps}")
-            seen.add(exps)
-        return tuple.__new__(cls, (nvars, tuple(sorted(terms))))
-
-    nvars = property(itemgetter(0))
-    terms = property(itemgetter(1))
-
-    @classmethod
-    def from_terms(cls, nvars: int, terms) -> "SparseIntPoly":
-        acc = Counter()
-        for exps, coeff in terms:
-            acc[tuple(exps)] += coeff
-        return cls(nvars, tuple((e, c) for e, c in acc.items() if c))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_total_degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no order")
-        return min(sum(exps) for exps, _ in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(exps) for exps, _ in self.terms}) <= 1
-
-    def initial_form(self) -> "SparseIntPoly":
-        d = self.min_total_degree()
-        return SparseIntPoly(self.nvars,
-                             tuple(t for t in self.terms if sum(t[0]) == d))
-
-    def partial(self, j: int) -> "SparseIntPoly":
-        return SparseIntPoly.from_terms(self.nvars, [
-            (exps[:j] + (exps[j] - 1,) + exps[j + 1:], coeff * exps[j])
-            for exps, coeff in self.terms if exps[j]])
-
-    def evaluate_mod(self, point: Sequence[int], p: int) -> int:
-        total = 0
-        for exps, coeff in self[1]:  # the terms, by index: this runs once per point
-            v = coeff % p
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * pow(x, e, p) % p
-                    if v == 0:
-                        break
-            total += v
-        return total % p
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks = []
-        for exps, coeff in sorted(self.terms, key=lambda t: tuple(-e for e in t[0])):
-            factors = [] if coeff == 1 and any(exps) else [str(coeff)]
-            factors += [f"x{j}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(exps) if e]
-            chunks.append("*".join(factors))
-        return " + ".join(chunks)
-
-    def to_doc(self) -> dict:
-        return {"n": self.nvars,
-                "terms": [{"exps": list(exps), "coeff": coeff} for exps, coeff in self.terms]}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "SparseIntPoly":
-        values = [doc["n"]] + [v for t in doc["terms"] for v in (*t["exps"], t["coeff"])]
-        if any(type(v) is not int for v in values):  # no bool, float or str
-            raise TypeError("n, exps and coeff must be JSON integers")
-        return cls(doc["n"], tuple((tuple(t["exps"]), t["coeff"]) for t in doc["terms"]))
-
-
-_TERM_RE = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x(\d+)(?:\s*\^\s*(\d+))?\s*")
-_SEP_RE = re.compile(r"\s*([+-])")
-
-
-def parse_poly(text: str, nvars: Optional[int] = None) -> SparseIntPoly:
-    """Parse the inline grammar: term ("+"|"-") term ..., with
-    term := [coeff "*"] var ("^" int)? over variables x0, x1, ...
-
-    Anything outside the grammar is rejected.  The variable count is the
-    largest index used plus one unless given explicitly.
-    """
-    terms, pos, sign, max_index = [], 0, 1, -1
-    while True:
-        match = _TERM_RE.match(text, pos)
-        if not match or match.end() == pos:
-            raise ValueError(f"expected a term at position {pos} of {text!r}")
-        coeff = int(match.group(1) or 1)
-        index = int(match.group(2))
-        exp = int(match.group(3) or 1)
-        max_index = max(max_index, index)
-        terms.append((index, exp, sign * coeff))
-        pos = match.end()
-        if pos == len(text):
-            break
-        sep = _SEP_RE.match(text, pos)
-        if not sep:
-            raise ValueError(f"expected '+' or '-' at position {pos} of {text!r}")
-        sign = 1 if sep.group(1) == "+" else -1
-        pos = sep.end()
-    width = nvars if nvars is not None else max_index + 1
-    if max_index >= width:
-        raise ValueError(f"variable x{max_index} exceeds the declared {width} variables")
-    poly = SparseIntPoly.from_terms(
-        width, [(tuple(exp * (j == index) for j in range(width)), coeff)
-                for index, exp, coeff in terms])
-    if poly.is_zero:
-        raise ValueError("polynomial cancels to zero")
-    return poly
+from .poly import SparseIntPoly, parse_poly  # also read from here by callers of the oracle
 
 
 def _require_prime(p: int) -> None:
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
-
-
-class _WorkCounter:
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.work = 0
-
-    def charge(self, amount: int) -> None:
-        self.work += amount
-        if self.work > self.budget:
-            raise BudgetExceededError(
-                f"enumeration budget exceeded (more than {self.budget} candidates)")
 
 
 def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:
@@ -178,18 +37,23 @@ def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:
     refines the orbits."""
     n = f.nvars
     reduced = {exps: c % p for exps, c in f.terms if c % p}
-    found, pairs = [], set()
-    for i, j, c, c2 in product(range(n), range(n), range(1, p), range(1, p)):
-        if i < j and (i, j) not in pairs or i == j and c2 == 1 < c:
-            perm, scale = list(range(n)), [1] * n
-            perm[i], perm[j] = j, i
-            scale[j], scale[i] = c2, c
-            image = {tuple(exps[q] for q in perm):
-                     c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
-                     for exps, c0 in reduced.items()}
-            if image == reduced:
-                found.append((perm, scale))
-                pairs.add((i, j))
+    found = []
+    for i, j in product(range(n), repeat=2):
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        # scales are units mod p, so an image has f's support only if perm maps it
+        if i > j or {tuple(exps[q] for q in perm) for exps in reduced} != reduced.keys():
+            continue
+        for c, c2 in product(range(1, p), repeat=2):
+            if i < j or c2 == 1 < c:
+                scale = [1] * n
+                scale[j], scale[i] = c2, c
+                if all(reduced[tuple(exps[q] for q in perm)]
+                       == c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
+                       for exps, c0 in reduced.items()):
+                    found.append((perm, scale))
+                    if i < j:
+                        break
     return found
 
 
@@ -219,12 +83,33 @@ def _orbits(gens, n: int, p: int) -> list[tuple[tuple, int]]:
     return orbits
 
 
+def _slices(h: SparseIntPoly, p: int) -> Iterator[list[int]]:
+    """h mod p over F_p^n in product order, one list per value of x_0.  Each
+    term is its x_0 power times its vector over the other coordinates, built
+    once from per-variable power tables."""
+    tails = []
+    for exps, c in h.terms:
+        rows = [[pow(x, e, p) for x in range(p)] for e in exps]
+        vector = [c % p]
+        for row in rows[1:]:
+            vector = [a * b % p for a in vector for b in row]
+        tails.append((rows[0], vector))
+    for x in range(p):
+        total = [0] * p ** (h.nvars - 1)
+        for row, vector in tails:
+            total = list(map(add, total, map(row[x].__mul__, vector)))
+        yield [v % p for v in total]
+
+
 def singular_point_mod_p(h: SparseIntPoly, p: int) -> Optional[tuple[int, ...]]:
-    """A common zero of the partials of h on F_p^n minus the origin, if any."""
-    partials = [h.partial(j) for j in range(h.nvars)]
-    for point in product(range(p), repeat=h.nvars):
-        if any(point) and all(g.evaluate_mod(point, p) == 0 for g in partials):
-            return point
+    """The first common zero of the partials of h on F_p^n minus the origin,
+    in product order, if any."""
+    n = h.nvars
+    for x, values in enumerate(zip(*(_slices(h.partial(j), p) for j in range(n)))):
+        common = list(map(any, zip(*values)))  # False where every partial vanishes
+        if False in common[x == 0:]:  # the origin skipped
+            rest = common.index(False, x == 0)
+            return (x,) + tuple(rest // p ** i % p for i in reversed(range(n - 1)))
     return None
 
 
@@ -234,12 +119,9 @@ def count_base(h: SparseIntPoly, p: int) -> tuple[int, int]:
     if not h.is_homogeneous() or h.is_zero or h.min_total_degree() < 1:
         raise ValueError("base counting expects a homogeneous form of positive degree")
     zeros = ones = 0
-    for point in product(range(p), repeat=h.nvars):
-        v = h.evaluate_mod(point, p)
-        if v == 0:
-            zeros += 1
-        elif v == 1:
-            ones += 1
+    for values in _slices(h, p):
+        zeros += values.count(0)
+        ones += values.count(1)
     return zeros - 1, ones
 
 
@@ -276,15 +158,14 @@ def _int_pairs(counts: Mapping) -> tuple:
     return tuple(sorted((int(k), int(v)) for k, v in counts.items()))
 
 
-def _iter_affine_solutions(lin: list[int], rhs: int, p: int) -> Iterator[list[int]]:
-    # all v with lin . v = rhs over F_p, assuming lin != 0
+def _affine_solutions(lin: list[int], rhs: int, p: int) -> tuple[int, Iterator[tuple]]:
+    # the number and a stream of the v with lin . v = rhs over F_p, solving for v[pivot]
+    if not any(lin):
+        return (0, ()) if rhs else (p ** len(lin), product(range(p), repeat=len(lin)))
     pivot = next(j for j, c in enumerate(lin) if c)
-    inv = pow(lin[pivot], p - 2, p)
-    for rest in product(range(p), repeat=len(lin) - 1):
-        v = list(rest)
-        v.insert(pivot, 0)
-        v[pivot] = (rhs - sum(a * b for a, b in zip(lin, v))) * inv % p
-        yield v
+    inv, others = pow(lin[pivot], p - 2, p), lin[:pivot] + lin[pivot + 1:]
+    return p ** (len(lin) - 1), ((*r[:pivot], (rhs - sum(map(mul, others, r))) * inv % p,
+                                  *r[pivot:]) for r in product(range(p), repeat=len(lin) - 1))
 
 
 def count_contact_jets(f: SparseIntPoly, m: int, p: int,
@@ -302,13 +183,20 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     d = f.min_total_degree()
     h = f.initial_form()
     pieces = graded_pieces(n, d, m)  # also validates n >= 3, d >= 2
-    counter = _WorkCounter(budget)
+    spent = [0]
+
+    def charge(amount: int) -> None:
+        spent[0] += amount
+        if spent[0] > budget:
+            raise BudgetExceededError(
+                f"enumeration budget exceeded (more than {budget} candidates)")
+
     if p > 1:
         # The two scans of F_p^n, and the orbit pass over it when there are
         # jets to count, charged before p is trial-divided; p^n is not formed
         # when its bit length alone puts it over the budget.
-        counter.charge(budget + 1 if n * (p.bit_length() - 1) > budget.bit_length()
-                       else (3 if m >= d else 2) * p ** n)
+        charge(budget + 1 if n * (p.bit_length() - 1) > budget.bit_length()
+               else (3 if m >= d else 2) * p ** n)
     _require_prime(p)
     witness = singular_point_mod_p(h, p)
     if witness is not None:
@@ -319,38 +207,10 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     by_order = Counter()
     kstar = m - d + 1
     f = SparseIntPoly(n, tuple(t for t in f.terms if sum(t[0]) <= m))  # rest: O(t^(m+1))
-    one = [1] + [0] * m
     # (coeff, [(j, e), ...]) per term of f and its partials
     plans = [[(c % p, [(j, e) for j, e in enumerate(exps) if e]) for exps, c in g.terms]
              for g in [f] + [f.partial(j) for j in range(n)]]
-
-    def coefficient(plan, pw, a: int) -> int:
-        # [t^a] of the plan's polynomial, pw[j][e] = x_j^e
-        total = 0
-        for c, ((j, e), *rest) in plan:
-            series = pw[j][e]
-            for j, e in rest:
-                b = pw[j][e]
-                series = [sum(series[i] * b[q - i] for i in range(q + 1)) % p
-                          for q in range(a + 1)]
-            total += c * series[a]
-        return total % p
-
-    def extend(pw, v, k: int):
-        # powers after v * t^k joins the prefix
-        out = list(pw)
-        for j, x in enumerate(v):
-            if x:
-                old = pw[j]
-                out[j] = [one]
-                for e in range(1, len(old)):
-                    s = list(old[e])  # (s + x t^k)^e = sum_i C(e, i) x^i t^(ik) s^(e-i)
-                    for i in range(1, e + 1):
-                        if any(old[e - i]):
-                            c = comb(e, i) * x ** i
-                            s[i * k:] = [(a + c * b) % p for a, b in zip(s[i * k:], old[e - i])]
-                    out[j].append(s)
-        return out
+    powers = [[pow(x, i, p) for i in range(m + 1)] for x in range(p)]
 
     def record(rho: Optional[int], amount: int) -> None:
         if amount:
@@ -358,40 +218,70 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
                 raise AssertionError("counted jets of undetermined order")
             by_order[rho] += amount
 
-    def descend(pw, k: int, rho: Optional[int], weight: int) -> None:
+    def descend(prefix, k: int, rho: Optional[int], weight: int) -> None:
+        # prefix(j, e, a) = [t^a] s_j^e, s = gamma_1 t + ... + gamma_(k-1) t^(k-1)
         alpha = k + d - 1
         target = 1 % p if alpha == m else 0
         free = weight * p ** (n * (m - k))
-        if rho is None and k < max(kstar, 2):
+        tables = {}
+
+        def table(j: int, e: int, a: int) -> list[int]:
+            # [t^a] (s_j + x t^k)^e = sum_i C(e, i) x^i [t^(a-ik)] s_j^(e-i), x in F_p
+            if (j, e, a) not in tables:
+                poly = [comb(e, i) * prefix(j, e - i, a - i * k) for i in range(min(e, a // k) + 1)]
+                tables[j, e, a] = [sum(map(mul, poly, xs)) % p for xs in powers]
+            return tables[j, e, a]
+
+        def at(plan, a: int):
+            # v -> [t^a] of the plan's polynomial at s + v t^k: one-variable terms summed
+            # into a row per variable, the others split over a (a factor has order >= e)
+            rows, splits = [[0] * p] * n, []
+            for c, factors in plan:
+                if len(factors) == 1:
+                    (j, e), = factors
+                    rows[j] = list(map(add, rows[j], map(c.__mul__, table(j, e, a))))
+                else:
+                    splits += [(c, [(j, table(j, e, b)) for (j, e), b in zip(factors, bs)])
+                               for bs in product(*(range(e, a + 1) for _, e in factors))
+                               if sum(bs) == a]
+            if not splits:
+                return lambda v: sum(map(getitem, rows, v)) % p
+            return lambda v: (sum(map(getitem, rows, v))
+                              + sum(c * prod(t[v[j]] for j, t in ts) for c, ts in splits)) % p
+
+        # [t^(d-1)] of the partials: at v = 0 the coefficients of gamma_k in this
+        # level's equation, at v those of gamma_(k+1) in the next level's
+        check, lin_at = at(plans[0], alpha), [at(plan, d - 1) for plan in plans[1:]]
+        if rho is None:
             # Each symmetry g of f fixes the zero prefix and maps the subtree
             # of v onto that of g(v): one representative per orbit.
             count, candidates = len(orbits), orbits
         else:
             # For k >= 2 the level-k coefficient is affine in gamma_k: the part
-            # quadratic in it has t-order >= 2k + d - 2 > alpha.
-            lin = [coefficient(plan, pw, alpha - k) for plan in plans[1:]]
-            rhs = (target - coefficient(plans[0], pw, alpha)) % p
-            if k == kstar:
-                return record(rho, (p ** (n - 1) if any(lin) else 0 if rhs else p ** n) * free)
-            if any(lin):
-                count, vectors = p ** (n - 1), _iter_affine_solutions(lin, rhs, p)
-            else:
-                count, vectors = (0, ()) if rhs else (p ** n, product(range(p), repeat=n))
+            # quadratic in it has t-order >= 2k + d - 2 > alpha.  Its linear
+            # part and constant are the tables at v = 0.
+            count, vectors = _affine_solutions([g((0,) * n) for g in lin_at],
+                                               (target - check((0,) * n)) % p, p)
             candidates = ((v, 1) for v in vectors)
-        counter.charge(count)
+        charge(count)
+        # the children are leaves when k + 1 = kstar: [t^m] f is affine in gamma_kstar
+        leaf_f = at(plans[0], m) if k + 1 == kstar else None
         for v, size in candidates:
-            child = extend(pw, v, k)
-            if coefficient(plans[0], child, alpha) == target:
+            if check(v) == target:
                 v_rho = k if rho is None and any(v) else rho
                 if k == kstar:
                     record(v_rho, size * free)
+                elif k + 1 == kstar:
+                    solutions = (p ** (n - 1) if any(g(v) for g in lin_at)
+                                 else 0 if (1 - leaf_f(v)) % p else p ** n)
+                    record(v_rho, solutions * size * free // p ** n)
                 else:
-                    descend(child, k + 1, v_rho, weight * size)
+                    # the child's prefix powers are these tables at v
+                    descend(lambda j, e, a, v=v: table(j, e, a)[v[j]], k + 1, v_rho, weight * size)
 
     if m >= d:
         orbits = _orbits(_symmetries(f, p), n, p)
-        descend([[one] + [[0] * (m + 1)] * max(exps[j] for exps, _ in f.terms)
-                 for j in range(n)], 1, None, 1)
+        descend(lambda j, e, a: int(e == a == 0), 1, None, 1)
         del descend  # self-referencing: free its state now
 
     predicted = {}
@@ -420,20 +310,21 @@ def _monomials(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
 
 
 def _rank_sparse_int(rows: Iterator[dict]) -> int:
-    """Rank over Q of integer rows given as {column: value} dicts."""
+    """Rank over Q of integer rows given as {column: value} dicts.  A pivot row
+    is kept as its (column, value) pairs in column order, pivot first."""
     pivots: dict = {}
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
             col = min(row)
             if col not in pivots:
-                pivots[col] = row
+                pivots[col] = tuple(sorted(row.items()))
                 break
             piv = pivots[col]
-            g = gcd(row[col], piv[col])
-            ma, mb = piv[col] // g, row[col] // g
+            g = gcd(row[col], piv[0][1])
+            ma, mb = piv[0][1] // g, row[col] // g
             merged = {c: v * ma for c, v in row.items()}
-            for c, v in piv.items():
+            for c, v in piv:
                 merged[c] = merged.get(c, 0) - v * mb
             row = {c: v for c, v in merged.items() if v}
             if row:
@@ -467,9 +358,14 @@ def milnor_number_oracle(h: SparseIntPoly, max_monomials: int = 20000) -> int:
             raise BudgetExceededError(
                 f"degree {degree} needs more than {max_monomials} monomials")
         shift = degree - (d - 1)
-        # rows x^factor * dh/dx_j, streamed
-        rows = ({tuple(a + b for a, b in zip(exps, factor)): coeff for exps, coeff in terms}
-                for factor in (_monomials(n, shift) if shift >= 0 else ()) for terms in partials)
+        # rows x^factor * dh/dx_j, streamed.  A column is its exponent vector
+        # read as digits in base degree + 1: small ints in place of tuples,
+        # whose codes add under products and order as the vectors do.
+        weights = [(degree + 1) ** (n - 1 - i) for i in range(n)]
+        code = lambda exps: sum(map(mul, exps, weights))
+        coded = [[(code(exps), coeff) for exps, coeff in terms] for terms in partials]
+        rows = ({key + code(factor): coeff for key, coeff in terms}
+                for factor in (_monomials(n, shift) if shift >= 0 else ()) for terms in coded)
         dim = columns - _rank_sparse_int(rows)
         if degree > top and dim:
             raise NonIsolatedSingularityError(

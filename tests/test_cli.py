@@ -256,6 +256,13 @@ def test_work_caps_stop_before_work(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == want, argv
         assert ("cap" in err) == (want == 3), argv
+    # the 2n degrees of S: 20000 is the cap, so n = 10000 runs and n = 10001 does not
+    for command in ("cohomology", "floer", "euler"):
+        for n, want in (("10000", 0), ("10001", 3), ("1000000000", 3)):
+            started = time.perf_counter()
+            code, _, err = run(capsys, command, "--n", n, "--d", "2", "--m", "4")
+            assert time.perf_counter() - started < 1, (command, n)
+            assert code == want and ("cap" in err) == (want == 3), (command, n)
     # the chain bound q*m - d*q*(q+1)/2 with q = m // d: 249571 for m = 707, d = 1
     code, _, _ = run(capsys, "resolve", "--n", "3", "--d", "1", "--m", "707",
                      "--out", str(tmp_path / "chain.txt"))

@@ -32,7 +32,8 @@ ALLOWED = {
     ("floer", "--n", "3", "--d", "5", "--m", "5"): (0, SPECTRAL),
     ("euler", "--n", "4", "--d", "3", "--m", "6", "--format", "json"): (0, SPECTRAL),
     ("scatter", "--nmax", "5", "--dmax", "5", "--format", "csv"): (0, SPECTRAL),
-    ("verify", "--f", "x0^2+x1^2+x2^2", "--m", "3", "--primes", "3"): (0, COHOMOLOGY | {"oracle"}),
+    ("verify", "--f", "x0^2+x1^2+x2^2", "--m", "3", "--primes", "3"):
+        (0, COHOMOLOGY | {"oracle", "poly"}),
     ("resolve", "--n", "1", "--d", "2", "--m", "4"): (2, ENTRY),
     ("cohomology", "--n", "3", "--d", "1", "--m", "4"): (2, ENTRY),
     ("floer", "--n", "3", "--d", "3", "--m", "60003"): (3, ENTRY),

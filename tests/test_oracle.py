@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -14,6 +15,7 @@ from contactloci.oracle import (
     count_contact_jets,
     milnor_number_oracle,
     parse_poly,
+    singular_point_mod_p,
     verify_stratification,
 )
 
@@ -28,6 +30,8 @@ SCALED = parse_poly("x0^2+2*x1^2+3*x2^2")
 MIXED_CUBIC = SparseIntPoly.from_terms(3, [
     ((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1), ((1, 1, 1), 1)])
 HYPERBOLIC = SparseIntPoly.from_terms(3, [((1, 1, 0), 1), ((0, 0, 2), 1)])
+MIXED_QUADRIC = SparseIntPoly.from_terms(3, [
+    ((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 1), ((1, 1, 1), 1)])
 
 
 def brute_force_value_counts(poly, p):
@@ -45,6 +49,11 @@ def brute_force_value_counts(poly, p):
         if value in counts:
             counts[value] += 1
     return counts
+
+
+def value_mod(terms, point, p):
+    # the polynomial with these terms at point, mod p, by direct evaluation
+    return sum(coeff * prod(x ** e for x, e in zip(point, exps)) for exps, coeff in terms) % p
 
 
 def test_parse_examples():
@@ -99,6 +108,33 @@ def test_count_base_linear_form():
         cone, milnor = count_base(linear, p)
         assert cone == p ** 2 - 1
         assert milnor == p ** 2
+
+
+def scan_forms(n):
+    # homogeneous forms with mixed terms and negative coefficients; x0^2 is
+    # singular along x0 = 0 when n >= 2
+    def mono(*js):
+        return tuple(js.count(i) for i in range(n))
+    return [SparseIntPoly.from_terms(n, terms) for terms in (
+        [(mono(j, j), 1 - 2 * (j % 2)) for j in range(n)] + [(mono(0, n - 1), -3)],
+        [(mono(j, j, j), j + 1) for j in range(n)] + [(mono(0, 0, n - 1), -2)],
+        [(mono(j, (j + 1) % n), -2) for j in range(n)],
+        [(mono(0, 0), 1)])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scans_agree_with_evaluating_every_point(n, p):
+    for h in scan_forms(n):
+        points = list(product(range(p), repeat=n))  # product order
+        values = [value_mod(h.terms, x, p) for x in points]
+        assert count_base(h, p) == (values.count(0) - 1, values.count(1)), (str(h), p)
+        partials = [[(exps[:j] + (exps[j] - 1,) + exps[j + 1:], coeff * exps[j])
+                     for exps, coeff in h.terms if exps[j]] for j in range(n)]
+        # verify prints this witness, so it must be the first in product order
+        first = next((x for x in points[1:]
+                      if all(value_mod(terms, x, p) == 0 for terms in partials)), None)
+        assert singular_point_mod_p(h, p) == first, (str(h), p)
 
 
 def test_count_base_rejects_inhomogeneous():
@@ -215,6 +251,15 @@ def test_milnor_number_of_fermat_forms(d, n):
     assert milnor_number_oracle(fermat) == (d - 1) ** n
 
 
+def test_milnor_number_of_forms_with_mixed_terms():
+    # partials with several terms, so rows are reduced by pivot rows of
+    # several entries; each singularity is isolated, of Milnor number (d-1)^n
+    quartic = SparseIntPoly.from_terms(4, [((4, 0, 0, 0), 1), ((0, 4, 0, 0), 2), ((0, 0, 4, 0), 1),
+                                           ((0, 0, 0, 4), 1), ((1, 1, 1, 1), 3), ((2, 0, 0, 2), -1)])
+    for poly, want in ((MIXED_CUBIC, 8), (HYPERBOLIC, 1), (quartic, 81)):
+        assert milnor_number_oracle(poly) == want, str(poly)
+
+
 def test_milnor_number_of_linear_form():
     assert milnor_number_oracle(parse_poly("x0", nvars=2)) == 0
 
@@ -250,6 +295,9 @@ PINNED_COUNTS = [
     (MIXED_CUBIC, 5, 5, ((1, 234375000),)),
     (MIXED_CUBIC, 4, 11, ((1, 25723065720),)),
     (HYPERBOLIC, 4, 7, ((1, 39530064), (2, 6588344))),
+    # several-variable terms at the internal levels and at the leaves
+    (MIXED_QUADRIC, 5, 5, ((1, 46875000), (2, 9375000))),
+    (HYPERBOLIC, 6, 3, ((1, 1417176), (2, 472392), (3, 236196))),
 ]
 
 
@@ -294,15 +342,43 @@ def _family(n, p):
                 yield perm, [c if k == i else c2 if k == j else 1 for k in range(n)]
 
 
-@pytest.mark.parametrize("poly,p", [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7),
-                                    (LOWSYM, 3), (LOWSYM, 7), (MIXED_CUBIC, 7),
-                                    (HYPERBOLIC, 5), (QUATERNARY, 3)])
+SYMMETRY_CASES = [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7), (LOWSYM, 3), (LOWSYM, 7),
+                  (MIXED_CUBIC, 7), (HYPERBOLIC, 5), (QUATERNARY, 3)]
+
+
+@pytest.mark.parametrize("poly,p", SYMMETRY_CASES)
 def test_accepted_symmetries_fix_f_at_every_point(poly, p):
     accepted = _symmetries(poly, p)
     assert accepted
     for g in accepted:
         for point in product(range(p), repeat=poly.nvars):
-            assert poly.evaluate_mod(_apply(g, point, p), p) == poly.evaluate_mod(point, p)
+            assert value_mod(poly.terms, _apply(g, point, p), p) == value_mod(poly.terms, point, p)
+
+
+def unfiltered_symmetries(f, p):
+    # every candidate's substituted image compared with f, none rejected
+    # early by its exponent support
+    n = f.nvars
+    reduced = {exps: c % p for exps, c in f.terms if c % p}
+    found, pairs = [], set()
+    for i, j, c, c2 in product(range(n), range(n), range(1, p), range(1, p)):
+        if i < j and (i, j) not in pairs or i == j and c2 == 1 < c:
+            perm, scale = list(range(n)), [1] * n
+            perm[i], perm[j] = j, i
+            scale[j], scale[i] = c2, c
+            image = {tuple(exps[q] for q in perm):
+                     c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
+                     for exps, c0 in reduced.items()}
+            if image == reduced:
+                found.append((perm, scale))
+                pairs.add((i, j))
+    return found
+
+
+@pytest.mark.parametrize("poly,p", SYMMETRY_CASES)
+def test_symmetries_match_the_unfiltered_search(poly, p):
+    # same generators in the same order, so the orbits and charges cannot move
+    assert _symmetries(poly, p) == unfiltered_symmetries(poly, p)
 
 
 @pytest.mark.parametrize("poly,p", [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7),
@@ -313,7 +389,8 @@ def test_diagonal_forms_lose_no_symmetry_of_the_family(poly, p):
     n = poly.nvars
     label = _orbit_labels(_symmetries(poly, p), n, p)
     for g in _family(n, p):
-        if all(poly.evaluate_mod(_apply(g, x, p), p) == poly.evaluate_mod(x, p) for x in label):
+        if all(value_mod(poly.terms, _apply(g, x, p), p) == value_mod(poly.terms, x, p)
+               for x in label):
             assert all(label[_apply(g, x, p)] == label[x] for x in label), g
 
 
@@ -356,6 +433,6 @@ def brute_force_jet_counts(poly, m, p):
 def test_counts_agree_with_enumerating_every_jet():
     twisted = SparseIntPoly.from_terms(3, [
         ((2, 0, 0), 1), ((0, 2, 0), 2), ((0, 0, 2), 1), ((1, 1, 1), 1)])
-    for poly in (QUADRIC, twisted):
+    for poly in (QUADRIC, twisted, MIXED_QUADRIC):
         report = count_contact_jets(poly, 3, 3)
         assert {rho: c for rho, c in report.by_order if c} == brute_force_jet_counts(poly, 3, 3)

@@ -24,7 +24,8 @@ EXPORTED = [
     "verify_stratification",
 ]
 
-LAYERS = ("arith", "contact", "groups", "nash", "oracle", "resolution", "spectral", "surface")
+LAYERS = ("arith", "contact", "groups", "nash", "oracle", "poly", "resolution", "spectral",
+          "surface")
 
 
 def test_all_is_unchanged():
