@@ -11,7 +11,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _LAYERS = {
-    "arith": ("continued_fraction", "parents_from_cf"),
+    "arith": ("parents_from_cf",),
     "contact": (
         "GradedPiece",
         "MotivicClass",
@@ -23,20 +23,12 @@ _LAYERS = {
         "piece_compact_cohomology",
     ),
     "groups": ("FgAbGroup", "GradedGroup"),
-    "nash": (
-        "ValuationReport",
-        "contact_valuations",
-        "dlt_valuations",
-        "essential_valuations",
-        "stratum_codimension",
-        "valuation_report",
-    ),
+    "nash": ("ValuationReport", "valuation_report"),
     "oracle": (
         "JetCountReport",
         "count_base",
         "count_contact_jets",
         "milnor_number_oracle",
-        "verify_stratification",
     ),
     "poly": ("SparseIntPoly", "parse_poly"),
     "resolution": (

@@ -1,4 +1,4 @@
-"""Exact integer helpers: continued fractions, Stern-Brocot mediant parents.
+"""Exact integer helpers: Stern-Brocot mediant parents.
 
 Everything here is plain arbitrary-precision integer arithmetic.  Coprime
 pairs are passed around as bare ``(kappa, r)`` tuples; the resolution layer
@@ -8,41 +8,6 @@ wraps them in a richer type.
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
-
-
-def _require_coprime_positive(kappa: int, r: int) -> None:
-    if kappa < 1 or r < 1:
-        raise ValueError(f"({kappa}, {r}): both entries must be >= 1")
-    if gcd(kappa, r) != 1:
-        raise ValueError(f"({kappa}, {r}) is not a coprime pair")
-
-
-def continued_fraction(kappa: int, r: int) -> list[int]:
-    """Canonical continued fraction [q0; q1, ..., qk] of kappa/r.
-
-    Requires kappa, r >= 1 coprime.  The Euclidean algorithm yields the
-    canonical form directly: the last quotient is >= 2 unless the expansion
-    has length one.
-    """
-    _require_coprime_positive(kappa, r)
-    quotients = []
-    a, b = kappa, r
-    while b:
-        quotients.append(a // b)
-        a, b = b, a % b
-    return quotients
-
-
-def cf_value(quotients: Sequence[int]) -> tuple[int, int]:
-    """Evaluate a continued fraction to a fraction (numerator, denominator).
-
-    The empty expansion evaluates to (1, 0), the Stern-Brocot endpoint "1/0".
-    """
-    num, den = 1, 0
-    for q in reversed(quotients):
-        num, den = q * num + den, num
-    return num, den
 
 
 def pair_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -63,7 +28,10 @@ def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int
     h_(i-2) alongside: the truncated expansion evaluates to the next-to-last
     convergent, and the decremented one to (q_k - 1) h_(k-1) + h_(k-2).
     """
-    _require_coprime_positive(kappa, r)
+    if kappa < 1 or r < 1:
+        raise ValueError(f"({kappa}, {r}): both entries must be >= 1")
+    if gcd(kappa, r) != 1:
+        raise ValueError(f"({kappa}, {r}) is not a coprime pair")
     # (h1, k1) and (h2, k2): the last two convergents before the current one
     h2, k2, h1, k1 = 0, 1, 1, 0
     a, b = kappa, r

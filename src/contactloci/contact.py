@@ -15,7 +15,7 @@ total cohomology is the degreewise direct sum over strata.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .domain import COHOMOLOGY, Value
 from .groups import GradedGroup, graded_sum
@@ -42,12 +42,6 @@ class GradedPiece(NamedTuple):
 
     def to_doc(self) -> dict:
         return self._asdict()
-
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "GradedPiece":
-        return cls(int(doc["rho"]), str(doc["base_kind"]),
-                   *(int(doc[key]) for key in ("hyperplane_vars", "free_vars",
-                                               "fiber_dim", "total_dim")))
 
 
 def graded_pieces(n: int, d: int, m: int) -> list[GradedPiece]:
@@ -151,9 +145,9 @@ class MotivicClass(Value):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def specialize(self, lef: int, surface: int, milnor_fiber: int, point: int = 1) -> int:
-        """Evaluate by substituting integers for L, [S], [Mh] and [pt]."""
-        values = {BASIS_POINT: point, BASIS_SURFACE: surface, BASIS_MILNOR: milnor_fiber}
+    def specialize(self, lef: int, surface: int, milnor_fiber: int) -> int:
+        """Evaluate by substituting integers for L, [S] and [Mh], and 1 for [pt]."""
+        values = {BASIS_POINT: 1, BASIS_SURFACE: surface, BASIS_MILNOR: milnor_fiber}
         return sum(coeff * lef ** exp * values[basis] for basis, exp, coeff in self.terms)
 
     def __str__(self) -> str:
@@ -169,11 +163,6 @@ class MotivicClass(Value):
     def to_doc(self) -> dict:
         return {"terms": [{"basis": basis, "L_exp": exp, "coeff": coeff}
                           for basis, exp, coeff in self.terms]}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "MotivicClass":
-        return cls(tuple((str(t["basis"]), int(t["L_exp"]), int(t["coeff"]))
-                         for t in doc["terms"]))
 
 
 def contact_class(n: int, d: int, m: int) -> MotivicClass:

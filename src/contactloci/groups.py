@@ -9,50 +9,61 @@ in this package.  All values are immutable.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .domain import Value
 
 
-def _factorize(x: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= x:
-        while x % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            x //= p
-        p += 1 if p == 2 else 2
-    if x > 1:
-        factors[x] = factors.get(x, 0) + 1
-    return factors
+def _coprime_base(orders: tuple[int, ...]) -> list[int]:
+    """Pairwise coprime integers >= 2 of which every order is a product of
+    powers, refined by gcds alone: a shared factor g of x and a base element
+    b replaces b by g, b / g and x / g.  The product of the pending and base
+    numbers falls at each split, so the refinement ends."""
+    base: list[int] = []
+    pending = list(orders)
+    while pending:
+        x = pending.pop()
+        for idx, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[idx]
+                pending += [part for part in (g, b // g, x // g) if part > 1]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     """Normalize a multiset of cyclic orders (each >= 2) to invariant factors.
 
-    The result is ascending under divisibility.  Normalizing twice is a
-    no-op, which the tests assert.
+    The result is ascending under divisibility.  No order is factored: each
+    element b of a coprime base stands in for the primes p dividing it, since
+    the p-part of an order is the p-part of b to the order's exponent of b.
+    So the k-th largest factor is the product over b of b to the k-th
+    largest exponent.  Normalizing twice is a no-op, which the tests assert.
     """
-    by_prime: dict[int, list[int]] = {}
+    orders = tuple(orders)
     for t in orders:
         if t < 2:
             raise ValueError(f"cyclic order {t} is not >= 2")
-        for p, e in _factorize(t).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    for exps in by_prime.values():
+    if len(orders) < 2:
+        return orders
+    factors = [1] * len(orders)  # largest first
+    for b in _coprime_base(orders):
+        exps = []
+        for t in orders:
+            e = 0
+            while t % b == 0:
+                t //= b
+                e += 1
+            exps.append(e)
         exps.sort(reverse=True)
-    width = max(len(exps) for exps in by_prime.values())
-    factors = []
-    for slot in range(width):
-        f = 1
-        for p, exps in by_prime.items():
-            if slot < len(exps):
-                f *= p ** exps[slot]
-        factors.append(f)
-    return tuple(reversed(factors))
+        for k, e in enumerate(exps):
+            factors[k] *= b ** e
+    return tuple(f for f in reversed(factors) if f > 1)
 
 
 class FgAbGroup(Value):
@@ -113,10 +124,6 @@ class FgAbGroup(Value):
     def to_doc(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "FgAbGroup":
-        return cls(int(doc["rank"]), tuple(int(t) for t in doc["torsion"]))
-
 
 ZERO_GROUP = FgAbGroup()
 
@@ -161,9 +168,6 @@ class GradedGroup(Value):
                 return g
         return ZERO_GROUP
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.entries)
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
@@ -187,10 +191,6 @@ class GradedGroup(Value):
 
     def to_doc(self) -> list:
         return [{"degree": k, **g.to_doc()} for k, g in self.entries]
-
-    @classmethod
-    def from_doc(cls, doc: Iterable[Mapping]) -> "GradedGroup":
-        return cls(tuple((int(row["degree"]), FgAbGroup.from_doc(row)) for row in doc))
 
 
 def graded_sum(groups: Iterable[GradedGroup]) -> GradedGroup:

@@ -17,48 +17,9 @@ n >= 3 on top of this.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Mapping
 
-from .domain import CHAIN, Value
-from .resolution import Divisor, exceptional_m_divisor, exceptional_m_divisors
-
-
-def essential_valuations(n: int, d: int, m: int) -> tuple[Divisor, ...]:
-    """All exceptional m-divisors, E_{-floor(m/d)} through E_{-1}."""
-    CHAIN.check(n, d, m)
-    return exceptional_m_divisors(n, d, m)
-
-
-def contact_valuations(n: int, d: int, m: int) -> tuple[Divisor, ...]:
-    """The m-divisors whose stratum closure is an irreducible component."""
-    CHAIN.check(n, d, m)
-    if d >= n:
-        return exceptional_m_divisors(n, d, m)
-    if m >= d:
-        return (exceptional_m_divisor(n, d, m, -1),)
-    return ()
-
-
-def dlt_valuations(n: int, d: int, m: int) -> tuple[Divisor, ...]:
-    """Empty when d < n, where every exceptional divisor has log discrepancy
-    exceeding its multiplicity; all exceptional m-divisors when d >= n."""
-    CHAIN.check(n, d, m)
-    if d >= n:
-        return exceptional_m_divisors(n, d, m)
-    return ()
-
-
-def stratum_codimension(n: int, d: int, m: int, i: int) -> int:
-    """Codimension m + i(d - n) of the order-(-i) stratum of the unrestricted
-    contact locus, checked against m * nu_i / N_i."""
-    div = exceptional_m_divisor(n, d, m, i)
-    codim = m + i * (d - n)
-    if m * div.log_discrepancy != codim * div.multiplicity:
-        raise AssertionError(f"codimension formulas disagree at i = {i}")
-    return codim
-
-
-_FAMILIES = ("essential", "contact", "dlt")
+from .domain import Value
+from .resolution import Divisor, exceptional_m_divisors
 
 
 class ValuationReport(Value):
@@ -86,20 +47,22 @@ class ValuationReport(Value):
         return len(self.dlt), len(self.contact), len(self.essential)
 
     def to_doc(self) -> dict:
-        families = (self.essential, self.contact, self.dlt)
         return {"n": self.n, "d": self.d, "m": self.m,
-                **{key: [div.to_doc() for div in divs] for key, divs in zip(_FAMILIES, families)},
+                "essential": [div.to_doc() for div in self.essential],
+                "contact": [div.to_doc() for div in self.contact],
+                "dlt": [div.to_doc() for div in self.dlt],
                 "codims": {str(i): c for i, c in self.codims}}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "ValuationReport":
-        return cls(*(int(doc[key]) for key in ("n", "d", "m")),
-                   *(tuple(map(Divisor.from_doc, doc[key])) for key in _FAMILIES),
-                   tuple(sorted((int(i), int(c)) for i, c in doc["codims"].items())))
 
 
 def valuation_report(n: int, d: int, m: int) -> ValuationReport:
-    essential = essential_valuations(n, d, m)  # checks the domain first
-    codims = tuple((i, stratum_codimension(n, d, m, i)) for i in range(-(m // d), 0))
-    return ValuationReport(n, d, m, essential, contact_valuations(n, d, m),
-                           dlt_valuations(n, d, m), codims)
+    """The exceptional m-divisors E_{-floor(m/d)}, ..., E_{-1}, all essential,
+    with the contact and dlt valuations among them and the codimension
+    m + i(d - n) of each order-(-i) stratum, checked against m * nu_i / N_i."""
+    essential = exceptional_m_divisors(n, d, m)  # checks the domain first
+    codims = tuple((i, m + i * (d - n)) for i in range(-(m // d), 0))
+    for (i, codim), div in zip(codims, essential):
+        if m * div.log_discrepancy != codim * div.multiplicity:
+            raise AssertionError(f"codimension formulas disagree at i = {i}")
+    if d >= n:
+        return ValuationReport(n, d, m, essential, essential, essential, codims)
+    return ValuationReport(n, d, m, essential, essential[-1:], (), codims)

@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import product
 from math import comb, gcd, isqrt, prod
 from operator import add, getitem, mul
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .contact import BASE_MILNOR_FIBER, graded_pieces
 from .domain import (
@@ -23,6 +23,13 @@ from .domain import (
     NonSmoothReductionError,
 )
 from .poly import SparseIntPoly, parse_poly  # also read from here by callers of the oracle
+
+# The search recurses once per level, and a node's tables read its ancestors'
+# tables, so a deep search would outrun Python's recursion limit (about 240
+# levels under pytest).  Past about a dozen levels the default budget is
+# spent anyway: the search tree branches p^(n-1) or p^n ways at most levels.
+MAX_JET_DEPTH = 100
+MILNOR_MAX_MONOMIALS = 20000  # columns of one degree of the Jacobian matrix
 
 
 def _require_prime(p: int) -> None:
@@ -146,17 +153,6 @@ class JetCountReport(NamedTuple):
                 "base_counts": {"cone": self.cone_count, "milnor": self.milnor_count},
                 "predicted_by_order": {str(rho): c for rho, c in self.predicted_by_order}}
 
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "JetCountReport":
-        base = doc["base_counts"]
-        return cls(int(doc["p"]), int(doc["m"]), int(doc["total_count"]),
-                   _int_pairs(doc["by_order"]), int(base["cone"]), int(base["milnor"]),
-                   _int_pairs(doc["predicted_by_order"]))
-
-
-def _int_pairs(counts: Mapping) -> tuple:
-    return tuple(sorted((int(k), int(v)) for k, v in counts.items()))
-
 
 def _affine_solutions(lin: list[int], rhs: int, p: int) -> tuple[int, Iterator[tuple]]:
     # the number and a stream of the v with lin . v = rhs over F_p, solving for v[pivot]
@@ -174,15 +170,23 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     over F_p, stratified by the order of gamma.
 
     The budget caps the candidate vectors enumerated, scans of F_p^n included,
-    charged before each enumeration.  The initial form must be smooth mod p
-    away from 0, which is checked first.
+    charged before each enumeration.  A search deeper than MAX_JET_DEPTH
+    levels, m - d + 1, is refused before any.  The initial form must be
+    smooth mod p away from 0, which is checked first.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     n = f.nvars
     d = f.min_total_degree()
     h = f.initial_form()
     pieces = graded_pieces(n, d, m)  # also validates n >= 3, d >= 2
+    kstar = m - d + 1
+    if kstar > MAX_JET_DEPTH:
+        raise BudgetExceededError(
+            f"jet search depth m - d + 1 = {kstar} is over the limit of {MAX_JET_DEPTH} "
+            "levels, past any feasible budget")
     spent = [0]
 
     def charge(amount: int) -> None:
@@ -205,7 +209,6 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     cone_count, milnor_count = count_base(h, p)
 
     by_order = Counter()
-    kstar = m - d + 1
     f = SparseIntPoly(n, tuple(t for t in f.terms if sum(t[0]) <= m))  # rest: O(t^(m+1))
     # (coeff, [(j, e), ...]) per term of f and its partials
     plans = [[(c % p, [(j, e) for j, e in enumerate(exps) if e]) for exps, c in g.terms]
@@ -293,13 +296,6 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
                           cone_count, milnor_count, tuple(sorted(predicted.items())))
 
 
-def verify_stratification(f: SparseIntPoly, m: int, p: int,
-                          budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether the per-order counts equal the predicted bundle counts, with no
-    jets outside the declared orders."""
-    return count_contact_jets(f, m, p, budget).matches
-
-
 def _monomials(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
     if nvars == 1:
         yield (degree,)
@@ -333,7 +329,7 @@ def _rank_sparse_int(rows: Iterator[dict]) -> int:
     return len(pivots)
 
 
-def milnor_number_oracle(h: SparseIntPoly, max_monomials: int = 20000) -> int:
+def milnor_number_oracle(h: SparseIntPoly) -> int:
     """Dimension of the Jacobian quotient of a homogeneous form, by exact
     linear algebra degree by degree.
 
@@ -354,9 +350,9 @@ def milnor_number_oracle(h: SparseIntPoly, max_monomials: int = 20000) -> int:
     total = 0
     for degree in range(top + 2):
         columns = comb(degree + n - 1, n - 1)
-        if columns > max_monomials:
+        if columns > MILNOR_MAX_MONOMIALS:
             raise BudgetExceededError(
-                f"degree {degree} needs more than {max_monomials} monomials")
+                f"degree {degree} needs more than {MILNOR_MAX_MONOMIALS} monomials")
         shift = degree - (d - 1)
         # rows x^factor * dh/dx_j, streamed.  A column is its exponent vector
         # read as digits in base degree + 1: small ints in place of tuples,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from operator import itemgetter
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .domain import Value
 
@@ -95,12 +95,12 @@ _TERM_RE = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x(\d+)(?:\s*\^\s*(\d+))?\s*")
 _SEP_RE = re.compile(r"\s*([+-])")
 
 
-def parse_poly(text: str, nvars: Optional[int] = None) -> SparseIntPoly:
+def parse_poly(text: str) -> SparseIntPoly:
     """Parse the inline grammar: term ("+"|"-") term ..., with
     term := [coeff "*"] var ("^" int)? over variables x0, x1, ...
 
     Anything outside the grammar is rejected.  The variable count is the
-    largest index used plus one unless given explicitly.
+    largest index used plus one.
     """
     terms, pos, sign, max_index = [], 0, 1, -1
     while True:
@@ -120,9 +120,7 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> SparseIntPoly:
             raise ValueError(f"expected '+' or '-' at position {pos} of {text!r}")
         sign = 1 if sep.group(1) == "+" else -1
         pos = sep.end()
-    width = nvars if nvars is not None else max_index + 1
-    if max_index >= width:
-        raise ValueError(f"variable x{max_index} exceeds the declared {width} variables")
+    width = max_index + 1
     poly = SparseIntPoly.from_terms(
         width, [(tuple(exp * (j == index) for j in range(width)), coeff)
                 for index, exp, coeff in terms])

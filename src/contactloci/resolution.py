@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arith import parents_from_cf
 from .domain import CHAIN, Value
@@ -52,9 +52,6 @@ class CoprimePair(tuple):
     @property
     def is_intermediate(self) -> bool:
         return self not in _ENDPOINT_KINDS
-
-    def mediant(self, other: "CoprimePair") -> "CoprimePair":
-        return CoprimePair(self[0] + other[0], self[1] + other[1])
 
     def __str__(self) -> str:
         return f"({self[0]},{self[1]})"
@@ -106,15 +103,6 @@ class Divisor(tuple):
             "kind": kind,
         }
 
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "Divisor":
-        return cls(
-            CoprimePair(int(doc["kappa"]), int(doc["r"])),
-            int(doc["N"]),
-            int(doc["nu"]),
-            str(doc["kind"]),
-        )
-
     def __getnewargs__(self) -> tuple:
         return tuple(self)
 
@@ -158,17 +146,11 @@ class ResolutionChain(Value):
     divisors = property(itemgetter(3))
     _index = property(itemgetter(4))
 
-    def pairs(self) -> tuple[CoprimePair, ...]:
-        return tuple(div[0] for div in self.divisors)
-
     def index_of(self, pair: CoprimePair) -> int:
         idx = self[4].get(pair)  # the pair index
         if idx is None:
             raise ValueError(f"pair {pair} is not a divisor of this chain")
         return idx
-
-    def divisor(self, pair: CoprimePair) -> Divisor:
-        return self.divisors[self.index_of(pair)]
 
     def intermediate_divisors(self) -> tuple[Divisor, ...]:
         return tuple(div for div in self.divisors if div[3] == KIND_INTERMEDIATE)
@@ -182,11 +164,6 @@ class ResolutionChain(Value):
     def to_doc(self) -> dict:
         return {"n": self.n, "d": self.d, "m": self.m,
                 "divisors": [div.to_doc() for div in self.divisors]}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "ResolutionChain":
-        return cls(*(int(doc[key]) for key in ("n", "d", "m")),
-                   tuple(Divisor.from_doc(row) for row in doc["divisors"]))
 
     def __getnewargs__(self) -> tuple:
         # the index is rebuilt; tuple(self) would iterate the divisors
@@ -301,13 +278,10 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
             and left[1] + right[1] == factor * div[1])
 
 
-def m_divisor_indices(d: int, m: int) -> range:
-    """All m-divisor indices i, from -floor(m/d) to 0 inclusive."""
-    return range(-(m // d), 1)
-
-
 def _m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
-    # E_i for (n, d, m) in the chain domain and i already range-checked
+    # E_i, the normalization of (m + i*d, -i), for (n, d, m) in the chain domain
+    # and i in [-floor(m/d), 0]: E_0 is the strict transform, and E_(-m/d) is
+    # the first exceptional divisor (0, 1) when d divides m
     a, b = m + i * d, -i
     g = gcd(a, b)
     div = Divisor.for_params(CoprimePair(a // g, b // g), n, d)
@@ -316,22 +290,10 @@ def _m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
     return div
 
 
-def m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
-    """The m-divisor E_i, from the normalization of (m + i*d, -i).
-
-    Index 0 is the strict transform; when d divides m, index -m/d is the
-    first exceptional divisor (0, 1).
-    """
-    CHAIN.check(n, d, m)
-    if i not in m_divisor_indices(d, m):
-        raise ValueError(f"index {i} outside [-{m // d}, 0]")
-    return _m_divisor(n, d, m, i)
-
-
 def exceptional_m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
     """The exceptional m-divisor E_i, for i in [-floor(m/d), -1]."""
     CHAIN.check(n, d, m)
-    if i == 0 or i not in m_divisor_indices(d, m):
+    if not -(m // d) <= i <= -1:
         raise ValueError(f"index {i} outside [-{m // d}, -1]")
     return _m_divisor(n, d, m, i)
 
@@ -363,7 +325,7 @@ def m_divisors(chain: ResolutionChain) -> MDivisorList:
     n, d, m = chain.n, chain.d, chain.m
     CHAIN.check(n, d, m)
     entries = []
-    for i in m_divisor_indices(d, m):
+    for i in range(-(m // d), 1):
         div = _m_divisor(n, d, m, i)
         if div.pair not in chain._index:
             raise AssertionError(f"m-divisor {div.pair} missing from chain")

@@ -15,7 +15,7 @@ iterate is determined by the contact cohomology.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .contact import contact_cohomology, contact_euler, graded_pieces, piece_compact_cohomology
 from .domain import COHOMOLOGY, Value
@@ -51,17 +51,6 @@ class SpectralPage(Value):
     d = property(itemgetter(2))
     m = property(itemgetter(3))
     entries = property(itemgetter(4))
-
-    def columns(self) -> tuple[int, ...]:
-        return tuple(sorted({i for (i, _), _ in self.entries}))
-
-    def column(self, i: int) -> dict[int, FgAbGroup]:
-        return {s: group for (col, s), group in self.entries if col == i}
-
-    def to_doc(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "d": self.d, "m": self.m,
-                "entries": [{"column": i, "degree": s, **group.to_doc()}
-                            for (i, s), group in self.entries]}
 
 
 def mclean_e1(n: int, d: int, m: int) -> SpectralPage:
@@ -122,10 +111,6 @@ class ConditionReport(Value):
     def to_doc(self) -> dict:
         return {"holds": self.holds, "violating_k": list(self.violating_k)}
 
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "ConditionReport":
-        return cls(bool(doc["holds"]), tuple(int(k) for k in doc["violating_k"]))
-
 
 def _k_range_max(d: int, m: int) -> int:
     # integers k with 1 <= k < m/d
@@ -182,13 +167,6 @@ class PairClass(NamedTuple):
     degeneration_violations: tuple[int, ...]
     filtration_violations: tuple[int, ...]
 
-    def to_doc(self) -> dict:
-        return {
-            "color": self.color,
-            "degeneration_violations": list(self.degeneration_violations),
-            "filtration_violations": list(self.filtration_violations),
-        }
-
 
 def default_k_bound(n: int, d: int) -> int:
     """Smallest scan bound past which no new violation can appear.
@@ -201,13 +179,12 @@ def default_k_bound(n: int, d: int) -> int:
     return max(1, (n - 1) // abs(d - n) + 1)
 
 
-def classify_pair(n: int, d: int, k_bound: Optional[int] = None) -> PairClass:
+def classify_pair(n: int, d: int) -> PairClass:
     """Color of the pair (n, d): blue if both conditions hold for every m,
     orange/yellow if only the filtration/degeneration condition can fail,
-    pink if both can."""
+    pink if both can.  Both scans stop at default_k_bound."""
     COHOMOLOGY.check(n, d)
-    if k_bound is None:
-        k_bound = default_k_bound(n, d)
+    k_bound = default_k_bound(n, d)
     deg_ks = _scan(n, d, _deg_forbidden(n), 1, k_bound)
     filt_ks = _scan(n, d, _filt_forbidden(n), 0, k_bound)
     if deg_ks and filt_ks:

@@ -12,7 +12,7 @@ from contactloci.arith import parents_from_cf
 from contactloci.contact import contact_cohomology, contact_euler, graded_pieces
 from contactloci.groups import FgAbGroup, GradedGroup, free_group
 from contactloci.nash import valuation_report
-from contactloci.oracle import milnor_number_oracle, parse_poly, verify_stratification
+from contactloci.oracle import count_contact_jets, milnor_number_oracle, parse_poly
 from contactloci.resolution import build_minimal_resolution, nef_fiber_identity, verify_minimality
 from contactloci.spectral import (
     classify_pair,
@@ -76,7 +76,7 @@ def test_criterion_3_oracle_stratification():
         if degree % p == 0:
             continue
         run_start = time.perf_counter()
-        if not verify_stratification(poly, m, p):
+        if not count_contact_jets(poly, m, p).matches:
             failures.append((str(poly), m, p))
         if time.perf_counter() - run_start >= 600:
             failures.append((str(poly), m, p, "over budget"))
@@ -99,6 +99,10 @@ def test_criterion_4_milnor_numbers():
     _report(4, "Milnor numbers", failures, time.perf_counter() - start, 10.0)
 
 
+COLORS = {(True, True): "pink", (True, False): "yellow", (False, True): "orange",
+          (False, False): "blue"}
+
+
 def test_criterion_5_scatter_classification():
     start = time.perf_counter()
     failures = []
@@ -108,8 +112,11 @@ def test_criterion_5_scatter_classification():
             failures.append((n, d, cls.color, "theorem bound"))
         if n == d and cls.color != "pink":
             failures.append((n, d, cls.color, "diagonal"))
-        bound = default_k_bound(n, d)
-        if classify_pair(n, d, 2 * bound).color != cls.color:
+        # the conditions at m = d(2 bound + 1) scan k up to twice the bound
+        m = d * (2 * default_k_bound(n, d) + 1)
+        deg_fails = not condition_degeneration(n, d, m).holds
+        filt_fails = not condition_filtration(n, d, m).holds
+        if COLORS[deg_fails, filt_fails] != cls.color:
             failures.append((n, d, "unstable"))
     _report(5, "scatter classification", failures, time.perf_counter() - start, 1.0)
 
@@ -181,7 +188,7 @@ def test_criterion_9_resolution_invariants():
             if not verify_minimality(chain):
                 failures.append((d, m, "closed form"))
                 continue
-            pairs = chain.pairs()
+            pairs = [div.pair for div in chain]
             mults = [k + r * d for k, r in pairs]
             for idx in range(len(pairs) - 1):
                 (k1, r1), (k2, r2) = pairs[idx], pairs[idx + 1]

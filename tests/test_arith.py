@@ -1,60 +1,15 @@
-from fractions import Fraction
 from math import gcd as math_gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from contactloci.arith import cf_value, continued_fraction, pair_less, parents_from_cf
-
-
-def cf_fraction(quotients):
-    # forward evaluation with exact rationals, independent of cf_value
-    value = Fraction(quotients[-1])
-    for q in reversed(quotients[:-1]):
-        value = q + 1 / value
-    return value
-
+from contactloci.arith import pair_less, parents_from_cf
 
 coprime_pairs = st.builds(
     lambda a, b: (a // math_gcd(a, b), b // math_gcd(a, b)),
     st.integers(min_value=1, max_value=500),
     st.integers(min_value=1, max_value=500),
 )
-
-
-def test_continued_fraction_examples():
-    assert continued_fraction(5, 3) == [1, 1, 2]
-    assert continued_fraction(1, 1) == [1]
-    assert continued_fraction(7, 2) == [3, 2]
-
-
-def test_continued_fraction_evaluates_back():
-    assert cf_fraction(continued_fraction(5, 3)) == Fraction(5, 3)
-    assert cf_fraction(continued_fraction(7, 2)) == Fraction(7, 2)
-
-
-def test_continued_fraction_rejects_non_coprime():
-    with pytest.raises(ValueError):
-        continued_fraction(6, 9)
-    with pytest.raises(ValueError):
-        continued_fraction(0, 1)
-
-
-@given(coprime_pairs)
-def test_continued_fraction_is_canonical(pair):
-    kappa, r = pair
-    quotients = continued_fraction(kappa, r)
-    assert cf_fraction(quotients) == Fraction(kappa, r)
-    if len(quotients) > 1:
-        assert quotients[-1] >= 2
-        assert all(q >= 1 for q in quotients[1:])
-    assert quotients[0] >= 0
-
-
-def test_cf_value_endpoint_convention():
-    assert cf_value([]) == (1, 0)
-    assert cf_value([0]) == (0, 1)
-    assert cf_value([1, 1, 2]) == (5, 3)
 
 
 def test_parents_examples():
@@ -68,6 +23,11 @@ def test_parents_reject_endpoints():
         parents_from_cf(1, 0)
     with pytest.raises(ValueError):
         parents_from_cf(0, 1)
+
+
+def test_parents_reject_non_coprime():
+    with pytest.raises(ValueError, match="not a coprime pair"):
+        parents_from_cf(6, 9)
 
 
 @given(coprime_pairs)

@@ -3,10 +3,10 @@ import time
 
 from contactloci import cli, oracle
 from contactloci.cli import main
+from contactloci.contact import contact_cohomology
 from contactloci.domain import CHAIN, COHOMOLOGY
-from contactloci.groups import GradedGroup
-from contactloci.oracle import JetCountReport
-from contactloci.resolution import ResolutionChain
+from contactloci.oracle import MAX_JET_DEPTH, JetCountReport
+from contactloci.resolution import build_minimal_resolution
 
 
 def run(capsys, *argv):
@@ -27,15 +27,19 @@ def test_resolve_json_round_trips(capsys):
                        "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    chain = ResolutionChain.from_doc(doc)
-    assert len(chain) == 4
-    assert [row["i"] for row in doc["m_divisors"]] == [-2, -1, 0]
+    assert [row["i"] for row in doc.pop("m_divisors")] == [-2, -1, 0]
+    assert doc == build_minimal_resolution(3, 2, 4).to_doc()
+    assert len(doc["divisors"]) == 4
 
 
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "resolve", "--n", "1", "--d", "2", "--m", "4")
     assert code == 2
     assert "n must be >= 2" in err
+    code, out, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "4",
+                         "--primes", "5", "--budget", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: budget must be >= 0\n"
 
 
 def test_unknown_flags_exit_code(capsys):
@@ -65,8 +69,8 @@ def test_cohomology_json_total_parses(capsys):
     code, out, _ = run(capsys, "cohomology", "--n", "3", "--d", "2", "--m", "4",
                        "--format", "json")
     doc = json.loads(out)
-    total = GradedGroup.from_doc(doc["total"])
-    assert total.at(14).rank == 1
+    assert doc["total"] == contact_cohomology(3, 2, 4).to_doc()
+    assert {row["degree"]: row["rank"] for row in doc["total"]}[14] == 1
     assert doc["euler"] == 2
 
 
@@ -169,6 +173,30 @@ def test_verify_budget_exit_code(capsys):
                            "--primes", prime)
         assert code == 3
         assert "budget" in err and len(err) < 200
+
+
+def test_large_prime_degree_runs_without_factoring(capsys):
+    # the torsion Z/d of an odd-n stratum is normalised without factoring d
+    for command in ("cohomology", "euler", "floer"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, command, "--n", "3", "--d", "100000000000000000039",
+                             "--m", "100000000000000000040")
+        assert time.perf_counter() - started < 2, command
+        assert code == 0 and err == "", command
+        assert command != "cohomology" or "Z/100000000000000000039" in out
+
+
+def test_deep_jet_search_is_refused(capsys):
+    # m - d + 1 levels past the limit exit 3 at once, where the recursive
+    # search used to end in a RecursionError traceback
+    for m in ("250", "1000", "40000", str(MAX_JET_DEPTH + 2)):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", m,
+                             "--primes", "3")
+        assert time.perf_counter() - started < 1, m
+        assert code == 3 and out == "", m
+        assert err.startswith("error:") and f"= {int(m) - 1} " in err, m
+        assert "Traceback" not in err
 
 
 def test_verify_bad_poly_exit_code(capsys):

@@ -117,7 +117,7 @@ def test_rank_additivity_over_pieces():
     for n, d, m in [(3, 2, 8), (3, 4, 12), (4, 3, 9), (5, 2, 6)]:
         total = contact_cohomology(n, d, m)
         pieces = [piece_compact_cohomology(p, n, d) for p in graded_pieces(n, d, m)]
-        degrees = {k for profile in pieces for k in profile.degrees()}
+        degrees = {k for profile in pieces for k, _ in profile.entries}
         for k in degrees:
             assert total.at(k).rank == sum(p.at(k).rank for p in pieces)
 
@@ -153,7 +153,7 @@ def test_motivic_class_algebra():
     a = MotivicClass.from_terms([("S", 2, 1), ("pt", 0, 3)])
     b = MotivicClass.from_terms([("S", 2, -1)])
     assert (a + b) == MotivicClass.from_terms([("pt", 0, 3)])
-    assert a.specialize(lef=2, surface=5, milnor_fiber=0, point=1) == 4 * 5 + 3
+    assert a.specialize(lef=2, surface=5, milnor_fiber=0) == 4 * 5 + 3
 
 
 def test_motivic_class_validation():
@@ -164,7 +164,9 @@ def test_motivic_class_validation():
 
 
 def test_docs_round_trip():
+    # the documents the cohomology command prints rebuild the values
     cls = contact_class(3, 4, 12)
-    assert MotivicClass.from_doc(cls.to_doc()) == cls
+    terms = cls.to_doc()["terms"]
+    assert MotivicClass(tuple((t["basis"], t["L_exp"], t["coeff"]) for t in terms)) == cls
     piece = graded_pieces(3, 4, 12)[1]
-    assert GradedPiece.from_doc(piece.to_doc()) == piece
+    assert GradedPiece(**piece.to_doc()) == piece

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,43 @@ def test_invariant_factor_examples():
     assert invariant_factors([2, 3]) == (6,)
     assert invariant_factors([12, 60]) == (12, 60)
     assert invariant_factors([2, 4, 8, 3, 9, 5]) == (2, 12, 360)
+    # large primes, which no order is split into
+    big = 10 ** 20 + 39
+    assert invariant_factors([big]) == (big,)
+    assert invariant_factors([big, 2 * big, big * big]) == (big, big, 2 * big * big)
+    assert invariant_factors([2 ** 61 - 1, 2 ** 89 - 1]) == ((2 ** 61 - 1) * (2 ** 89 - 1),)
+
+
+# orders built from these primes, small and large, so that the reference
+# below reads their factorisations off by division
+PRIMES = (2, 3, 5, 7, 1_000_000_000_039, 10 ** 20 + 39, 2 ** 61 - 1)
+
+built_orders = st.lists(
+    st.lists(st.integers(0, 3), min_size=len(PRIMES), max_size=len(PRIMES))
+    .map(lambda exps: prod(p ** e for p, e in zip(PRIMES, exps)))
+    .filter(lambda t: t > 1),
+    max_size=8)
+
+
+def prime_factor_invariant_factors(orders):
+    # reference: split every order into prime powers, then the k-th largest
+    # factor takes the k-th largest power of each prime
+    factors = [1] * len(orders)
+    for p in PRIMES:
+        powers = []
+        for t in orders:
+            power = 1
+            while t % (power * p) == 0:
+                power *= p
+            powers.append(power)
+        for k, power in enumerate(sorted(powers, reverse=True)):
+            factors[k] *= power
+    return tuple(f for f in reversed(factors) if f > 1)
+
+
+@given(built_orders)
+def test_invariant_factors_match_the_prime_factor_reference(orders):
+    assert invariant_factors(orders) == prime_factor_invariant_factors(orders)
 
 
 @given(orders_lists)
@@ -97,8 +136,8 @@ def test_direct_sum_commutes(a, b):
 @given(st.lists(graded_groups, max_size=6))
 def test_graded_sum_is_the_degreewise_sum(groups):
     total = graded_sum(groups)
-    degrees = {k for g in groups for k in g.degrees()}
-    assert set(total.degrees()) == degrees
+    degrees = {k for g in groups for k, _ in g.entries}
+    assert {k for k, _ in total.entries} == degrees
     for k in degrees:
         want = FgAbGroup()
         for g in groups:
@@ -129,9 +168,13 @@ def test_rendering():
 
 @given(fg_groups)
 def test_fg_group_doc_round_trip(g):
-    assert FgAbGroup.from_doc(g.to_doc()) == g
+    # the document the command line prints rebuilds the group
+    doc = g.to_doc()
+    assert FgAbGroup(doc["rank"], tuple(doc["torsion"])) == g
 
 
 @given(graded_groups)
 def test_graded_doc_round_trip(g):
-    assert GradedGroup.from_doc(g.to_doc()) == g
+    rows = g.to_doc()
+    assert GradedGroup(tuple((row["degree"], FgAbGroup(row["rank"], tuple(row["torsion"])))
+                             for row in rows)) == g

@@ -1,14 +1,8 @@
 import pytest
 
-from contactloci.nash import (
-    ValuationReport,
-    contact_valuations,
-    dlt_valuations,
-    essential_valuations,
-    stratum_codimension,
-    valuation_report,
-)
-from contactloci.resolution import build_minimal_resolution
+from contactloci import resolution
+from contactloci.nash import ValuationReport, valuation_report
+from contactloci.resolution import CoprimePair, Divisor, build_minimal_resolution
 
 GRID = [(n, d, m) for n in (2, 3, 4, 6) for d in (1, 2, 3, 4, 7) for m in range(1, 25)]
 
@@ -18,36 +12,47 @@ def tuples(divisors):
 
 
 def test_essential_examples():
-    assert tuples(essential_valuations(3, 2, 4)) == [(0, 1), (2, 1)]
-    assert essential_valuations(3, 2, 1) == ()
-    assert tuples(essential_valuations(3, 4, 8)) == [(0, 1), (4, 1)]
+    assert tuples(valuation_report(3, 2, 4).essential) == [(0, 1), (2, 1)]
+    assert valuation_report(3, 2, 1).essential == ()
+    assert tuples(valuation_report(3, 4, 8).essential) == [(0, 1), (4, 1)]
 
 
 def test_contact_examples():
-    assert tuples(contact_valuations(3, 2, 4)) == [(2, 1)]
-    assert tuples(contact_valuations(3, 4, 8)) == [(0, 1), (4, 1)]
-    assert contact_valuations(3, 2, 1) == ()
+    assert tuples(valuation_report(3, 2, 4).contact) == [(2, 1)]
+    assert tuples(valuation_report(3, 4, 8).contact) == [(0, 1), (4, 1)]
+    assert valuation_report(3, 2, 1).contact == ()
 
 
 def test_dlt_examples():
-    assert dlt_valuations(3, 2, 4) == ()
-    assert tuples(dlt_valuations(3, 4, 8)) == [(0, 1), (4, 1)]
-    assert tuples(dlt_valuations(3, 3, 7)) == [(1, 2), (4, 1)]
+    assert valuation_report(3, 2, 4).dlt == ()
+    assert tuples(valuation_report(3, 4, 8).dlt) == [(0, 1), (4, 1)]
+    assert tuples(valuation_report(3, 3, 7).dlt) == [(1, 2), (4, 1)]
 
 
 def test_codimension_examples():
-    assert stratum_codimension(3, 2, 4, -1) == 5
-    assert stratum_codimension(3, 4, 8, -2) == 6
+    assert dict(valuation_report(3, 2, 4).codims)[-1] == 5
+    assert dict(valuation_report(3, 4, 8).codims)[-2] == 6
     # on the diagonal d = n the codimension is m for every stratum
-    assert stratum_codimension(4, 4, 8, -1) == 8
-    assert stratum_codimension(4, 4, 8, -2) == 8
+    assert valuation_report(4, 4, 8).codims == ((-2, 8), (-1, 8))
 
 
-def test_codimension_index_validation():
-    with pytest.raises(ValueError):
-        stratum_codimension(3, 2, 4, 0)
-    with pytest.raises(ValueError):
-        stratum_codimension(3, 2, 4, -3)
+def test_report_builds_each_m_divisor_once(monkeypatch):
+    built = []
+
+    def counting(n, d, m, i, build=resolution._m_divisor):
+        built.append(i)
+        return build(n, d, m, i)
+
+    monkeypatch.setattr(resolution, "_m_divisor", counting)
+    valuation_report(3, 2, 9)
+    valuation_report(3, 4, 9)
+    assert built == [-4, -3, -2, -1, -2, -1]
+
+
+def test_report_rejects_parameters_outside_the_domain():
+    for bad in ((1, 2, 4), (2, 0, 4), (2, 2, 0)):
+        with pytest.raises(ValueError):
+            valuation_report(*bad)
 
 
 def test_report_counts_examples():
@@ -93,7 +98,7 @@ def test_codimension_monotonicity():
 def test_reported_divisors_live_on_the_chain():
     for n, d, m in [(3, 2, 10), (3, 4, 12), (4, 4, 8), (2, 3, 9)]:
         chain = build_minimal_resolution(n, d, m)
-        chain_pairs = set(chain.pairs())
+        chain_pairs = {div.pair for div in chain}
         report = valuation_report(n, d, m)
         for div in report.essential:
             assert div.pair in chain_pairs
@@ -107,5 +112,15 @@ def test_counting_works_for_two_variables():
 
 
 def test_report_round_trip():
+    # the document the nash command prints rebuilds the report
     report = valuation_report(3, 4, 12)
-    assert ValuationReport.from_doc(report.to_doc()) == report
+    doc = report.to_doc()
+
+    def divisors(rows):
+        return tuple(Divisor(CoprimePair(row["kappa"], row["r"]), row["N"], row["nu"],
+                             row["kind"]) for row in rows)
+
+    rebuilt = ValuationReport(doc["n"], doc["d"], doc["m"], divisors(doc["essential"]),
+                              divisors(doc["contact"]), divisors(doc["dlt"]),
+                              tuple(sorted((int(i), c) for i, c in doc["codims"].items())))
+    assert rebuilt == report

@@ -5,7 +5,9 @@ from math import prod
 import pytest
 
 from contactloci.oracle import (
+    MAX_JET_DEPTH,
     BudgetExceededError,
+    JetCountReport,
     NonIsolatedSingularityError,
     NonSmoothReductionError,
     SparseIntPoly,
@@ -16,7 +18,6 @@ from contactloci.oracle import (
     milnor_number_oracle,
     parse_poly,
     singular_point_mod_p,
-    verify_stratification,
 )
 
 QUADRIC = parse_poly("x0^2+x1^2+x2^2")
@@ -60,7 +61,6 @@ def test_parse_examples():
     assert QUADRIC.terms == (((0, 0, 2), 1), ((0, 2, 0), 1), ((2, 0, 0), 1))
     poly = parse_poly("3*x0^2-x1")
     assert poly.terms == (((0, 1), -1), ((2, 0), 3))
-    assert parse_poly("x0", nvars=3).nvars == 3
 
 
 def test_parse_combines_duplicate_monomials():
@@ -74,11 +74,6 @@ def test_parse_combines_duplicate_monomials():
 def test_parse_rejects_ungrammatical_input(bad):
     with pytest.raises(ValueError):
         parse_poly(bad)
-
-
-def test_parse_respects_declared_width():
-    with pytest.raises(ValueError):
-        parse_poly("x5", nvars=3)
 
 
 def test_poly_doc_round_trip():
@@ -103,7 +98,7 @@ def test_count_base_quadric():
 
 
 def test_count_base_linear_form():
-    linear = parse_poly("x0", nvars=3)
+    linear = SparseIntPoly(3, (((1, 0, 0), 1),))
     for p in (3, 5):
         cone, milnor = count_base(linear, p)
         assert cone == p ** 2 - 1
@@ -164,10 +159,10 @@ def test_stratified_counts_small_cases():
 
 
 def test_stratification_examples():
-    assert verify_stratification(QUADRIC, 4, 3)
-    assert verify_stratification(QUADRIC, 4, 5)
-    assert verify_stratification(QUARTIC, 4, 3)
-    assert verify_stratification(CUBIC, 3, 5)
+    assert count_contact_jets(QUADRIC, 4, 3).matches
+    assert count_contact_jets(QUADRIC, 4, 5).matches
+    assert count_contact_jets(QUARTIC, 4, 3).matches
+    assert count_contact_jets(CUBIC, 3, 5).matches
 
 
 def test_stratification_with_three_strata():
@@ -217,9 +212,17 @@ def test_total_count_matches_class_specialization():
 
 
 def test_report_doc_round_trip():
+    # the document the verify command prints rebuilds the report
     report = count_contact_jets(QUADRIC, 4, 3)
-    from contactloci.oracle import JetCountReport
-    assert JetCountReport.from_doc(report.to_doc()) == report
+    doc = report.to_doc()
+
+    def pairs(counts):
+        return tuple(sorted((int(k), v) for k, v in counts.items()))
+
+    rebuilt = JetCountReport(doc["p"], doc["m"], doc["total_count"], pairs(doc["by_order"]),
+                             doc["base_counts"]["cone"], doc["base_counts"]["milnor"],
+                             pairs(doc["predicted_by_order"]))
+    assert rebuilt == report
 
 
 def test_non_smooth_reduction_is_detected():
@@ -233,6 +236,20 @@ def test_budget_guard():
     # charged before the scans of F_p^n, so 10007^3 points are never visited
     with pytest.raises(BudgetExceededError):
         count_contact_jets(QUADRIC, 4, 10007, budget=10)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        count_contact_jets(QUADRIC, 4, 5, budget=-1)
+
+
+def test_depth_limit():
+    # m - d + 1 levels: one past the limit is refused before any scan, even
+    # at a prime the budget would refuse and at one that is not prime
+    for p in (3, 10007, 9):
+        with pytest.raises(BudgetExceededError, match=f"depth m - d \\+ 1 = {MAX_JET_DEPTH + 1} "):
+            count_contact_jets(QUADRIC, MAX_JET_DEPTH + 2, p)
+    # at the limit the search runs down the zero prefix to its last level,
+    # within the recursion limit, and the budget stops it there
+    with pytest.raises(BudgetExceededError, match="enumeration budget"):
+        count_contact_jets(QUADRIC, MAX_JET_DEPTH + 1, 3, budget=5000)
 
 
 def test_prime_validation():
@@ -261,7 +278,7 @@ def test_milnor_number_of_forms_with_mixed_terms():
 
 
 def test_milnor_number_of_linear_form():
-    assert milnor_number_oracle(parse_poly("x0", nvars=2)) == 0
+    assert milnor_number_oracle(SparseIntPoly(2, (((1, 0), 1),))) == 0
 
 
 def test_milnor_rejects_inhomogeneous():
@@ -271,7 +288,7 @@ def test_milnor_rejects_inhomogeneous():
 
 def test_non_isolated_singularity_is_detected():
     # x0^2 in two variables vanishes on a line together with its gradient
-    degenerate = parse_poly("x0^2", nvars=2)
+    degenerate = SparseIntPoly(2, (((2, 0), 1),))
     with pytest.raises(NonIsolatedSingularityError):
         milnor_number_oracle(degenerate)
 

@@ -1,4 +1,4 @@
-"""The package namespace: 54 names, resolved on first use and then bound as
+"""The package namespace: 48 names, resolved on first use and then bound as
 plain globals."""
 
 import importlib
@@ -14,14 +14,12 @@ EXPORTED = [
     "blowup_counts", "build_minimal_resolution", "classify_pair", "compare_pages",
     "condition_degeneration", "condition_filtration", "cone_compact_cohomology",
     "contact_class", "contact_cohomology", "contact_dimension", "contact_euler",
-    "contact_valuations", "continued_fraction", "count_base", "count_contact_jets",
-    "cover_homology", "dlt_valuations", "essential_valuations",
-    "floer_cohomology", "graded_pieces", "gysin_cx_bundle", "hypersurface_data",
-    "lefschetz_number", "m_divisors", "mclean_e1", "middle_rank",
-    "milnor_fiber_compact_cohomology", "milnor_number_oracle", "nef_fiber_identity",
-    "order_e1", "parents_from_cf", "parse_poly", "piece_compact_cohomology", "scatter_grid",
-    "stratum_codimension", "valuation_report", "verify_minimality",
-    "verify_stratification",
+    "count_base", "count_contact_jets", "cover_homology", "floer_cohomology",
+    "graded_pieces", "gysin_cx_bundle", "hypersurface_data", "lefschetz_number",
+    "m_divisors", "mclean_e1", "middle_rank", "milnor_fiber_compact_cohomology",
+    "milnor_number_oracle", "nef_fiber_identity", "order_e1", "parents_from_cf",
+    "parse_poly", "piece_compact_cohomology", "scatter_grid", "valuation_report",
+    "verify_minimality",
 ]
 
 LAYERS = ("arith", "contact", "groups", "nash", "oracle", "poly", "resolution", "spectral",
@@ -30,7 +28,7 @@ LAYERS = ("arith", "contact", "groups", "nash", "oracle", "poly", "resolution", 
 
 def test_all_is_unchanged():
     assert contactloci.__all__ == EXPORTED
-    assert len(EXPORTED) == 54
+    assert len(EXPORTED) == 48
 
 
 def test_each_name_is_its_layers_object():

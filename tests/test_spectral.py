@@ -17,21 +17,32 @@ from contactloci.spectral import (
     scatter_grid,
 )
 
+COLORS = {(True, True): "pink", (True, False): "yellow", (False, True): "orange",
+          (False, False): "blue"}
+
+
+def columns(page):
+    return tuple(sorted({i for (i, _), _ in page.entries}))
+
+
+def column(page, i):
+    return {s: group for (col, s), group in page.entries if col == i}
+
 
 def test_mclean_page_3_2_4():
     page = mclean_e1(3, 2, 4)
-    assert page.columns() == (-2, -1)
+    assert columns(page) == (-2, -1)
     # column -2 is the Milnor-fiber cover: Z in homological degree 0 lands at
     # s = 2 - 0 - 4 = -2 and Z^mu at degree 2 lands at s = -4
-    assert page.column(-2) == {-2: free_group(1), -4: free_group(1)}
-    assert page.column(-1) == {0: free_group(1), -1: FgAbGroup(0, (2,)),
+    assert column(page, -2) == {-2: free_group(1), -4: free_group(1)}
+    assert column(page, -1) == {0: free_group(1), -1: FgAbGroup(0, (2,)),
                                -3: free_group(1)}
 
 
 def test_mclean_page_3_5_5():
     page = mclean_e1(3, 5, 5)
-    assert page.columns() == (-1,)
-    assert page.column(-1) == {6: free_group(1), 4: free_group(64)}
+    assert columns(page) == (-1,)
+    assert column(page, -1) == {6: free_group(1), 4: free_group(64)}
 
 
 def test_mclean_page_empty():
@@ -40,15 +51,15 @@ def test_mclean_page_empty():
 
 def test_order_page_3_2_4():
     page = order_e1(3, 2, 4)
-    assert page.column(-2) == {14: free_group(1), 16: free_group(1)}
-    assert page.column(-1) == {15: free_group(1), 17: FgAbGroup(0, (2,)),
+    assert column(page, -2) == {14: free_group(1), 16: free_group(1)}
+    assert column(page, -1) == {15: free_group(1), 17: FgAbGroup(0, (2,)),
                                18: free_group(1)}
 
 
 def test_order_page_3_4_8_torsion_column():
     page = order_e1(3, 4, 8)
-    assert sorted(page.columns()) == [-2, -1]
-    torsion = [g for g in page.column(-1).values() if g.torsion]
+    assert sorted(columns(page)) == [-2, -1]
+    torsion = [g for g in column(page, -1).values() if g.torsion]
     assert torsion == [FgAbGroup(6, (4,))]
 
 
@@ -78,8 +89,8 @@ def test_duality_shift_identity():
 def test_mclean_column_support_is_at_most_four():
     for n, d, m in [(3, 2, 12), (4, 3, 12), (5, 4, 16), (6, 2, 10)]:
         page = mclean_e1(n, d, m)
-        for i in page.columns():
-            assert len(page.column(i)) <= 4
+        for i in columns(page):
+            assert len(column(page, i)) <= 4
 
 
 def test_condition_degeneration_examples():
@@ -155,8 +166,11 @@ def test_classification_is_stable_under_larger_scans():
     # changes once the default bound has been scanned
     for n in range(3, 12):
         for d in range(2, 12):
-            bound = default_k_bound(n, d)
-            assert classify_pair(n, d, bound).color == classify_pair(n, d, 2 * bound).color
+            # the conditions at m = d(2 bound + 1) scan k up to twice the bound
+            m = d * (2 * default_k_bound(n, d) + 1)
+            deg_fails = not condition_degeneration(n, d, m).holds
+            filt_fails = not condition_filtration(n, d, m).holds
+            assert classify_pair(n, d).color == COLORS[deg_fails, filt_fails], (n, d)
 
 
 def test_diagonal_is_pink():
@@ -212,7 +226,8 @@ def test_diagonal_stacks_strata_at_one_shift():
 
 def test_condition_report_round_trip():
     report = condition_degeneration(3, 3, 9)
-    assert ConditionReport.from_doc(report.to_doc()) == report
+    doc = report.to_doc()
+    assert ConditionReport(doc["holds"], tuple(doc["violating_k"])) == report
 
 
 def test_page_parameter_validation():

@@ -2,8 +2,8 @@
 
 Every type is built twice by independent calls, so the two values are equal
 without being the same object.  Equal values hash equal, survive pickle,
-deepcopy and their JSON documents, reject assignment, and stay truthy when
-empty.  The constructor checks keep their messages.
+deepcopy and, where the type reads one back, their JSON documents, reject
+assignment, and stay truthy when empty.  The constructor checks keep their messages.
 """
 
 import copy
