@@ -61,7 +61,6 @@ _LAYERS = {
         "HypersurfaceData",
         "cone_compact_cohomology",
         "cover_homology",
-        "gysin_cx_bundle",
         "hypersurface_data",
         "middle_rank",
         "milnor_fiber_compact_cohomology",

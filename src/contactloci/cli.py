@@ -275,14 +275,22 @@ def cmd_scatter(args) -> int:
 
 
 def _load_poly(spec: str) -> SparseIntPoly:
-    from .poly import SparseIntPoly, parse_poly
+    """The polynomial of verify --f.  It may have as many variables as the n
+    that cohomology, floer and euler accept; the inline grammar's largest
+    index is checked before any exponent vector is built."""
+    from .poly import TERM_RE, SparseIntPoly, parse_poly
 
+    max_vars = CLI_MAX_DEGREES // 2
     spec = spec.strip()
     if spec.startswith("{"):
         try:
-            return SparseIntPoly.from_doc(json.loads(spec))
+            poly = SparseIntPoly.from_doc(json.loads(spec))
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed polynomial document: {exc!r}") from None
+        _check_cap("variables", poly.nvars, max_vars)
+        return poly
+    _check_cap("variables", 1 + max((int(term[2]) for term in TERM_RE.finditer(spec)),
+                                    default=-1), max_vars)
     return parse_poly(spec)
 
 
@@ -346,6 +354,12 @@ def _largest_output(command: str, n: int, d: int, m: int) -> int:
     return max(cones and milnor // d + 1, fiber * milnor) + 2
 
 
+def _check_cap(what: str, size: int, cap: int) -> None:
+    if size > cap:
+        shown = size if size < 10 ** CLI_MAX_DIGITS else "a number too long to print"
+        raise BudgetExceededError(f"{what}: {shown} is over the command-line cap of {cap}")
+
+
 def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     """Reject (n, d, m) outside the subcommand's domain, then inputs whose
     closed-form size is over a cap, before any work starts."""
@@ -356,9 +370,7 @@ def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     for what, size, cap in (("strata", q, CLI_MAX_STRATA),
                             ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS),
                             ("degrees of S (2n)", degrees, CLI_MAX_DEGREES)):
-        if size > cap:
-            shown = size if size < 10 ** CLI_MAX_DIGITS else "a number too long to print"
-            raise BudgetExceededError(f"{what}: {shown} is over the command-line cap of {cap}")
+        _check_cap(what, size, cap)
     if command in ("cohomology", "floer", "euler") \
             and _largest_output(command, n, d, m) >= 10 ** CLI_MAX_DIGITS:
         if command == "floer":  # prints no rank where the theorem does not apply

@@ -138,9 +138,6 @@ class MotivicClass(Value):
             acc[key] = acc.get(key, 0) + coeff
         return cls(tuple((basis, exp, c) for (basis, exp), c in acc.items() if c))
 
-    def __add__(self, other: "MotivicClass") -> "MotivicClass":
-        return MotivicClass.from_terms(self.terms + other.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

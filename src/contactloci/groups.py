@@ -107,11 +107,6 @@ class FgAbGroup(Value):
     def is_zero(self) -> bool:
         return self[0] == 0 and not self[1]  # rank 0, no torsion
 
-    def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
-        return FgAbGroup.from_orders(self.rank + other.rank, self.torsion + other.torsion)
-
-    __add__ = direct_sum
-
     def __str__(self) -> str:
         parts = []
         if self.rank == 1:
@@ -130,11 +125,6 @@ ZERO_GROUP = FgAbGroup()
 
 def free_group(rank: int) -> FgAbGroup:
     return FgAbGroup(rank)
-
-
-def cyclic(order: int) -> FgAbGroup:
-    """Z/order, with Z/0 = Z and Z/1 = 0."""
-    return FgAbGroup.from_orders(0, (order,)) if order != 0 else FgAbGroup(1)
 
 
 class GradedGroup(Value):
@@ -171,11 +161,6 @@ class GradedGroup(Value):
     @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
-        return graded_sum((self, other))
-
-    __add__ = direct_sum
 
     def shift(self, s: int) -> "GradedGroup":
         return GradedGroup(tuple((k + s, g) for k, g in self.entries))

@@ -23,25 +23,35 @@ from .resolution import Divisor, exceptional_m_divisors
 
 
 class ValuationReport(Value):
+    """The essential m-divisors E_{-floor(m/d)}, ..., E_{-1}; the contact and
+    dlt families and the codimensions are read off them and (n, d, m)."""
+
     __slots__ = ()
 
-    def __new__(cls, n: int, d: int, m: int, essential: tuple[Divisor, ...],
-                contact: tuple[Divisor, ...], dlt: tuple[Divisor, ...],
-                codims: tuple[tuple[int, int], ...]) -> "ValuationReport":
-        if not (set(div.pair for div in dlt) <= set(div.pair for div in contact)
-                <= set(div.pair for div in essential)):
-            raise ValueError("valuation families must be nested")
+    def __new__(cls, n: int, d: int, m: int,
+                essential: tuple[Divisor, ...]) -> "ValuationReport":
         if len(essential) != m // d:
             raise ValueError("wrong number of essential valuations")
-        return tuple.__new__(cls, (n, d, m, essential, contact, dlt, codims))
+        return tuple.__new__(cls, (n, d, m, essential))
 
     n = property(itemgetter(0))
     d = property(itemgetter(1))
     m = property(itemgetter(2))
     essential = property(itemgetter(3))
-    contact = property(itemgetter(4))
-    dlt = property(itemgetter(5))
-    codims = property(itemgetter(6))  # (index i, codimension)
+
+    @property
+    def contact(self) -> tuple[Divisor, ...]:
+        return self.essential if self.d >= self.n else self.essential[-1:]
+
+    @property
+    def dlt(self) -> tuple[Divisor, ...]:
+        return self.essential if self.d >= self.n else ()
+
+    @property
+    def codims(self) -> tuple[tuple[int, int], ...]:
+        """(index i, codimension m + i(d - n)) per essential divisor."""
+        n, d, m = self[:3]
+        return tuple((i, m + i * (d - n)) for i in range(-(m // d), 0))
 
     def counts(self) -> tuple[int, int, int]:
         return len(self.dlt), len(self.contact), len(self.essential)
@@ -58,11 +68,8 @@ def valuation_report(n: int, d: int, m: int) -> ValuationReport:
     """The exceptional m-divisors E_{-floor(m/d)}, ..., E_{-1}, all essential,
     with the contact and dlt valuations among them and the codimension
     m + i(d - n) of each order-(-i) stratum, checked against m * nu_i / N_i."""
-    essential = exceptional_m_divisors(n, d, m)  # checks the domain first
-    codims = tuple((i, m + i * (d - n)) for i in range(-(m // d), 0))
-    for (i, codim), div in zip(codims, essential):
+    report = ValuationReport(n, d, m, exceptional_m_divisors(n, d, m))  # checks the domain first
+    for (i, codim), div in zip(report.codims, report.essential):
         if m * div.log_discrepancy != codim * div.multiplicity:
             raise AssertionError(f"codimension formulas disagree at i = {i}")
-    if d >= n:
-        return ValuationReport(n, d, m, essential, essential, essential, codims)
-    return ValuationReport(n, d, m, essential, essential[-1:], (), codims)
+    return report

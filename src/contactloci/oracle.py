@@ -137,11 +137,14 @@ class JetCountReport(NamedTuple):
 
     prime: int
     m: int
-    total_count: int
     by_order: tuple[tuple[int, int], ...]
     cone_count: int
     milnor_count: int
     predicted_by_order: tuple[tuple[int, int], ...]
+
+    @property
+    def total_count(self) -> int:
+        return sum(count for _, count in self.by_order)
 
     @property
     def matches(self) -> bool:
@@ -170,7 +173,8 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     over F_p, stratified by the order of gamma.
 
     The budget caps the candidate vectors enumerated, scans of F_p^n included,
-    charged before each enumeration.  A search deeper than MAX_JET_DEPTH
+    and the split products of terms in several variables that their lookups
+    sum, charged before each enumeration.  A search deeper than MAX_JET_DEPTH
     levels, m - d + 1, is refused before any.  The initial form must be
     smooth mod p away from 0, which is checked first.
     """
@@ -236,25 +240,33 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
             return tables[j, e, a]
 
         def at(plan, a: int):
-            # v -> [t^a] of the plan's polynomial at s + v t^k: one-variable terms summed
-            # into a row per variable, the others split over a (a factor has order >= e)
+            # (v -> [t^a] of the plan's polynomial at s + v t^k, split products per v):
+            # one-variable terms summed into a row per variable, the others split over
+            # a (a factor has order >= e; the last one takes what the others leave)
             rows, splits = [[0] * p] * n, []
             for c, factors in plan:
                 if len(factors) == 1:
                     (j, e), = factors
                     rows[j] = list(map(add, rows[j], map(c.__mul__, table(j, e, a))))
-                else:
-                    splits += [(c, [(j, table(j, e, b)) for (j, e), b in zip(factors, bs)])
-                               for bs in product(*(range(e, a + 1) for _, e in factors))
-                               if sum(bs) == a]
+                    continue
+                *head, (_, e_last) = factors
+                for bs in product(*(range(e, a + 1) for _, e in head)):
+                    rest = a - sum(bs)
+                    if rest >= e_last:
+                        splits.append((c, [(j, table(j, e, b))
+                                           for (j, e), b in zip(factors, (*bs, rest))]))
             if not splits:
-                return lambda v: sum(map(getitem, rows, v)) % p
-            return lambda v: (sum(map(getitem, rows, v))
-                              + sum(c * prod(t[v[j]] for j, t in ts) for c, ts in splits)) % p
+                return lambda v: sum(map(getitem, rows, v)) % p, 0
+            return (lambda v: (sum(map(getitem, rows, v))
+                               + sum(c * prod(t[v[j]] for j, t in ts) for c, ts in splits)) % p,
+                    len(splits))
 
         # [t^(d-1)] of the partials: at v = 0 the coefficients of gamma_k in this
-        # level's equation, at v those of gamma_(k+1) in the next level's
-        check, lin_at = at(plans[0], alpha), [at(plan, d - 1) for plan in plans[1:]]
+        # level's equation, at v those of gamma_(k+1) in the next level's.  The
+        # children are leaves when k + 1 = kstar: [t^m] f is affine in gamma_kstar.
+        check, check_reads = at(plans[0], alpha)
+        lin_at, lin_reads = zip(*(at(plan, d - 1) for plan in plans[1:]))
+        leaf_f, leaf_reads = at(plans[0], m) if k + 1 == kstar else (None, 0)
         if rho is None:
             # Each symmetry g of f fixes the zero prefix and maps the subtree
             # of v onto that of g(v): one representative per orbit.
@@ -266,9 +278,8 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
             count, vectors = _affine_solutions([g((0,) * n) for g in lin_at],
                                                (target - check((0,) * n)) % p, p)
             candidates = ((v, 1) for v in vectors)
-        charge(count)
-        # the children are leaves when k + 1 = kstar: [t^m] f is affine in gamma_kstar
-        leaf_f = at(plans[0], m) if k + 1 == kstar else None
+        # a candidate costs one unit, and one more per split product it reads
+        charge(count * (1 + check_reads + sum(lin_reads) + leaf_reads))
         for v, size in candidates:
             if check(v) == target:
                 v_rho = k if rho is None and any(v) else rho
@@ -292,7 +303,7 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
         base = milnor_count if piece.base_kind == BASE_MILNOR_FIBER else cone_count
         predicted[piece.rho] = base * p ** piece.fiber_dim
         by_order.setdefault(piece.rho, 0)
-    return JetCountReport(p, m, sum(by_order.values()), tuple(sorted(by_order.items())),
+    return JetCountReport(p, m, tuple(sorted(by_order.items())),
                           cone_count, milnor_count, tuple(sorted(predicted.items())))
 
 

@@ -91,7 +91,7 @@ class SparseIntPoly(Value):
         return cls(doc["n"], tuple((tuple(t["exps"]), t["coeff"]) for t in doc["terms"]))
 
 
-_TERM_RE = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x(\d+)(?:\s*\^\s*(\d+))?\s*")
+TERM_RE = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x(\d+)(?:\s*\^\s*(\d+))?\s*")
 _SEP_RE = re.compile(r"\s*([+-])")
 
 
@@ -104,7 +104,7 @@ def parse_poly(text: str) -> SparseIntPoly:
     """
     terms, pos, sign, max_index = [], 0, 1, -1
     while True:
-        match = _TERM_RE.match(text, pos)
+        match = TERM_RE.match(text, pos)
         if not match or match.end() == pos:
             raise ValueError(f"expected a term at position {pos} of {text!r}")
         coeff = int(match.group(1) or 1)

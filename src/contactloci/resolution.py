@@ -24,7 +24,7 @@ KIND_INTERMEDIATE = "intermediate"
 _ENDPOINT_KINDS = {(1, 0): KIND_STRICT_TRANSFORM, (0, 1): KIND_FIRST_EXCEPTIONAL}
 
 
-class CoprimePair(tuple):
+class CoprimePair(Value):
     """A coprime pair (kappa, r) of non-negative integers.
 
     A tuple underneath, so hashing and equality run in C; it compares and
@@ -56,55 +56,49 @@ class CoprimePair(tuple):
     def __str__(self) -> str:
         return f"({self[0]},{self[1]})"
 
-    def __getnewargs__(self) -> tuple[int, int]:
-        # copy and pickle call __new__ with these arguments
-        return tuple(self)
-
 
 PAIR_FIRST = CoprimePair(0, 1)
 PAIR_STRICT = CoprimePair(1, 0)
 
 
-class Divisor(tuple):
+class Divisor(Value):
     """One irreducible component of the total transform.
 
     multiplicity is the order of the pulled-back function along the divisor
     and log_discrepancy is 1 + the order of the relative canonical divisor;
     for the pair (kappa, r) these are kappa + r*d and kappa + r*n.  A tuple
-    ``(pair, multiplicity, log_discrepancy, kind)`` underneath.
+    ``(pair, multiplicity, log_discrepancy)`` underneath; the kind is the
+    pair's.
     """
 
     __slots__ = ()
 
-    def __new__(cls, pair: CoprimePair, multiplicity: int, log_discrepancy: int,
-                kind: str) -> "Divisor":
+    def __new__(cls, pair: CoprimePair, multiplicity: int, log_discrepancy: int) -> "Divisor":
         if multiplicity < 1 or log_discrepancy < 1:
             raise ValueError("multiplicity and log discrepancy must be positive")
-        if kind != pair.kind:
-            raise ValueError(f"kind {kind!r} does not match pair {pair}")
-        return tuple.__new__(cls, (pair, multiplicity, log_discrepancy, kind))
+        return tuple.__new__(cls, (pair, multiplicity, log_discrepancy))
 
     pair = property(itemgetter(0))
     multiplicity = property(itemgetter(1))
     log_discrepancy = property(itemgetter(2))
-    kind = property(itemgetter(3))
+
+    @property
+    def kind(self) -> str:
+        return self[0].kind
 
     @classmethod
     def for_params(cls, pair: CoprimePair, n: int, d: int) -> "Divisor":
-        return cls(pair, pair[0] + pair[1] * d, pair[0] + pair[1] * n, pair.kind)
+        return cls(pair, pair[0] + pair[1] * d, pair[0] + pair[1] * n)
 
     def to_doc(self) -> dict:
-        pair, multiplicity, log_discrepancy, kind = self
+        pair, multiplicity, log_discrepancy = self
         return {
             "kappa": pair[0],
             "r": pair[1],
             "N": multiplicity,
             "nu": log_discrepancy,
-            "kind": kind,
+            "kind": pair.kind,
         }
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
 
 
 def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
@@ -114,7 +108,7 @@ def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
     # the right ends (kappa, r, N, nu) still to be reached from the current
     # left end; N and nu add under mediants as kappa and r do.  (1, 0) sits
     # at the bottom of the stack, so it is the one divisor popped last.
-    out = [Divisor(PAIR_FIRST, d, n, KIND_FIRST_EXCEPTIONAL)]
+    out = [Divisor(PAIR_FIRST, d, n)]
     kappa, r, mult, disc = 0, 1, d, n
     stack = [(1, 0, 1, 1)]
     while stack:
@@ -123,8 +117,7 @@ def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
             stack.append((kappa + right[0], r + right[1], mult + right[2], disc + right[3]))
         else:
             kappa, r, mult, disc = stack.pop()
-            out.append(Divisor(CoprimePair(kappa, r), mult, disc,
-                               KIND_INTERMEDIATE if stack else KIND_STRICT_TRANSFORM))
+            out.append(Divisor(CoprimePair(kappa, r), mult, disc))
     return out
 
 
@@ -153,7 +146,7 @@ class ResolutionChain(Value):
         return idx
 
     def intermediate_divisors(self) -> tuple[Divisor, ...]:
-        return tuple(div for div in self.divisors if div[3] == KIND_INTERMEDIATE)
+        return tuple(div for div in self.divisors if div[0].is_intermediate)
 
     def __iter__(self) -> Iterator[Divisor]:
         return iter(self.divisors)
@@ -188,7 +181,7 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
     if divs[0][0] != PAIR_FIRST or divs[-1][0] != PAIR_STRICT:
         raise AssertionError("chain endpoints are wrong")
     n, d, m = chain.n, chain.d, chain.m
-    for (kappa, r), mult, disc, _ in divs:
+    for (kappa, r), mult, disc in divs:
         if mult != kappa + r * d:
             raise AssertionError(f"multiplicity of ({kappa},{r}) is inconsistent")
         if disc != kappa + r * n:
@@ -301,7 +294,10 @@ def exceptional_m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
 class MDivisor(NamedTuple):
     index: int
     divisor: Divisor
-    exceptional: bool
+
+    @property
+    def exceptional(self) -> bool:
+        return self.index != 0
 
     def to_doc(self) -> dict:
         return {"i": self.index, **self.divisor.to_doc(), "exceptional": self.exceptional}
@@ -329,7 +325,7 @@ def m_divisors(chain: ResolutionChain) -> MDivisorList:
         div = _m_divisor(n, d, m, i)
         if div.pair not in chain._index:
             raise AssertionError(f"m-divisor {div.pair} missing from chain")
-        entries.append(MDivisor(i, div, i != 0))
+        entries.append(MDivisor(i, div))
     return MDivisorList(n, d, m, tuple(entries))
 
 

@@ -98,15 +98,19 @@ def compare_pages(n: int, d: int, m: int) -> bool:
 
 
 class ConditionReport(Value):
+    """The k in [1, m/d) at which a membership condition fails; it holds when
+    there are none."""
+
     __slots__ = ()
 
-    def __new__(cls, holds: bool, violating_k: tuple[int, ...]) -> "ConditionReport":
-        if holds != (not violating_k):
-            raise ValueError("holds flag inconsistent with witnesses")
-        return tuple.__new__(cls, (holds, violating_k))
+    def __new__(cls, violating_k: tuple[int, ...]) -> "ConditionReport":
+        return tuple.__new__(cls, (violating_k,))
 
-    holds = property(itemgetter(0))
-    violating_k = property(itemgetter(1))
+    violating_k = property(itemgetter(0))
+
+    @property
+    def holds(self) -> bool:
+        return not self[0]
 
     def to_doc(self) -> dict:
         return {"holds": self.holds, "violating_k": list(self.violating_k)}
@@ -133,16 +137,14 @@ def condition_degeneration(n: int, d: int, m: int) -> ConditionReport:
     """Membership scan deciding degeneration of the fixed-point sequence:
     2k(d-n) + 1 must avoid {+-1, +-(n-1), +-(n-2), +-(2n-3)} for every
     integer k in [1, m/d)."""
-    violating = _scan(n, d, _deg_forbidden(n), 1, _k_range_max(d, m))
-    return ConditionReport(not violating, violating)
+    return ConditionReport(_scan(n, d, _deg_forbidden(n), 1, _k_range_max(d, m)))
 
 
 def condition_filtration(n: int, d: int, m: int) -> ConditionReport:
     """Membership scan deciding single-column support per total degree:
     2k(d-n) must avoid {0, +-(n-2), +-(n-1)} for every integer k in
     [1, m/d)."""
-    violating = _scan(n, d, _filt_forbidden(n), 0, _k_range_max(d, m))
-    return ConditionReport(not violating, violating)
+    return ConditionReport(_scan(n, d, _filt_forbidden(n), 0, _k_range_max(d, m)))
 
 
 def floer_cohomology(n: int, d: int, m: int) -> Optional[GradedGroup]:
@@ -161,11 +163,18 @@ def floer_cohomology(n: int, d: int, m: int) -> Optional[GradedGroup]:
 
 
 class PairClass(NamedTuple):
-    """Classification of (n, d) by which conditions can fail for some m."""
+    """Classification of (n, d) by which conditions can fail for some m: blue
+    if neither, orange/yellow if only the filtration/degeneration condition,
+    pink if both."""
 
-    color: str
     degeneration_violations: tuple[int, ...]
     filtration_violations: tuple[int, ...]
+
+    @property
+    def color(self) -> str:
+        if self.degeneration_violations:
+            return COLOR_PINK if self.filtration_violations else COLOR_YELLOW
+        return COLOR_ORANGE if self.filtration_violations else COLOR_BLUE
 
 
 def default_k_bound(n: int, d: int) -> int:
@@ -180,22 +189,12 @@ def default_k_bound(n: int, d: int) -> int:
 
 
 def classify_pair(n: int, d: int) -> PairClass:
-    """Color of the pair (n, d): blue if both conditions hold for every m,
-    orange/yellow if only the filtration/degeneration condition can fail,
-    pink if both can.  Both scans stop at default_k_bound."""
+    """The violations of both conditions for the pair (n, d), over every m:
+    both scans stop at default_k_bound."""
     COHOMOLOGY.check(n, d)
     k_bound = default_k_bound(n, d)
-    deg_ks = _scan(n, d, _deg_forbidden(n), 1, k_bound)
-    filt_ks = _scan(n, d, _filt_forbidden(n), 0, k_bound)
-    if deg_ks and filt_ks:
-        color = COLOR_PINK
-    elif deg_ks:
-        color = COLOR_YELLOW
-    elif filt_ks:
-        color = COLOR_ORANGE
-    else:
-        color = COLOR_BLUE
-    return PairClass(color, deg_ks, filt_ks)
+    return PairClass(_scan(n, d, _deg_forbidden(n), 1, k_bound),
+                     _scan(n, d, _filt_forbidden(n), 0, k_bound))
 
 
 def scatter_grid(n_range, d_range) -> list[tuple[int, int, PairClass]]:

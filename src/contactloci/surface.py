@@ -5,11 +5,11 @@ The integral cohomology of S is free, with rank 1 in each even degree of
 [0, 2n-4] away from the middle and rank b in the middle degree n-2.  Cupping
 with the hyperplane class h is an isomorphism away from the middle degrees,
 multiplication by d on the rank-1 groups around the middle when n is odd, and
-an injection with free cokernel / a surjection when n is even.  Feeding those
-kernels and cokernels into the compactly supported Gysin sequence of a
-C^x-bundle with Euler class +-h computes every cover and cone profile this
-package needs; the extensions that appear all split because the quotient term
-is free.
+an injection with free cokernel / a surjection when n is even.  The
+compactly supported Gysin sequence of a C^x-bundle with Euler class +-h
+turns those kernels and cokernels into the cone profile, a closed form in n,
+d and b; the cyclic covers of the intermediate divisors are Poincare dual to
+it.  The extensions that appear all split because the quotient term is free.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import comb
 from typing import NamedTuple
 
 from .domain import SURFACE
-from .groups import FgAbGroup, GradedGroup, ZERO_GROUP, cyclic, free_group
+from .groups import FgAbGroup, GradedGroup, free_group
 from .resolution import PAIR_FIRST, exceptional_m_divisor
 
 
@@ -74,23 +74,12 @@ class HypersurfaceData(NamedTuple):
     ring: GradedGroup
 
 
-def _cohomology_rank(n: int, b: int, k: int) -> int:
-    if k == n - 2:
-        return b
-    if 0 <= k <= 2 * n - 4 and k % 2 == 0:
-        return 1
-    return 0
-
-
 @lru_cache(maxsize=None)
 def hypersurface_data(n: int, d: int) -> HypersurfaceData:
     SURFACE.check(n, d)
     b = middle_rank(n, d)
-    entries = {}
-    for k in range(0, 2 * n - 3):
-        rank = _cohomology_rank(n, b, k)
-        if rank:
-            entries[k] = free_group(rank)
+    entries = {k: free_group(1) for k in range(0, 2 * n - 3, 2)}
+    entries[n - 2] = free_group(b)
     data = HypersurfaceData(n, d, b, milnor_number(n, d), euler_characteristic(n, d),
                             GradedGroup.from_dict(entries))
     if data.ring.euler_char() != data.euler:
@@ -98,82 +87,27 @@ def hypersurface_data(n: int, d: int) -> HypersurfaceData:
     return data
 
 
-class LefschetzData(NamedTuple):
-    """Kernel and cokernel of cupping with h, H^k(S) -> H^{k+2}(S), per degree.
-
-    Away from the three middle degrees the map is an isomorphism wherever
-    both groups are nonzero; the special degrees follow the parity of n.
-    """
-
-    n: int
-    d: int
-    middle: int
-
-    def _rank(self, k: int) -> int:
-        return _cohomology_rank(self.n, self.middle, k)
-
-    def kernel(self, k: int) -> FgAbGroup:
-        n, b = self.n, self.middle
-        src, tgt = self._rank(k), self._rank(k + 2)
-        if src == 0:
-            return ZERO_GROUP
-        if tgt == 0:
-            return free_group(src)
-        if n % 2 == 0 and k == n - 2:
-            return free_group(b - 1)
-        return ZERO_GROUP
-
-    def cokernel(self, k: int) -> FgAbGroup:
-        n, d, b = self.n, self.d, self.middle
-        src, tgt = self._rank(k), self._rank(k + 2)
-        if tgt == 0:
-            return ZERO_GROUP
-        if src == 0:
-            return free_group(tgt)
-        if n % 2 == 1 and k == n - 3:
-            return cyclic(d)
-        if n % 2 == 0 and k == n - 4:
-            return free_group(b - 1)
-        return ZERO_GROUP
-
-
-@lru_cache(maxsize=None)
-def lefschetz_data(n: int, d: int) -> LefschetzData:
-    SURFACE.check(n, d)
-    return LefschetzData(n, d, middle_rank(n, d))
-
-
-def gysin_cx_bundle(data: HypersurfaceData, lef: LefschetzData) -> GradedGroup:
-    """Compactly supported cohomology of a C^x-bundle over S with Euler
-    class +-h.
-
-    Degreewise the Gysin sequence pinches H^k_c of the total space between
-    the cokernel of the cup map two degrees further down and the kernel of
-    the one just below; the quotient term is always free here, so the
-    extension splits.
-    """
-    n = data.n
-    entries = {}
-    for k in range(1, 2 * n - 1):
-        sub = lef.cokernel(k - 3)
-        quotient = lef.kernel(k - 2)
-        if quotient.torsion:
-            raise AssertionError("kernel of a cup map on free groups must be free")
-        group = FgAbGroup.from_orders(sub.rank + quotient.rank, sub.torsion)
-        if not group.is_zero:
-            entries[k] = group
-    return GradedGroup.from_dict(entries)
-
-
 @lru_cache(maxsize=None)
 def cone_compact_cohomology(n: int, d: int) -> GradedGroup:
     """H^._c of the punctured affine cone over S.
 
     The cone minus its vertex is the complement of the zero section in the
-    tautological line bundle, a C^x-bundle over S with Euler class -h, so
-    the profile is the same Gysin output as for the divisor covers.
+    tautological line bundle, a C^x-bundle over S with Euler class -h.  Its
+    Gysin sequence puts in degree k the cokernel of cupping with h on
+    H^(k-3)(S) beside the free kernel of cupping on H^(k-2)(S), and the
+    extension splits.  Cupping is an isomorphism away from the middle, so
+    what is left is Z in degrees 1 and 2n-2 and Z^c in degrees n-1 and n,
+    where c = b for odd n and b - 1 for even n; for odd n, multiplication by
+    d on H^(n-3) adds Z/d in degree n.
     """
-    return gysin_cx_bundle(hypersurface_data(n, d), lefschetz_data(n, d))
+    b = hypersurface_data(n, d).middle
+    c = b if n % 2 else b - 1
+    return GradedGroup.from_dict({
+        1: free_group(1),
+        n - 1: free_group(c),
+        n: FgAbGroup.from_orders(c, (d,) if n % 2 else ()),
+        2 * n - 2: free_group(1),
+    })
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +132,7 @@ def cover_homology(n: int, d: int, i: int, m: int) -> GradedGroup:
     The cover over the first blow-up divisor (0, 1) is the Milnor fiber, a
     bouquet of spheres.  Every intermediate cover is a C^x-bundle over S with
     Euler class +-h; its homology is the Poincare dual (k -> 2n-2-k) of the
-    Gysin profile and depends only on n and d.
+    cone profile and depends only on n and d.
     """
     SURFACE.check(n, d)
     if exceptional_m_divisor(n, d, m, i).pair == PAIR_FIRST:

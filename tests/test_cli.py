@@ -166,13 +166,35 @@ def test_verify_budget_exit_code(capsys):
                            "--primes", prime)
         assert code == 3
         assert "budget" in err
-    # 5^100000 candidates: the message must not try to print that number, and
-    # a 401-digit p must not be raised to the 100000th power either
+    # 5^10000 candidates, at the most variables verify accepts: the message
+    # must not try to print that number, and a 401-digit p must not be raised
+    # to the 10000th power either
     for prime in ("5", "1" + "0" * 399 + "1"):
-        code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2+x99999^3", "--m", "3",
+        code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2+x9999^3", "--m", "3",
                            "--primes", prime)
         assert code == 3
         assert "budget" in err and len(err) < 200
+    # a term in several variables: every candidate sums split products, which
+    # are charged, so the search stops at the budget within a second
+    mixed = json.dumps({"n": 3, "terms": [{"exps": exps, "coeff": 1} for exps in
+                                          ([3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1])]})
+    for m in ("15", "30", "101"):
+        started = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--f", mixed, "--m", m, "--primes", "5",
+                           "--budget", "20000")
+        assert time.perf_counter() - started < 1, m
+        assert code == 3 and "budget" in err, m
+
+
+def test_verify_refuses_too_many_variables(capsys):
+    # the n bound of cohomology, floer and euler, 10,000, checked before the
+    # inline parser builds an exponent vector as long as the largest index
+    for f in ("x0^2+x1^2+x10000000^2", "x0^2+x1^2+x10000^2",
+              json.dumps({"n": 10001, "terms": [{"exps": [2] + [0] * 10000, "coeff": 1}]})):
+        started = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--f", f, "--m", "4", "--primes", "5")
+        assert time.perf_counter() - started < 1
+        assert code == 3 and "variables" in err and "cap of 10000" in err
 
 
 def test_large_prime_degree_runs_without_factoring(capsys):
@@ -208,8 +230,7 @@ def test_verify_bad_poly_exit_code(capsys):
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     # force a count mismatch to exercise the failure path
     def fake_count(poly, m, p, budget=None):
-        return JetCountReport(prime=p, m=m, total_count=1,
-                              by_order=((1, 1),), cone_count=0, milnor_count=0,
+        return JetCountReport(prime=p, m=m, by_order=((1, 1),), cone_count=0, milnor_count=0,
                               predicted_by_order=((1, 2),))
 
     monkeypatch.setattr(oracle, "count_contact_jets", fake_count)

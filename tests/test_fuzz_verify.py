@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from contactloci.cli import main
 
 # mostly small variable indices, sometimes very large ones
-var_index = st.one_of(st.integers(0, 3), st.integers(0, 3), st.sampled_from([5, 40, 99999]))
+var_index = st.one_of(st.integers(0, 3), st.integers(0, 3), st.sampled_from([5, 40, 99999, 10 ** 7]))
 # JSON values of the wrong type next to the integers the document wants
 odd_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=32),
                        st.booleans(), st.none(), st.text(alphabet="0123a", max_size=3))

@@ -219,10 +219,10 @@ def test_report_doc_round_trip():
     def pairs(counts):
         return tuple(sorted((int(k), v) for k, v in counts.items()))
 
-    rebuilt = JetCountReport(doc["p"], doc["m"], doc["total_count"], pairs(doc["by_order"]),
+    rebuilt = JetCountReport(doc["p"], doc["m"], pairs(doc["by_order"]),
                              doc["base_counts"]["cone"], doc["base_counts"]["milnor"],
                              pairs(doc["predicted_by_order"]))
-    assert rebuilt == report
+    assert rebuilt == report and rebuilt.to_doc() == doc
 
 
 def test_non_smooth_reduction_is_detected():

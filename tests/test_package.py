@@ -1,4 +1,4 @@
-"""The package namespace: 48 names, resolved on first use and then bound as
+"""The package namespace: 47 names, resolved on first use and then bound as
 plain globals."""
 
 import importlib
@@ -15,7 +15,7 @@ EXPORTED = [
     "condition_degeneration", "condition_filtration", "cone_compact_cohomology",
     "contact_class", "contact_cohomology", "contact_dimension", "contact_euler",
     "count_base", "count_contact_jets", "cover_homology", "floer_cohomology",
-    "graded_pieces", "gysin_cx_bundle", "hypersurface_data", "lefschetz_number",
+    "graded_pieces", "hypersurface_data", "lefschetz_number",
     "m_divisors", "mclean_e1", "middle_rank", "milnor_fiber_compact_cohomology",
     "milnor_number_oracle", "nef_fiber_identity", "order_e1", "parents_from_cf",
     "parse_poly", "piece_compact_cohomology", "scatter_grid", "valuation_report",
@@ -28,7 +28,7 @@ LAYERS = ("arith", "contact", "groups", "nash", "oracle", "poly", "resolution", 
 
 def test_all_is_unchanged():
     assert contactloci.__all__ == EXPORTED
-    assert len(EXPORTED) == 48
+    assert len(EXPORTED) == 47
 
 
 def test_each_name_is_its_layers_object():

@@ -182,9 +182,9 @@ def test_chain_doc_round_trip():
     doc = chain.to_doc()
     # the document the resolve command prints rebuilds the chain
     rebuilt = ResolutionChain(doc["n"], doc["d"], doc["m"], tuple(
-        Divisor(CoprimePair(row["kappa"], row["r"]), row["N"], row["nu"], row["kind"])
+        Divisor(CoprimePair(row["kappa"], row["r"]), row["N"], row["nu"])
         for row in doc["divisors"]))
-    assert rebuilt == chain
+    assert rebuilt == chain and rebuilt.to_doc() == doc
     assert doc["divisors"][0] == {"kappa": 0, "r": 1, "N": 3, "nu": 4,
                                   "kind": "first_exceptional"}
 
@@ -200,15 +200,12 @@ def test_coprime_pair_validation():
 
 def test_divisor_validation():
     pair = CoprimePair(2, 1)
-    with pytest.raises(ValueError, match="does not match"):
-        Divisor(pair, 4, 5, "strict_transform")
-    with pytest.raises(ValueError, match="does not match"):
-        Divisor(CoprimePair(1, 0), 1, 1, "intermediate")
-    with pytest.raises(ValueError, match="does not match"):
-        Divisor(CoprimePair(0, 1), 2, 3, "strict_transform")
     for mult, disc in ((0, 5), (4, 0), (-1, 5)):
         with pytest.raises(ValueError, match="positive"):
-            Divisor(pair, mult, disc, "intermediate")
+            Divisor(pair, mult, disc)
+    # the kind is the pair's, so no divisor can disagree with its pair
+    assert [Divisor(CoprimePair(*p), 2, 3).kind for p in ((2, 1), (1, 0), (0, 1))] == [
+        "intermediate", "strict_transform", "first_exceptional"]
 
 
 def chain_of(pairs, n=3, d=2, m=4):
@@ -264,8 +261,7 @@ def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
 ])
 def test_chain_invariant_check_rejects_broken_chains(divisors, message):
     chain = ResolutionChain(3, 2, 4, tuple(
-        Divisor(CoprimePair(*pair), mult, disc, CoprimePair(*pair).kind)
-        for pair, mult, disc in divisors))
+        Divisor(CoprimePair(*pair), mult, disc) for pair, mult, disc in divisors))
     with pytest.raises(AssertionError, match=message):
         _check_chain_invariants(chain)
     _check_chain_invariants(build_minimal_resolution(3, 2, 4))
@@ -287,7 +283,7 @@ def test_value_semantics():
     assert a != CoprimePair(2, 3)
     assert len({a, b, CoprimePair(2, 3)}) == 2
     div = Divisor.for_params(a, 4, 5)
-    assert div == Divisor(CoprimePair(3, 2), 13, 11, "intermediate")
+    assert div == Divisor(CoprimePair(3, 2), 13, 11)
     assert hash(div) == hash(Divisor.for_params(b, 4, 5))
     assert div != Divisor.for_params(a, 5, 5)
 

@@ -227,7 +227,8 @@ def test_diagonal_stacks_strata_at_one_shift():
 def test_condition_report_round_trip():
     report = condition_degeneration(3, 3, 9)
     doc = report.to_doc()
-    assert ConditionReport(doc["holds"], tuple(doc["violating_k"])) == report
+    rebuilt = ConditionReport(tuple(doc["violating_k"]))
+    assert rebuilt == report and rebuilt.to_doc() == doc
 
 
 def test_page_parameter_validation():

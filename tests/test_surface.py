@@ -5,9 +5,7 @@ from contactloci.surface import (
     cone_compact_cohomology,
     cover_homology,
     euler_characteristic,
-    gysin_cx_bundle,
     hypersurface_data,
-    lefschetz_data,
     middle_rank,
     middle_rank_alternating_sum,
     milnor_fiber_compact_cohomology,
@@ -74,7 +72,7 @@ def test_cohomology_ring_profile():
 
 
 def test_gysin_profile_odd_dimension():
-    profile = gysin_cx_bundle(hypersurface_data(3, 4), lefschetz_data(3, 4))
+    profile = cone_compact_cohomology(3, 4)
     assert profile == GradedGroup.from_dict({
         1: free_group(1),
         2: free_group(6),
@@ -84,7 +82,7 @@ def test_gysin_profile_odd_dimension():
 
 
 def test_gysin_profile_even_dimension():
-    profile = gysin_cx_bundle(hypersurface_data(4, 2), lefschetz_data(4, 2))
+    profile = cone_compact_cohomology(4, 2)
     assert profile == GradedGroup.from_dict({
         1: free_group(1),
         3: free_group(1),
