@@ -7,13 +7,6 @@ wraps them in a richer type.
 
 from __future__ import annotations
 
-from math import gcd
-
-
-def pair_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Whether kappa_a / r_a < kappa_b / r_b, treating r = 0 as slope infinity."""
-    return a[0] * b[1] < b[0] * a[1]
-
 
 def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The two coprime pairs whose mediant is (kappa, r).
@@ -27,11 +20,10 @@ def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int
     One Euclidean pass runs the convergent recurrence h_i = q_i h_(i-1) +
     h_(i-2) alongside: the truncated expansion evaluates to the next-to-last
     convergent, and the decremented one to (q_k - 1) h_(k-1) + h_(k-2).
+    The pass ends at the last nonzero remainder b, which is gcd(kappa, r).
     """
     if kappa < 1 or r < 1:
         raise ValueError(f"({kappa}, {r}): both entries must be >= 1")
-    if gcd(kappa, r) != 1:
-        raise ValueError(f"({kappa}, {r}) is not a coprime pair")
     # (h1, k1) and (h2, k2): the last two convergents before the current one
     h2, k2, h1, k1 = 0, 1, 1, 0
     a, b = kappa, r
@@ -40,11 +32,13 @@ def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int
         a, b = b, a - q * b
         h2, k2, h1, k1 = h1, k1, q * h1 + h2, q * k1 + k2
         q = a // b
-    truncated = (h1, k1)
-    decremented = ((q - 1) * h1 + h2, (q - 1) * k1 + k2)
-    first, second = truncated, decremented
-    if pair_less(second, first):
-        first, second = second, first
-    if first[0] + second[0] != kappa or first[1] + second[1] != r:
+    if b != 1:
+        raise ValueError(f"({kappa}, {r}) is not a coprime pair")
+    # the truncated expansion (h1, k1) and the decremented one (h, k)
+    h, k = (q - 1) * h1 + h2, (q - 1) * k1 + k2
+    if h1 + h != kappa or k1 + k != r:
         raise AssertionError(f"parent reconstruction failed for ({kappa}, {r})")
-    return first, second
+    # the smaller of h/k and h1/k1, compared by cross-multiplying, is low
+    if h * k1 < h1 * k:
+        return (h, k), (h1, k1)
+    return (h1, k1), (h, k)

@@ -11,7 +11,7 @@ and log discrepancy are the linear forms N = kappa + r*d and nu = kappa + r*n.
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterator, NamedTuple
 
 from .arith import parents_from_cf
@@ -48,10 +48,6 @@ class CoprimePair(Value):
     @property
     def kind(self) -> str:
         return _ENDPOINT_KINDS.get(self, KIND_INTERMEDIATE)
-
-    @property
-    def is_intermediate(self) -> bool:
-        return self not in _ENDPOINT_KINDS
 
     def __str__(self) -> str:
         return f"({self[0]},{self[1]})"
@@ -108,7 +104,10 @@ def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
     # the right ends (kappa, r, N, nu) still to be reached from the current
     # left end; N and nu add under mediants as kappa and r do.  (1, 0) sits
     # at the bottom of the stack, so it is the one divisor popped last.
-    out = [Divisor(PAIR_FIRST, d, n)]
+    # Pairs and divisors are wrapped without their constructors' checks;
+    # _check_chain_invariants covers those on the finished chain.
+    new = tuple.__new__
+    out = [new(Divisor, (PAIR_FIRST, d, n))]
     kappa, r, mult, disc = 0, 1, d, n
     stack = [(1, 0, 1, 1)]
     while stack:
@@ -117,7 +116,7 @@ def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
             stack.append((kappa + right[0], r + right[1], mult + right[2], disc + right[3]))
         else:
             kappa, r, mult, disc = stack.pop()
-            out.append(Divisor(CoprimePair(kappa, r), mult, disc))
+            out.append(new(Divisor, (new(CoprimePair, (kappa, r)), mult, disc)))
     return out
 
 
@@ -130,7 +129,7 @@ class ResolutionChain(Value):
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, m: int, divisors: tuple[Divisor, ...]) -> "ResolutionChain":
-        index = {div[0]: idx for idx, div in enumerate(divisors)}
+        index = dict(zip(map(itemgetter(0), divisors), range(len(divisors))))
         return tuple.__new__(cls, (n, d, m, divisors, index))
 
     n = property(itemgetter(0))
@@ -139,14 +138,8 @@ class ResolutionChain(Value):
     divisors = property(itemgetter(3))
     _index = property(itemgetter(4))
 
-    def index_of(self, pair: CoprimePair) -> int:
-        idx = self[4].get(pair)  # the pair index
-        if idx is None:
-            raise ValueError(f"pair {pair} is not a divisor of this chain")
-        return idx
-
     def intermediate_divisors(self) -> tuple[Divisor, ...]:
-        return tuple(div for div in self.divisors if div[0].is_intermediate)
+        return tuple(div for div in self[3] if div[0] not in _ENDPOINT_KINDS)
 
     def __iter__(self) -> Iterator[Divisor]:
         return iter(self.divisors)
@@ -177,11 +170,16 @@ def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
 
 
 def _check_chain_invariants(chain: ResolutionChain) -> None:
-    divs = chain.divisors
+    # Together with CHAIN.check, these imply the constructors' checks, which
+    # the build skips: a pair with determinant +-1 against a neighbour is
+    # coprime, and N = kappa + r*d and nu = kappa + r*n are >= 1 for
+    # kappa, r >= 0 not both 0, d >= 1 and n >= 2.
+    n, d, m, divs = chain[:4]
     if divs[0][0] != PAIR_FIRST or divs[-1][0] != PAIR_STRICT:
         raise AssertionError("chain endpoints are wrong")
-    n, d, m = chain.n, chain.d, chain.m
     for (kappa, r), mult, disc in divs:
+        if kappa < 0 or r < 0:
+            raise AssertionError(f"({kappa},{r}) has a negative entry")
         if mult != kappa + r * d:
             raise AssertionError(f"multiplicity of ({kappa},{r}) is inconsistent")
         if disc != kappa + r * n:
@@ -201,24 +199,38 @@ def verify_minimality(chain: ResolutionChain) -> bool:
 
     The predicted intermediate pairs are the coprime (kappa, r) with both
     >= 1 and N <= m.  The chain's pairs hash and compare as plain tuples, so
-    the closed form is enumerated as tuples and never wrapped.
+    the closed form is enumerated as tuples and never wrapped.  It is
+    enumerated one r at a time: the rows are disjoint, so if each lies in
+    the chain's set and their sizes add up to the set's, the two are equal.
     """
-    d, m = chain.d, chain.m
-    actual = {div[0] for div in chain.intermediate_divisors()}
-    if actual != {(kappa, r) for r in range(1, m // d + 1)
-                  for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1}:
+    d, m, divs = chain[1:4]
+    actual = set(map(itemgetter(0), divs))
+    actual.difference_update(_ENDPOINT_KINDS)
+    predicted = 0
+    for r in range(1, m // d + 1):
+        row = [(kappa, r) for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1]
+        if not actual.issuperset(row):
+            return False
+        predicted += len(row)
+    if predicted != len(actual):
         return False
-    mults = [div[1] for div in chain.divisors]
-    return all(a + b > m for a, b in zip(mults, mults[1:]))
+    # the smallest sum of adjacent multiplicities exceeds m
+    mults = list(map(itemgetter(1), divs))
+    return min(map(add, mults, mults[1:]), default=m + 1) > m
 
 
 def _flanks(chain: ResolutionChain, pair: CoprimePair) -> tuple[Divisor, Divisor, Divisor]:
     # An intermediate divisor between its left and right chain neighbours,
     # found by one index lookup.
-    if not pair.is_intermediate:
+    if pair in _ENDPOINT_KINDS:
         raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
-    idx = chain.index_of(pair)
+    idx = chain[4].get(pair)  # the pair index
+    if idx is None:
+        raise ValueError(f"pair {pair} is not a divisor of this chain")
     divs = chain[3]  # the divisors
+    if not 0 < idx < len(divs) - 1:
+        side = "left" if idx == 0 else "right"
+        raise ValueError(f"{pair} has no {side} neighbour in this chain")
     return divs[idx - 1], divs[idx], divs[idx + 1]
 
 

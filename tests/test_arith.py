@@ -3,7 +3,7 @@ from math import gcd as math_gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from contactloci.arith import pair_less, parents_from_cf
+from contactloci.arith import parents_from_cf
 
 coprime_pairs = st.builds(
     lambda a, b: (a // math_gcd(a, b), b // math_gcd(a, b)),
@@ -38,8 +38,8 @@ def test_parents_are_mediant_summands(pair):
     assert low[1] + high[1] == r
     assert math_gcd(low[0], low[1]) == 1
     assert math_gcd(high[0], high[1]) == 1
-    # the low parent sits on the (0, 1) side
-    assert pair_less(low, (kappa, r)) and pair_less((kappa, r), high)
+    # the low parent sits on the (0, 1) side: low < kappa/r < high
+    assert low[0] * r < kappa * low[1] and kappa * high[1] < high[0] * r
     # parent and child are Farey neighbors
     assert abs(low[0] * r - kappa * low[1]) == 1
     assert abs(high[0] * r - kappa * high[1]) == 1

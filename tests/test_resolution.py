@@ -70,6 +70,17 @@ def test_chain_invariants(n, d, m):
             assert value == (low[0] + coeff * low[1]) + (high[0] + coeff * high[1])
 
 
+def test_built_divisors_pass_the_checking_constructors():
+    # the build wraps pairs and divisors without their constructors' checks
+    for n in range(2, 10):
+        for d in range(1, 9):
+            for m in range(1, 61):
+                chain = build_minimal_resolution(n, d, m)
+                assert {(type(div), type(div.pair)) for div in chain} == {(Divisor, CoprimePair)}
+                assert list(chain) == [Divisor.for_params(CoprimePair(*div.pair), n, d)
+                                       for div in chain], (n, d, m)
+
+
 def test_closed_form_equivalence_over_grid():
     for n, d, m in GRID:
         chain = build_minimal_resolution(n, d, m)
@@ -220,6 +231,8 @@ def chain_of(pairs, n=3, d=2, m=4):
     [(0, 1), (2, 1), (1, 0)],
     # missing both
     [(0, 1), (1, 0)],
+    # (3, 1), N = 5, in place of (2, 1): as many divisors as the closed form
+    [(0, 1), (1, 1), (3, 1), (1, 0)],
 ])
 def test_verify_minimality_rejects_missing_divisor(pairs):
     assert not verify_minimality(chain_of(pairs))
@@ -231,6 +244,18 @@ def test_verify_minimality_rejects_non_separating_chain():
     chain = chain_of([(0, 1), (1, 0), (1, 1), (2, 1)])
     assert {div.pair for div in chain.intermediate_divisors()} == {(1, 1), (2, 1)}
     assert not verify_minimality(chain)
+
+
+@pytest.mark.parametrize("pairs,pair,side", [
+    # (1, 1) is first: its left neighbour must not wrap round to (1, 0)
+    ([(1, 1), (2, 1), (1, 0)], (1, 1), "left"),
+    ([(0, 1), (1, 1), (2, 1)], (2, 1), "right"),
+])
+def test_flanks_refuse_a_missing_neighbour(pairs, pair, side):
+    chain = chain_of(pairs)
+    for reader in (adjacency, blowup_counts, nef_fiber_identity):
+        with pytest.raises(ValueError, match=f"no {side} neighbour"):
+            reader(chain, CoprimePair(*pair))
 
 
 @pytest.mark.parametrize("pairs,pair", [
@@ -258,10 +283,13 @@ def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
     ([((0, 1), 2, 3), ((1, 1), 3, 5), ((2, 1), 4, 5), ((1, 0), 1, 1)], "log discrepancy"),
     ([((0, 1), 2, 3), ((2, 1), 4, 5), ((1, 1), 3, 4), ((1, 0), 1, 1)], "Farey"),
     ([((0, 1), 2, 3), ((1, 0), 1, 1)], "separating"),
+    # CoprimePair refuses (-1, 1), so the rows are wrapped without the checks
+    ([((0, 1), 2, 3), ((-1, 1), 1, 2), ((1, 0), 1, 1)], "negative"),
 ])
 def test_chain_invariant_check_rejects_broken_chains(divisors, message):
+    new = tuple.__new__
     chain = ResolutionChain(3, 2, 4, tuple(
-        Divisor(CoprimePair(*pair), mult, disc) for pair, mult, disc in divisors))
+        new(Divisor, (new(CoprimePair, pair), mult, disc)) for pair, mult, disc in divisors))
     with pytest.raises(AssertionError, match=message):
         _check_chain_invariants(chain)
     _check_chain_invariants(build_minimal_resolution(3, 2, 4))
@@ -290,9 +318,8 @@ def test_value_semantics():
     chain = build_minimal_resolution(3, 2, 12)
     pairs = {div.pair for div in chain}
     assert CoprimePair(5, 3) in pairs and CoprimePair(3, 5) not in pairs
-    assert chain.divisors[chain.index_of(CoprimePair(5, 3))] == Divisor.for_params(
-        CoprimePair(5, 3), 3, 2)
-    assert chain.index_of(CoprimePair(1, 0)) == len(chain) - 1
+    assert Divisor.for_params(CoprimePair(5, 3), 3, 2) in chain.divisors
+    assert chain.divisors.index(Divisor(CoprimePair(1, 0), 1, 1)) == len(chain) - 1
 
     for obj in (a, div, chain):
         assert pickle.loads(pickle.dumps(obj)) == obj
@@ -307,11 +334,10 @@ def test_value_semantics():
 def test_value_text_and_documents():
     assert str(CoprimePair(5, 3)) == "(5,3)"
     assert str(CoprimePair(1, 0)) == "(1,0)"
-    kinds = {(1, 0): ("strict_transform", False), (0, 1): ("first_exceptional", False),
-             (1, 1): ("intermediate", True), (7, 2): ("intermediate", True)}
-    for pair, (kind, intermediate) in kinds.items():
+    kinds = {(1, 0): "strict_transform", (0, 1): "first_exceptional",
+             (1, 1): "intermediate", (7, 2): "intermediate"}
+    for pair, kind in kinds.items():
         assert CoprimePair(*pair).kind == kind
-        assert CoprimePair(*pair).is_intermediate is intermediate
     assert Divisor.for_params(CoprimePair(5, 3), 4, 2).to_doc() == {
         "kappa": 5, "r": 3, "N": 11, "nu": 17, "kind": "intermediate"}
     assert list(Divisor.for_params(CoprimePair(1, 0), 4, 2).to_doc()) == [
