@@ -295,13 +295,13 @@ def _load_poly(spec: str) -> SparseIntPoly:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import count_contact_jets
-
     poly = _load_poly(args.f)
     primes = [int(chunk) for chunk in args.primes.split(",") if chunk.strip()]
     if not primes:
         raise ValueError("no primes given")
     _check_size("verify", COHOMOLOGY, poly.nvars, poly.min_total_degree(), args.m)
+    from .oracle import count_contact_jets  # only once the input is known to be valid
+
     reports = [count_contact_jets(poly, args.m, p, budget=args.budget) for p in primes]
     all_match = all(report.matches for report in reports)
     doc = {

@@ -5,65 +5,19 @@ normalization ``t1 | t2 | ... | tk`` (each ``ti >= 2``), which makes equality
 testing canonical.  ``GradedGroup`` is a finitely supported map from integer
 degrees to such groups; it is the value type of every cohomology computation
 in this package.  All values are immutable.
+
+Nothing here normalizes an arbitrary multiset of cyclic orders.  The only
+torsion the package meets is Z/d, from the punctured cone over S for odd n,
+and copies of one order are already invariant factors; the constructor
+refuses any torsion that is not in that form.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .domain import Value
-
-
-def _coprime_base(orders: tuple[int, ...]) -> list[int]:
-    """Pairwise coprime integers >= 2 of which every order is a product of
-    powers, refined by gcds alone: a shared factor g of x and a base element
-    b replaces b by g, b / g and x / g.  The product of the pending and base
-    numbers falls at each split, so the refinement ends."""
-    base: list[int] = []
-    pending = list(orders)
-    while pending:
-        x = pending.pop()
-        for idx, b in enumerate(base):
-            g = gcd(x, b)
-            if g > 1:
-                del base[idx]
-                pending += [part for part in (g, b // g, x // g) if part > 1]
-                break
-        else:
-            base.append(x)
-    return base
-
-
-def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
-    """Normalize a multiset of cyclic orders (each >= 2) to invariant factors.
-
-    The result is ascending under divisibility.  No order is factored: each
-    element b of a coprime base stands in for the primes p dividing it, since
-    the p-part of an order is the p-part of b to the order's exponent of b.
-    So the k-th largest factor is the product over b of b to the k-th
-    largest exponent.  Normalizing twice is a no-op, which the tests assert.
-    """
-    orders = tuple(orders)
-    for t in orders:
-        if t < 2:
-            raise ValueError(f"cyclic order {t} is not >= 2")
-    if len(orders) < 2:
-        return orders
-    factors = [1] * len(orders)  # largest first
-    for b in _coprime_base(orders):
-        exps = []
-        for t in orders:
-            e = 0
-            while t % b == 0:
-                t //= b
-                e += 1
-            exps.append(e)
-        exps.sort(reverse=True)
-        for k, e in enumerate(exps):
-            factors[k] *= b ** e
-    return tuple(f for f in reversed(factors) if f > 1)
 
 
 class FgAbGroup(Value):
@@ -85,23 +39,6 @@ class FgAbGroup(Value):
 
     rank = property(itemgetter(0))
     torsion = property(itemgetter(1))
-
-    @classmethod
-    def from_orders(cls, rank: int = 0, orders: Iterable[int] = ()) -> "FgAbGroup":
-        """Build from a free rank and an arbitrary multiset of cyclic orders.
-
-        Order 0 counts as a free summand and order 1 is dropped; everything
-        else is renormalized to invariant factors.
-        """
-        torsion_orders = []
-        for t in orders:
-            if t < 0:
-                raise ValueError(f"negative cyclic order {t}")
-            elif t == 0:
-                rank += 1
-            elif t > 1:
-                torsion_orders.append(t)
-        return cls(rank, invariant_factors(torsion_orders))
 
     @property
     def is_zero(self) -> bool:
@@ -180,7 +117,13 @@ class GradedGroup(Value):
 
 def graded_sum(groups: Iterable[GradedGroup]) -> GradedGroup:
     """Degreewise direct sum of any number of graded groups in one pass: ranks
-    add, torsion orders pool, and each degree is normalized once."""
+    add and torsion orders pool, sorted.
+
+    The pooled orders of each degree must already be invariant factors once
+    sorted, as copies of one order are; anything else, such as Z/2 beside
+    Z/3, is refused by the FgAbGroup constructor with a ValueError rather
+    than normalized.
+    """
     ranks: dict[int, int] = {}
     orders: dict[int, list[int]] = {}
     for group in groups:
@@ -188,6 +131,6 @@ def graded_sum(groups: Iterable[GradedGroup]) -> GradedGroup:
             ranks[k] = ranks.get(k, 0) + rank
             orders.setdefault(k, []).extend(torsion)
     # stored groups are nonzero, so no sum of them is zero
-    return GradedGroup(tuple((k, FgAbGroup(rank, invariant_factors(orders[k])))
+    return GradedGroup(tuple((k, FgAbGroup(rank, sorted(orders[k])))
                              for k, rank in ranks.items()))
 

@@ -17,6 +17,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .contact import BASE_MILNOR_FIBER, graded_pieces
 from .domain import (
+    COHOMOLOGY,
     DEFAULT_BUDGET,
     BudgetExceededError,
     NonIsolatedSingularityError,
@@ -185,12 +186,13 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     n = f.nvars
     d = f.min_total_degree()
     h = f.initial_form()
-    pieces = graded_pieces(n, d, m)  # also validates n >= 3, d >= 2
+    COHOMOLOGY.check(n, d, m)
     kstar = m - d + 1
     if kstar > MAX_JET_DEPTH:
         raise BudgetExceededError(
             f"jet search depth m - d + 1 = {kstar} is over the limit of {MAX_JET_DEPTH} "
             "levels, past any feasible budget")
+    pieces = graded_pieces(n, d, m)
     spent = [0]
 
     def charge(amount: int) -> None:

@@ -295,14 +295,6 @@ def _m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
     return div
 
 
-def exceptional_m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
-    """The exceptional m-divisor E_i, for i in [-floor(m/d), -1]."""
-    CHAIN.check(n, d, m)
-    if not -(m // d) <= i <= -1:
-        raise ValueError(f"index {i} outside [-{m // d}, -1]")
-    return _m_divisor(n, d, m, i)
-
-
 class MDivisor(NamedTuple):
     index: int
     divisor: Divisor

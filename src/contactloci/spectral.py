@@ -22,9 +22,6 @@ from .domain import COHOMOLOGY, Value
 from .groups import FgAbGroup, GradedGroup
 from .surface import cover_homology, milnor_fiber_euler
 
-PAGE_MCLEAN = "mclean"
-PAGE_ORDER = "order"
-
 COLOR_BLUE = "blue"
 COLOR_ORANGE = "orange"
 COLOR_YELLOW = "yellow"
@@ -42,15 +39,10 @@ class SpectralPage(Value):
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, n: int, d: int, m: int,
-                entries: tuple[tuple[tuple[int, int], FgAbGroup], ...]) -> "SpectralPage":
-        return tuple.__new__(cls, (kind, n, d, m, tuple(sorted(entries))))
+    def __new__(cls, entries: tuple[tuple[tuple[int, int], FgAbGroup], ...]) -> "SpectralPage":
+        return tuple.__new__(cls, (tuple(sorted(entries)),))
 
-    kind = property(itemgetter(0))
-    n = property(itemgetter(1))
-    d = property(itemgetter(2))
-    m = property(itemgetter(3))
-    entries = property(itemgetter(4))
+    entries = property(itemgetter(0))
 
 
 def mclean_e1(n: int, d: int, m: int) -> SpectralPage:
@@ -63,7 +55,7 @@ def mclean_e1(n: int, d: int, m: int) -> SpectralPage:
         for k, group in homology.entries:
             s = n - 1 - k - 2 * i * (d - n)
             entries.append(((i, s), group))
-    return SpectralPage(PAGE_MCLEAN, n, d, m, tuple(entries))
+    return SpectralPage(tuple(entries))
 
 
 def order_e1(n: int, d: int, m: int) -> SpectralPage:
@@ -74,7 +66,7 @@ def order_e1(n: int, d: int, m: int) -> SpectralPage:
         profile = piece_compact_cohomology(piece, n, d)
         for s, group in profile.entries:
             entries.append(((-piece.rho, s), group))
-    return SpectralPage(PAGE_ORDER, n, d, m, tuple(entries))
+    return SpectralPage(tuple(entries))
 
 
 def comparison_shift(n: int, m: int) -> int:

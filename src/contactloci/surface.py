@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .domain import SURFACE
 from .groups import FgAbGroup, GradedGroup, free_group
-from .resolution import PAIR_FIRST, exceptional_m_divisor
 
 
 def euler_characteristic(n: int, d: int) -> int:
@@ -105,7 +104,7 @@ def cone_compact_cohomology(n: int, d: int) -> GradedGroup:
     return GradedGroup.from_dict({
         1: free_group(1),
         n - 1: free_group(c),
-        n: FgAbGroup.from_orders(c, (d,) if n % 2 else ()),
+        n: FgAbGroup(c, (d,) if n % 2 and d > 1 else ()),
         2 * n - 2: free_group(1),
     })
 
@@ -127,15 +126,18 @@ def milnor_fiber_compact_cohomology(n: int, d: int) -> GradedGroup:
 
 def cover_homology(n: int, d: int, i: int, m: int) -> GradedGroup:
     """Integral homology of the degree-N cyclic cover of the open part of the
-    exceptional m-divisor E_i.
+    exceptional m-divisor E_i, for i in [-floor(m/d), -1].
 
-    The cover over the first blow-up divisor (0, 1) is the Milnor fiber, a
-    bouquet of spheres.  Every intermediate cover is a C^x-bundle over S with
-    Euler class +-h; its homology is the Poincare dual (k -> 2n-2-k) of the
-    cone profile and depends only on n and d.
+    E_i is the normalization of the pair (m + i*d, -i), which is the first
+    blow-up divisor (0, 1) exactly when m + i*d = 0; its cover is the Milnor
+    fiber, a bouquet of spheres.  Every intermediate cover is a C^x-bundle
+    over S with Euler class +-h; its homology is the Poincare dual
+    (k -> 2n-2-k) of the cone profile and depends only on n and d.
     """
-    SURFACE.check(n, d)
-    if exceptional_m_divisor(n, d, m, i).pair == PAIR_FIRST:
+    SURFACE.check(n, d, m)
+    if not -(m // d) <= i <= -1:
+        raise ValueError(f"index {i} outside [-{m // d}, -1]")
+    if m + i * d == 0:
         return GradedGroup.from_dict({0: free_group(1),
                                       n - 1: free_group(milnor_number(n, d))})
     profile = cone_compact_cohomology(n, d)

@@ -21,7 +21,7 @@ print(json.dumps([code, layers, sorted({"dataclasses", "inspect"} & set(sys.modu
 
 ENTRY = {"cli", "domain"}
 CHAIN = ENTRY | {"arith", "resolution"}
-COHOMOLOGY = CHAIN | {"groups", "surface", "contact"}
+COHOMOLOGY = ENTRY | {"groups", "surface", "contact"}
 SPECTRAL = COHOMOLOGY | {"spectral"}
 
 # argv -> (exit code, the contactloci submodules the process may load)
@@ -34,6 +34,7 @@ ALLOWED = {
     ("scatter", "--nmax", "5", "--dmax", "5", "--format", "csv"): (0, SPECTRAL),
     ("verify", "--f", "x0^2+x1^2+x2^2", "--m", "3", "--primes", "3"):
         (0, COHOMOLOGY | {"oracle", "poly"}),
+    ("verify", "--f", "x0^2+", "--m", "4", "--primes", "5"): (2, ENTRY | {"poly"}),
     ("resolve", "--n", "1", "--d", "2", "--m", "4"): (2, ENTRY),
     ("cohomology", "--n", "3", "--d", "1", "--m", "4"): (2, ENTRY),
     ("floer", "--n", "3", "--d", "3", "--m", "60003"): (3, ENTRY),

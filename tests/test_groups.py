@@ -1,80 +1,23 @@
-from math import prod
-
 import pytest
 from hypothesis import given, strategies as st
 
-from contactloci.groups import (
-    FgAbGroup,
-    GradedGroup,
-    free_group,
-    graded_sum,
-    invariant_factors,
-)
+from contactloci.contact import contact_cohomology
+from contactloci.groups import FgAbGroup, GradedGroup, free_group, graded_sum
+from contactloci.spectral import mclean_e1
 
-orders_lists = st.lists(st.integers(min_value=2, max_value=64), max_size=6)
-
+# The only torsion the package builds is copies of Z/d for one d, so every
+# group drawn in one example carries copies of the same order.
 fg_groups = st.builds(
-    lambda rank, orders: FgAbGroup.from_orders(rank, orders),
+    lambda rank, d, copies: FgAbGroup(rank, (d,) * copies),
     st.integers(min_value=0, max_value=5),
-    orders_lists,
+    st.shared(st.integers(min_value=2, max_value=64), key="d"),
+    st.integers(min_value=0, max_value=6),
 )
 
 graded_groups = st.builds(
     lambda items: GradedGroup.from_dict(dict(items)),
     st.lists(st.tuples(st.integers(min_value=-6, max_value=12), fg_groups), max_size=5),
 )
-
-
-def test_invariant_factor_examples():
-    assert invariant_factors([4, 2]) == (2, 4)
-    assert invariant_factors([2, 3]) == (6,)
-    assert invariant_factors([12, 60]) == (12, 60)
-    assert invariant_factors([2, 4, 8, 3, 9, 5]) == (2, 12, 360)
-    # large primes, which no order is split into
-    big = 10 ** 20 + 39
-    assert invariant_factors([big]) == (big,)
-    assert invariant_factors([big, 2 * big, big * big]) == (big, big, 2 * big * big)
-    assert invariant_factors([2 ** 61 - 1, 2 ** 89 - 1]) == ((2 ** 61 - 1) * (2 ** 89 - 1),)
-
-
-# orders built from these primes, small and large, so that the reference
-# below reads their factorisations off by division
-PRIMES = (2, 3, 5, 7, 1_000_000_000_039, 10 ** 20 + 39, 2 ** 61 - 1)
-
-built_orders = st.lists(
-    st.lists(st.integers(0, 3), min_size=len(PRIMES), max_size=len(PRIMES))
-    .map(lambda exps: prod(p ** e for p, e in zip(PRIMES, exps)))
-    .filter(lambda t: t > 1),
-    max_size=8)
-
-
-def prime_factor_invariant_factors(orders):
-    # reference: split every order into prime powers, then the k-th largest
-    # factor takes the k-th largest power of each prime
-    factors = [1] * len(orders)
-    for p in PRIMES:
-        powers = []
-        for t in orders:
-            power = 1
-            while t % (power * p) == 0:
-                power *= p
-            powers.append(power)
-        for k, power in enumerate(sorted(powers, reverse=True)):
-            factors[k] *= power
-    return tuple(f for f in reversed(factors) if f > 1)
-
-
-@given(built_orders)
-def test_invariant_factors_match_the_prime_factor_reference(orders):
-    assert invariant_factors(orders) == prime_factor_invariant_factors(orders)
-
-
-@given(orders_lists)
-def test_normalization_is_idempotent(orders):
-    factors = invariant_factors(orders)
-    assert invariant_factors(factors) == factors
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0
 
 
 def test_constructor_validates_invariant_factors():
@@ -84,12 +27,6 @@ def test_constructor_validates_invariant_factors():
         FgAbGroup(0, (1,))
     with pytest.raises(ValueError):
         FgAbGroup(-1)
-
-
-def test_from_orders_folds_free_and_trivial_parts():
-    assert FgAbGroup.from_orders(1, (0, 1, 6)) == FgAbGroup(2, (6,))
-    assert FgAbGroup.from_orders(0, (0,)) == free_group(1)
-    assert FgAbGroup.from_orders(0, (1,)).is_zero
 
 
 def test_direct_sum_examples():
@@ -138,11 +75,9 @@ def test_graded_sum_is_the_degreewise_sum(groups):
     degrees = {k for g in groups for k, _ in g.entries}
     assert {k for k, _ in total.entries} == degrees
     for k in degrees:
-        # renormalised one summand at a time, where graded_sum pools first
-        want = FgAbGroup()
-        for g in groups:
-            rank, torsion = g.at(k)
-            want = FgAbGroup.from_orders(want.rank + rank, want.torsion + torsion)
+        summands = [g.at(k) for g in groups]
+        want = FgAbGroup(sum(rank for rank, _ in summands),
+                         tuple(t for _, torsion in summands for t in torsion))
         assert total.at(k) == want
 
 
@@ -150,8 +85,23 @@ def test_graded_sum_pools_torsion():
     z3 = GradedGroup.from_dict({5: FgAbGroup(0, (3,))})
     assert graded_sum([]) == GradedGroup()
     assert graded_sum([z3] * 4).at(5) == FgAbGroup(0, (3, 3, 3, 3))
+    # a pool that is not already in invariant-factor form is refused, not normalized
     mixed = [z3, GradedGroup.from_dict({5: FgAbGroup(0, (2,)), 6: free_group(1)})]
-    assert graded_sum(mixed) == GradedGroup.from_dict({5: FgAbGroup(0, (6,)), 6: free_group(1)})
+    with pytest.raises(ValueError, match=r"invariant factors \(2, 3\) not ordered by divisibility"):
+        graded_sum(mixed)
+
+
+def test_torsion_is_copies_of_z_mod_d():
+    # the premise of graded_sum: every torsion order the cohomology layers
+    # build is d, and even n carries none; for odd n, the cone strata
+    # (order rho < m/d) and the intermediate divisors each carry a Z/d
+    for n in range(3, 10):
+        for d in range(2, 9):
+            for m in range(1, 41):
+                groups = [g for _, g in contact_cohomology(n, d, m).entries]
+                groups += [g for _, g in mclean_e1(n, d, m).entries]
+                orders = {t for g in groups for t in g.torsion}
+                assert orders == ({d} if n % 2 and m > d else set()), (n, d, m)
 
 
 def test_graded_group_rejects_stored_zero():

@@ -252,6 +252,21 @@ def test_depth_limit():
         count_contact_jets(QUADRIC, MAX_JET_DEPTH + 1, 3, budget=5000)
 
 
+def test_depth_limit_is_checked_before_the_strata_are_built(monkeypatch):
+    # the strata number m // d, so building them first would be O(m/d) work
+    import contactloci.oracle as oracle
+
+    def refuse(*args):
+        raise AssertionError("graded_pieces called before the depth check")
+
+    monkeypatch.setattr(oracle, "graded_pieces", refuse)
+    with pytest.raises(BudgetExceededError, match="depth m - d \\+ 1 = 9999999 "):
+        count_contact_jets(QUADRIC, 10 ** 7, 3)
+    # an input outside the domain is still a ValueError, not a budget error
+    with pytest.raises(ValueError, match="n must be >= 3"):
+        count_contact_jets(parse_poly("x0^2+x1^2"), 10 ** 7, 3)
+
+
 def test_prime_validation():
     with pytest.raises(ValueError):
         count_contact_jets(QUADRIC, 3, 9)

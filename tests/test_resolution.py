@@ -14,7 +14,6 @@ from contactloci.resolution import (
     adjacency,
     blowup_counts,
     build_minimal_resolution,
-    exceptional_m_divisor,
     exceptional_m_divisors,
     m_divisors,
     nef_fiber_identity,
@@ -124,10 +123,6 @@ def test_m_divisors_are_exactly_divisors_with_dividing_multiplicity():
 
 
 def test_m_divisor_index_range():
-    for i in (-3, 0, 1):
-        with pytest.raises(ValueError, match=r"outside \[-2, -1\]"):
-            exceptional_m_divisor(3, 2, 4, i)
-    assert exceptional_m_divisor(3, 2, 4, -2).pair == (0, 1)
     assert m_divisors(build_minimal_resolution(3, 2, 4)).entries[-1].divisor.pair == (1, 0)
 
 

@@ -113,10 +113,11 @@ def test_cover_homology_of_first_blowup_divisor():
 
 
 def test_cover_homology_index_validation():
-    with pytest.raises(ValueError):
-        cover_homology(3, 2, 0, 4)
-    with pytest.raises(ValueError):
-        cover_homology(3, 2, -3, 4)
+    for i in (-3, 0, 1):
+        with pytest.raises(ValueError, match=r"index -?\d+ outside \[-2, -1\]"):
+            cover_homology(3, 2, i, 4)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        cover_homology(3, 2, -1, 0)
 
 
 def test_cover_homology_independent_of_index_and_m():

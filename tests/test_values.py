@@ -38,7 +38,7 @@ from contactloci.surface import HypersurfaceData, hypersurface_data
 # the attributes that the fields determine)
 VALUES = {
     Domain: (lambda: Domain(3, 2, "a reason"), ("n_min", "d_min", "d_reason")),
-    FgAbGroup: (lambda: FgAbGroup.from_orders(2, [4, 2, 1]), ("rank", "torsion")),
+    FgAbGroup: (lambda: FgAbGroup(2, [2, 4]), ("rank", "torsion")),
     GradedGroup: (lambda: GradedGroup(((3, FgAbGroup(1)), (0, FgAbGroup(0, (2,))))),
                   ("entries",)),
     GradedPiece: (lambda: graded_pieces(3, 2, 4)[0],
@@ -49,7 +49,7 @@ VALUES = {
     ResolutionChain: (lambda: build_minimal_resolution(3, 2, 12), ("n", "d", "m", "divisors")),
     MDivisorList: (lambda: m_divisors(build_minimal_resolution(3, 2, 12)),
                    ("n", "d", "m", "entries")),
-    SpectralPage: (lambda: mclean_e1(3, 2, 6), ("kind", "n", "d", "m", "entries")),
+    SpectralPage: (lambda: mclean_e1(3, 2, 6), ("entries",)),
     ConditionReport: (lambda: condition_degeneration(3, 3, 9), ("violating_k", "holds")),
     PairClass: (lambda: classify_pair(3, 3),
                 ("degeneration_violations", "filtration_violations", "color")),
@@ -104,7 +104,7 @@ def test_constructors_normalise():
     assert g.entries == ((0, FgAbGroup(2)), (3, FgAbGroup(1)))
     assert MotivicClass((("S", 2, 1), ("Mh", 0, 1))).terms == (("Mh", 0, 1), ("S", 2, 1))
     assert SparseIntPoly(2, (((0, 2), 1), ((2, 0), 1))).terms == (((0, 2), 1), ((2, 0), 1))
-    page = SpectralPage("order", 3, 2, 4, (((-1, 5), FgAbGroup(1)), ((-2, 3), FgAbGroup(1))))
+    page = SpectralPage((((-1, 5), FgAbGroup(1)), ((-2, 3), FgAbGroup(1))))
     assert page.entries == (((-2, 3), FgAbGroup(1)), ((-1, 5), FgAbGroup(1)))
     assert GradedGroup().entries == () and FgAbGroup() == FgAbGroup(0, ())
 
