@@ -15,7 +15,6 @@ input rejected by the domain table exits before any layer is loaded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -64,6 +63,7 @@ def _write(args, payload: str) -> None:
 
 def _emit(args, doc: dict, text: str) -> int:
     if args.format == "json":
+        import json  # text output never loads it
         _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     else:
         _write(args, text)
@@ -283,6 +283,7 @@ def _load_poly(spec: str) -> SparseIntPoly:
     max_vars = CLI_MAX_DEGREES // 2
     spec = spec.strip()
     if spec.startswith("{"):
+        import json
         try:
             poly = SparseIntPoly.from_doc(json.loads(spec))
         except (KeyError, TypeError, OverflowError) as exc:

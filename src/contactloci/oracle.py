@@ -42,7 +42,9 @@ def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:
     """Scalings and scaled transpositions g(x)_i = scale[i] * x[perm[i]], as
     (perm, scale), with f(g(x)) = f(x) term by term mod p.  One transposition
     per pair: the scalings give the rest for diagonal f, and a subgroup only
-    refines the orbits."""
+    refines the orbits.  One scaling per coordinate: with 1, the accepted
+    scalings of a coordinate form a subgroup of the cyclic group F_p^*, and
+    the one of maximal order generates it, so it gives the same orbits."""
     n = f.nvars
     reduced = {exps: c % p for exps, c in f.terms if c % p}
     found = []
@@ -52,6 +54,7 @@ def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:
         # scales are units mod p, so an image has f's support only if perm maps it
         if i > j or {tuple(exps[q] for q in perm) for exps in reduced} != reduced.keys():
             continue
+        accepted = []
         for c, c2 in product(range(1, p), repeat=2):
             if i < j or c2 == 1 < c:
                 scale = [1] * n
@@ -59,9 +62,14 @@ def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:
                 if all(reduced[tuple(exps[q] for q in perm)]
                        == c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
                        for exps, c0 in reduced.items()):
-                    found.append((perm, scale))
+                    accepted.append((perm, scale))
                     if i < j:
                         break
+        if i == j and accepted:
+            order = len(accepted) + 1  # of the subgroup, which a generator's powers fill
+            accepted = [next(g for g in accepted
+                             if len({pow(g[1][i], e, p) for e in range(order)}) == order)]
+        found += accepted
     return found
 
 

@@ -123,13 +123,18 @@ def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
 class ResolutionChain(Value):
     """The divisor chain of the minimal m-separating resolution, left to right
     from (0, 1) to (1, 0).  Iteration and len run over the divisors; a fifth
-    item maps each pair to its position.
+    item maps each pair to its position.  An endpoint pair maps to its own end
+    even where a hand-made chain holds it elsewhere, so that _flanks refuses
+    it as an endpoint.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, m: int, divisors: tuple[Divisor, ...]) -> "ResolutionChain":
         index = dict(zip(map(itemgetter(0), divisors), range(len(divisors))))
+        for pair, end in ((PAIR_FIRST, 0), (PAIR_STRICT, len(divisors) - 1)):
+            if pair in index:
+                index[pair] = end
         return tuple.__new__(cls, (n, d, m, divisors, index))
 
     n = property(itemgetter(0))
@@ -221,14 +226,15 @@ def verify_minimality(chain: ResolutionChain) -> bool:
 
 def _flanks(chain: ResolutionChain, pair: CoprimePair) -> tuple[Divisor, Divisor, Divisor]:
     # An intermediate divisor between its left and right chain neighbours,
-    # found by one index lookup.
-    if pair in _ENDPOINT_KINDS:
-        raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
+    # found by one index lookup.  The index puts an endpoint pair at an end
+    # of the chain, so the endpoint test runs only off the success path.
     idx = chain[4].get(pair)  # the pair index
-    if idx is None:
-        raise ValueError(f"pair {pair} is not a divisor of this chain")
     divs = chain[3]  # the divisors
-    if not 0 < idx < len(divs) - 1:
+    if idx is None or not 0 < idx < len(divs) - 1:
+        if pair in _ENDPOINT_KINDS:
+            raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
+        if idx is None:
+            raise ValueError(f"pair {pair} is not a divisor of this chain")
         side = "left" if idx == 0 else "right"
         raise ValueError(f"{pair} has no {side} neighbour in this chain")
     return divs[idx - 1], divs[idx], divs[idx + 1]
@@ -246,13 +252,15 @@ def adjacency(chain: ResolutionChain, pair: CoprimePair) -> tuple[CoprimePair, C
 def _counts(pair: CoprimePair, left: CoprimePair, right: CoprimePair) -> tuple[int, int]:
     kappa, r = pair
     low, high = parents_from_cf(kappa, r)
-    dk, dr = left[0] - low[0], left[1] - low[1]
+    # the r entries give the same integral count exactly when they differ by
+    # that count times r
+    dk = left[0] - low[0]
     n_left = dk // kappa
-    if dk % kappa or dr % r or n_left != dr // r:
+    if dk % kappa or left[1] - low[1] != n_left * r:
         raise AssertionError(f"non-integral blow-up count at {pair}")
-    dk, dr = right[0] - high[0], right[1] - high[1]
+    dk = right[0] - high[0]
     n_right = dk // kappa
-    if dk % kappa or dr % r or n_right != dr // r:
+    if dk % kappa or right[1] - high[1] != n_right * r:
         raise AssertionError(f"non-integral blow-up count at {pair}")
     if n_left < 0 or n_right < 0:
         raise AssertionError(f"negative blow-up count at {pair}")

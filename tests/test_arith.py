@@ -1,15 +1,19 @@
 from math import gcd as math_gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from contactloci.arith import parents_from_cf
 
-coprime_pairs = st.builds(
-    lambda a, b: (a // math_gcd(a, b), b // math_gcd(a, b)),
-    st.integers(min_value=1, max_value=500),
-    st.integers(min_value=1, max_value=500),
-)
+def reduced(a, b):
+    g = math_gcd(a, b)
+    return a // g, b // g
+
+
+coprime_pairs = st.builds(reduced, st.integers(min_value=1, max_value=500),
+                          st.integers(min_value=1, max_value=500))
+large_coprime_pairs = st.builds(reduced, st.integers(min_value=1, max_value=10 ** 18),
+                                st.integers(min_value=1, max_value=10 ** 18))
 
 
 def test_parents_examples():
@@ -67,3 +71,29 @@ def test_parents_match_stern_brocot_descent():
                 assert parents_from_cf(kappa, r) == stern_brocot_parents(kappa, r), (kappa, r)
                 checked += 1
     assert checked == 13_715
+
+
+def convergent_parents(kappa, r):
+    # Truncate the continued fraction of kappa / r: one Euclidean pass runs
+    # the convergent recurrence h_i = q_i h_(i-1) + h_(i-2); the truncated
+    # expansion is the next-to-last convergent, and the one with its last
+    # quotient decremented is (q_k - 1) h_(k-1) + h_(k-2).
+    h2, k2, h1, k1 = 0, 1, 1, 0
+    a, b = kappa, r
+    q = a // b
+    while a != q * b:
+        a, b = b, a - q * b
+        h2, k2, h1, k1 = h1, k1, q * h1 + h2, q * k1 + k2
+        q = a // b
+    assert b == 1, "not a coprime pair"
+    h, k = (q - 1) * h1 + h2, (q - 1) * k1 + k2
+    assert (h1 + h, k1 + k) == (kappa, r)
+    return ((h, k), (h1, k1)) if h * k1 < h1 * k else ((h1, k1), (h, k))
+
+
+# consecutive Fibonacci numbers have the longest expansions for their size
+@example((679891637638612258, 420196140727489673))
+@example((420196140727489673, 679891637638612258))
+@given(large_coprime_pairs)
+def test_parents_match_the_convergent_recurrence(pair):
+    assert parents_from_cf(*pair) == convergent_parents(*pair)

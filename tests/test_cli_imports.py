@@ -1,5 +1,6 @@
 """Each command-line process loads only the layers its subcommand runs, and
 none of them loads ``dataclasses`` or the ``inspect`` module it imports.
+Only JSON output loads ``json``.
 
 Every case runs in a fresh interpreter, since the test process has loaded
 the whole package already.
@@ -9,14 +10,17 @@ import json
 
 import pytest
 
+# json is imported after the snapshot of sys.modules, to print the result
 PROBE = """
-import io, json, sys
+import io, sys
 from contextlib import redirect_stderr, redirect_stdout
 from contactloci.cli import main
 with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-layers = sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith("contactloci."))
-print(json.dumps([code, layers, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+loaded = set(sys.modules)
+import json
+layers = sorted(name.split(".", 1)[1] for name in loaded if name.startswith("contactloci."))
+print(json.dumps([code, layers, sorted({"dataclasses", "inspect"} & loaded), "json" in loaded]))
 """
 
 ENTRY = {"cli", "domain"}
@@ -52,7 +56,14 @@ def test_import_loads_no_layer(fresh_python):
 @pytest.mark.parametrize("argv", list(ALLOWED), ids=" ".join)
 def test_subcommand_loads_only_its_layers(argv, fresh_python):
     want_code, allowed = ALLOWED[argv]
-    code, layers, slow_imports = json.loads(fresh_python(PROBE, *argv))
+    code, layers, slow_imports, _ = json.loads(fresh_python(PROBE, *argv))
     assert code == want_code
     assert set(layers) <= allowed, sorted(set(layers) - allowed)
     assert slow_imports == []
+
+
+@pytest.mark.parametrize("fmt,loads_json", [("text", False), ("json", True)])
+def test_only_json_output_loads_json(fmt, loads_json, fresh_python):
+    argv = ("resolve", "--n", "3", "--d", "2", "--m", "4", "--format", fmt)
+    code, _, _, json_loaded = json.loads(fresh_python(PROBE, *argv))
+    assert (code, json_loaded) == (0, loads_json)

@@ -23,6 +23,7 @@ from contactloci.oracle import (
 QUADRIC = parse_poly("x0^2+x1^2+x2^2")
 CUBIC = parse_poly("x0^3+x1^3+x2^3")
 QUARTIC = parse_poly("x0^4+x1^4+x2^4")
+SEXTIC = parse_poly("x0^6+x1^6+x2^6")
 PERTURBED = parse_poly("x0^2+x1^2+x2^2+x0^3")
 QUATERNARY = parse_poly("x0^2+x1^2+x2^2+x3^2")
 LOWSYM = parse_poly("x0^2+x1^2+x2^2+x0^3+2*x1^3")
@@ -407,10 +408,44 @@ def unfiltered_symmetries(f, p):
     return found
 
 
+def one_scaling_per_coordinate(gens, p):
+    # each coordinate's scalings replaced, in the place of its first one, by
+    # the first of them whose powers cover them all
+    def coordinate(scale):
+        return next(k for k, c in enumerate(scale) if c != 1)
+
+    scalings = {}
+    for perm, scale in gens:
+        if perm == sorted(perm):
+            scalings.setdefault(coordinate(scale), []).append(scale)
+    kept = []
+    for perm, scale in gens:
+        if perm != sorted(perm):
+            kept.append((perm, scale))
+        elif (i := coordinate(scale)) in scalings:
+            values = {g[i] for g in scalings[i]}
+            kept.append((perm, next(g for g in scalings.pop(i)
+                                    if values <= {pow(g[i], e, p) for e in range(p)})))
+    return kept
+
+
 @pytest.mark.parametrize("poly,p", SYMMETRY_CASES)
 def test_symmetries_match_the_unfiltered_search(poly, p):
-    # same generators in the same order, so the orbits and charges cannot move
-    assert _symmetries(poly, p) == unfiltered_symmetries(poly, p)
+    # the support filter loses no generator: the same list, in the same
+    # order, as the unfiltered search reduced to one scaling per coordinate
+    assert _symmetries(poly, p) == one_scaling_per_coordinate(unfiltered_symmetries(poly, p), p)
+
+
+@pytest.mark.parametrize("poly,p", [(poly, p) for poly in (QUADRIC, CUBIC, LOWSYM)
+                                    for p in (5, 7, 13)]
+                         # some accepted scalings do not generate: 4 mod 5 and
+                         # 12 mod 13 for the quartic, 2 mod 7 for the sextic
+                         + [(QUARTIC, 5), (QUARTIC, 13), (SEXTIC, 7)])
+def test_one_scaling_per_coordinate_keeps_the_orbits(poly, p):
+    # every accepted scaling, as the search kept them before, against the
+    # one of maximal order per coordinate
+    every_scaling = unfiltered_symmetries(poly, p)
+    assert _orbits(_symmetries(poly, p), poly.nvars, p) == _orbits(every_scaling, poly.nvars, p)
 
 
 @pytest.mark.parametrize("poly,p", [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7),

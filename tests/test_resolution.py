@@ -214,6 +214,10 @@ def test_divisor_validation():
         "intermediate", "strict_transform", "first_exceptional"]
 
 
+BUILT_3_2_4 = [(0, 1), (1, 1), (2, 1), (1, 0)]
+READERS = (adjacency, blowup_counts, nef_fiber_identity)
+
+
 def chain_of(pairs, n=3, d=2, m=4):
     return ResolutionChain(n, d, m, tuple(Divisor.for_params(CoprimePair(*p), n, d)
                                           for p in pairs))
@@ -248,8 +252,24 @@ def test_verify_minimality_rejects_non_separating_chain():
 ])
 def test_flanks_refuse_a_missing_neighbour(pairs, pair, side):
     chain = chain_of(pairs)
-    for reader in (adjacency, blowup_counts, nef_fiber_identity):
-        with pytest.raises(ValueError, match=f"no {side} neighbour"):
+    for reader in READERS:
+        with pytest.raises(ValueError, match=f"has no {side} neighbour in this chain"):
+            reader(chain, CoprimePair(*pair))
+
+
+@pytest.mark.parametrize("pairs,pair,message", [
+    (BUILT_3_2_4, (0, 1), r"\(0,1\) is a chain endpoint, adjacency is undefined"),
+    (BUILT_3_2_4, (1, 0), r"\(1,0\) is a chain endpoint, adjacency is undefined"),
+    (BUILT_3_2_4, (3, 1), r"pair \(3,1\) is not a divisor of this chain"),
+    # an endpoint pair is refused as such wherever a hand-made chain holds it
+    ([(1, 1), (2, 1), (1, 0)], (0, 1), "chain endpoint"),
+    ([(1, 1), (0, 1), (2, 1), (1, 0)], (0, 1), "chain endpoint"),
+    ([(0, 1), (1, 0), (1, 1), (2, 1)], (1, 0), "chain endpoint"),
+])
+def test_flanks_messages(pairs, pair, message):
+    chain = chain_of(pairs)
+    for reader in READERS:
+        with pytest.raises(ValueError, match=message):
             reader(chain, CoprimePair(*pair))
 
 
@@ -262,6 +282,12 @@ def test_flanks_refuse_a_missing_neighbour(pairs, pair, side):
     ([(0, 1), (2, 1), (1, 0)], (2, 1)),
     # left neighbour (4, 3) of (2, 1): (4 - 1) / 2 is not integral
     ([(0, 1), (4, 3), (2, 1), (1, 0)], (2, 1)),
+    # left neighbour (4, 1) of (3, 1): (4 - 2) / 3 is not integral, though
+    # its floor 0 agrees with (1 - 1) / 1
+    ([(0, 1), (4, 1), (3, 1), (1, 0)], (3, 1)),
+    # left neighbour (1, 4) of (1, 2): (4 - 1) / 2 is not integral, though
+    # its floor 1 agrees with (1 - 0) / 1
+    ([(0, 1), (1, 4), (1, 2), (1, 1), (1, 0)], (1, 2)),
 ])
 def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
     chain = chain_of(pairs)
@@ -269,6 +295,7 @@ def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
         blowup_counts(chain, CoprimePair(*pair))
     with pytest.raises(AssertionError, match="blow-up count"):
         nef_fiber_identity(chain, CoprimePair(*pair))
+    assert blowup_counts(chain_of(BUILT_3_2_4), CoprimePair(1, 1)) == (0, 1)
 
 
 @pytest.mark.parametrize("divisors,message", [
