@@ -1,9 +1,11 @@
 """Exact invariants of contact loci of semihomogeneous hypersurface
 singularities, from the three integers (n, d, m).
 
-Importing the package loads none of its layers.  The first access to any
-exported name imports the layers and binds every exported name into this
-namespace (PEP 562), so from then on each is a plain module global.
+Importing the package loads none of its layers.  The first access to an
+exported name imports the one layer that owns it and binds that layer's
+exported names into this namespace (PEP 562), so from then on each is a
+plain module global.  The other layers stay unloaded until a caller names
+one of theirs.
 """
 
 from importlib import import_module
@@ -11,7 +13,6 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _LAYERS = {
-    "arith": ("parents_from_cf",),
     "contact": (
         "GradedPiece",
         "MotivicClass",
@@ -41,6 +42,7 @@ _LAYERS = {
         "build_minimal_resolution",
         "m_divisors",
         "nef_fiber_identity",
+        "parents_from_cf",
         "verify_minimality",
     ),
     "spectral": (
@@ -71,14 +73,14 @@ __all__ = sorted(name for names in _LAYERS.values() for name in names)
 
 
 def __getattr__(name: str):
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    namespace = globals()
     for layer, names in _LAYERS.items():
-        module = import_module("." + layer, __name__)
-        for export in names:
-            namespace[export] = getattr(module, export)
-    return namespace[name]
+        if name in names:
+            module = import_module("." + layer, __name__)
+            namespace = globals()
+            for export in names:
+                namespace[export] = getattr(module, export)
+            return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

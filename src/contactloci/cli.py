@@ -256,12 +256,12 @@ def _scatter_svg(rows, n_max: int, d_max: int) -> str:
 
 
 def cmd_scatter(args) -> int:
-    from .spectral import scatter_grid
-
     n0, d0 = COHOMOLOGY.n_min, COHOMOLOGY.d_min
     for name, low, value in (("nmax", n0, args.nmax), ("dmax", d0, args.dmax)):
         if not low <= value <= SCATTER_MAX:
             raise ValueError(f"{name} must lie in [{low}, {SCATTER_MAX}]")
+    from .spectral import scatter_grid
+
     rows = scatter_grid(range(n0, args.nmax + 1), range(d0, args.dmax + 1))
     if args.format == "svg":
         _write(args, _scatter_svg(rows, args.nmax, args.dmax))

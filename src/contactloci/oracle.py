@@ -23,7 +23,7 @@ from .domain import (
     NonIsolatedSingularityError,
     NonSmoothReductionError,
 )
-from .poly import SparseIntPoly, parse_poly  # also read from here by callers of the oracle
+from .poly import SparseIntPoly
 
 # The search recurses once per level, and a node's tables read its ancestors'
 # tables, so a deep search would outrun Python's recursion limit (about 240

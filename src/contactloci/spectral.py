@@ -15,12 +15,14 @@ iterate is determined by the contact cohomology.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .contact import contact_cohomology, contact_euler, graded_pieces, piece_compact_cohomology
 from .domain import COHOMOLOGY, Value
-from .groups import FgAbGroup, GradedGroup
 from .surface import cover_homology, milnor_fiber_euler
+
+if TYPE_CHECKING:
+    from .groups import FgAbGroup, GradedGroup
 
 COLOR_BLUE = "blue"
 COLOR_ORANGE = "orange"

@@ -8,12 +8,17 @@ pytest -s or in the failure report).
 import time
 from itertools import product
 
-from contactloci.arith import parents_from_cf
 from contactloci.contact import contact_cohomology, contact_euler, graded_pieces
 from contactloci.groups import FgAbGroup, GradedGroup, free_group
 from contactloci.nash import valuation_report
-from contactloci.oracle import count_contact_jets, milnor_number_oracle, parse_poly
-from contactloci.resolution import build_minimal_resolution, nef_fiber_identity, verify_minimality
+from contactloci.oracle import count_contact_jets, milnor_number_oracle
+from contactloci.poly import parse_poly
+from contactloci.resolution import (
+    build_minimal_resolution,
+    nef_fiber_identity,
+    parents_from_cf,
+    verify_minimality,
+)
 from contactloci.spectral import (
     classify_pair,
     compare_pages,

@@ -3,7 +3,7 @@ from math import gcd as math_gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from contactloci.arith import parents_from_cf
+from contactloci.resolution import parents_from_cf
 
 def reduced(a, b):
     g = math_gcd(a, b)

@@ -24,7 +24,7 @@ print(json.dumps([code, layers, sorted({"dataclasses", "inspect"} & loaded), "js
 """
 
 ENTRY = {"cli", "domain"}
-CHAIN = ENTRY | {"arith", "resolution"}
+CHAIN = ENTRY | {"resolution"}
 COHOMOLOGY = ENTRY | {"groups", "surface", "contact"}
 SPECTRAL = COHOMOLOGY | {"spectral"}
 
@@ -44,6 +44,7 @@ ALLOWED = {
     ("floer", "--n", "3", "--d", "3", "--m", "60003"): (3, ENTRY),
     ("euler", "--n", "3000", "--d", "3000", "--m", "3000"): (3, ENTRY),
     ("resolve", "--bogus"): (2, ENTRY),
+    ("scatter", "--nmax", "201", "--dmax", "10"): (2, ENTRY),
 }
 
 

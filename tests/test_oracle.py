@@ -10,15 +10,14 @@ from contactloci.oracle import (
     JetCountReport,
     NonIsolatedSingularityError,
     NonSmoothReductionError,
-    SparseIntPoly,
     _orbits,
     _symmetries,
     count_base,
     count_contact_jets,
     milnor_number_oracle,
-    parse_poly,
     singular_point_mod_p,
 )
+from contactloci.poly import SparseIntPoly, parse_poly
 
 QUADRIC = parse_poly("x0^2+x1^2+x2^2")
 CUBIC = parse_poly("x0^3+x1^3+x2^3")

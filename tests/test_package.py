@@ -1,7 +1,8 @@
-"""The package namespace: 47 names, resolved on first use and then bound as
-plain globals."""
+"""The package namespace: 47 names, each resolved on first use by loading the
+one layer that owns it, and then bound as a plain global."""
 
 import importlib
+import json
 
 import pytest
 
@@ -22,8 +23,23 @@ EXPORTED = [
     "verify_minimality",
 ]
 
-LAYERS = ("arith", "contact", "groups", "nash", "oracle", "poly", "resolution", "spectral",
-          "surface")
+LAYERS = ("contact", "groups", "nash", "oracle", "poly", "resolution", "spectral", "surface")
+
+# Runs the statement in argv[1] in a fresh interpreter, then prints the
+# contactloci submodules it loaded and the exported names the package bound.
+PROBE = """
+import sys
+import contactloci as cl
+exec(sys.argv[1], {"cl": cl})
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("contactloci."))
+bound = sorted(n for n in cl.__all__ if n in vars(cl))
+import json
+print(json.dumps([loaded, bound]))
+"""
+
+
+def first_access(fresh_python, statement):
+    return json.loads(fresh_python(PROBE, statement))
 
 
 def test_all_is_unchanged():
@@ -55,12 +71,28 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(contactloci, "no_such_name")
 
 
-def test_first_access_binds_every_name(fresh_python):
-    # In a fresh interpreter: nothing is bound before the first access, and
-    # everything is afterwards, so later lookups never reach __getattr__.
-    out = fresh_python("import contactloci as cl; "
-                       "before = [n for n in cl.__all__ if n in vars(cl)]; "
-                       "cl.nef_fiber_identity; "
-                       "after = [n for n in cl.__all__ if n not in vars(cl)]; "
-                       "print(before, after)")
-    assert out.strip() == "[] []"
+def test_first_access_loads_only_the_owning_layer(fresh_python):
+    loaded, bound = first_access(fresh_python, "cl.parse_poly")
+    assert loaded == ["domain", "poly"]
+    assert bound == ["SparseIntPoly", "parse_poly"]
+
+
+def test_oracle_access_loads_no_chain_layer(fresh_python):
+    loaded, bound = first_access(fresh_python, "cl.count_contact_jets")
+    assert "oracle" in loaded
+    assert not {"resolution", "spectral", "nash"} & set(loaded)
+    assert bound == ["JetCountReport", "count_base", "count_contact_jets",
+                     "milnor_number_oracle"]
+
+
+def test_first_access_binds_the_whole_layer(fresh_python):
+    loaded, bound = first_access(fresh_python, "cl.nef_fiber_identity")
+    assert loaded == ["domain", "resolution"]
+    assert "parents_from_cf" in bound
+    assert bound == sorted(contactloci._LAYERS["resolution"])
+
+
+def test_star_import_binds_every_name(fresh_python):
+    loaded, bound = first_access(fresh_python, "from contactloci import *")
+    assert bound == EXPORTED
+    assert set(LAYERS) <= set(loaded)

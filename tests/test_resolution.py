@@ -5,7 +5,6 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from contactloci.arith import parents_from_cf
 from contactloci.resolution import (
     CoprimePair,
     Divisor,
@@ -17,6 +16,7 @@ from contactloci.resolution import (
     exceptional_m_divisors,
     m_divisors,
     nef_fiber_identity,
+    parents_from_cf,
     verify_minimality,
 )
 

@@ -15,7 +15,8 @@ from contactloci.contact import GradedPiece, MotivicClass, contact_class, graded
 from contactloci.domain import Domain
 from contactloci.groups import FgAbGroup, GradedGroup
 from contactloci.nash import ValuationReport, valuation_report
-from contactloci.oracle import JetCountReport, SparseIntPoly, count_contact_jets, parse_poly
+from contactloci.oracle import JetCountReport, count_contact_jets
+from contactloci.poly import SparseIntPoly, parse_poly
 from contactloci.resolution import (
     CoprimePair,
     Divisor,
