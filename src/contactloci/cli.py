@@ -5,8 +5,9 @@ Default output is human-readable text; --format json is the stable machine
 interface and the scatter command also emits CSV or a dependency-free SVG.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input (outside the
-domain table), 3 budget exceeded (the oracle's budget, or a work cap of the
-domain table checked before any work starts).
+domain table), 3 budget exceeded (the oracle's budget, a work cap of the
+domain table checked before any work starts, or an integer too long to print
+in a finished document, checked before anything is printed).
 
 Each handler imports the layers it runs, so a process loads only those: an
 input rejected by the domain table exits before any layer is loaded.
@@ -15,6 +16,7 @@ input rejected by the domain table exits before any layer is loaded.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -23,6 +25,7 @@ from .domain import (
     CLI_MAX_DEGREES,
     CLI_MAX_DIGITS,
     CLI_MAX_DIVISORS,
+    CLI_MAX_MILNOR_BITS,
     CLI_MAX_STRATA,
     COHOMOLOGY,
     DEFAULT_BUDGET,
@@ -61,6 +64,19 @@ def _write(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
+def _check_output(doc) -> None:
+    """Refuse a document that holds an integer Python would not print, one of
+    more than CLI_MAX_DIGITS digits; text prints only what the document holds."""
+    limit, stack = 10 ** CLI_MAX_DIGITS, [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list)):
+            stack.extend(item.values() if isinstance(item, dict) else item)
+        elif isinstance(item, int) and abs(item) >= limit:
+            raise BudgetExceededError(f"output: an integer of more than {CLI_MAX_DIGITS} "
+                                      "digits is over the command-line cap")
+
+
 def _emit(args, doc: dict, text: str) -> int:
     if args.format == "json":
         import json  # text output never loads it
@@ -86,6 +102,7 @@ def cmd_resolve(args) -> int:
     mlist = m_divisors(chain)
     doc = chain.to_doc()
     doc["m_divisors"] = mlist.to_doc()
+    _check_output(doc)
     lines = [f"minimal {args.m}-separating resolution for n={args.n}, d={args.d}, m={args.m}",
              "chain (left to right):",
              "  kappa  r      N     nu  kind"]
@@ -125,6 +142,7 @@ def cmd_cohomology(args) -> int:
         "dimension": contact_dimension(n, d, m),
         "motivic_class": cls.to_doc(),
     }
+    _check_output(doc)
     lines = [f"compactly supported cohomology of the contact locus, n={n}, d={d}, m={m}"]
     if not pieces:
         lines.append("empty locus: m < d")
@@ -159,6 +177,7 @@ def cmd_floer(args) -> int:
         "shift": comparison_shift(n, m),
         "floer": None if profile is None else profile.to_doc(),
     }
+    _check_output(doc)
     lines = [f"fixed-point Floer cohomology of the iterate m={m}, n={n}, d={d}",
              f"degeneration condition: {'holds' if deg.holds else 'fails at k = ' + str(list(deg.violating_k))}",
              f"filtration condition:   {'holds' if filt.holds else 'fails at k = ' + str(list(filt.violating_k))}"]
@@ -174,6 +193,7 @@ def cmd_nash(args) -> int:
 
     report = valuation_report(args.n, args.d, args.m)
     doc = report.to_doc()
+    _check_output(doc)
     dlt, contact, essential = report.counts()
     lines = [f"m-valuations for n={args.n}, d={args.d}, m={args.m}",
              f"counts: dlt={dlt}, contact={contact}, essential={essential}"]
@@ -203,6 +223,7 @@ def cmd_euler(args) -> int:
     closed = lefschetz_closed_form(n, d, m)
     match = chi == closed
     doc = {"n": n, "d": d, "m": m, "chi": chi, "lefschetz": closed, "match": match}
+    _check_output(doc)
     text = (f"chi_c(X_m) = {chi}\n"
             f"Lefschetz number of the m-th iterate = {closed}\n"
             f"match: {'yes' if match else 'NO'}\n")
@@ -274,10 +295,11 @@ def cmd_scatter(args) -> int:
     return _emit(args, doc, "   n    d  class\n" + "\n".join(text_lines) + "\n")
 
 
-def _load_poly(spec: str) -> SparseIntPoly:
-    """The polynomial of verify --f.  It may have as many variables as the n
-    that cohomology, floer and euler accept; the inline grammar's largest
-    index is checked before any exponent vector is built."""
+def _load_poly(spec: str, budget: Optional[int]) -> SparseIntPoly:
+    """The polynomial of verify --f, in at most as many variables as the n that
+    cohomology accepts.  Before the inline grammar builds an exponent vector,
+    its largest index is checked against that cap and against the oracle's
+    first charge, 2 * p^n >= 2^(n+1) candidates: over any budget of n bits."""
     from .poly import TERM_RE, SparseIntPoly, parse_poly
 
     max_vars = CLI_MAX_DEGREES // 2
@@ -290,16 +312,22 @@ def _load_poly(spec: str) -> SparseIntPoly:
             raise ValueError(f"malformed polynomial document: {exc!r}") from None
         _check_cap("variables", poly.nvars, max_vars)
         return poly
-    _check_cap("variables", 1 + max((int(term[2]) for term in TERM_RE.finditer(spec)),
-                                    default=-1), max_vars)
+    nvars = 1 + max((int(term[2]) for term in TERM_RE.finditer(spec)), default=-1)
+    _check_cap("variables", nvars, max_vars)
+    if budget is not None and nvars >= budget.bit_length():
+        raise BudgetExceededError(f"enumeration budget exceeded (more than {budget} candidates)")
     return parse_poly(spec)
 
 
 def cmd_verify(args) -> int:
-    poly = _load_poly(args.f)
+    for flag, text in (("--f", args.f), ("--primes", args.primes)):
+        if re.search(rf"\d{{{CLI_MAX_DIGITS + 1}}}", text):  # Python reads no such int
+            raise ValueError(f"{flag} holds an integer of more than {CLI_MAX_DIGITS} digits")
     primes = [int(chunk) for chunk in args.primes.split(",") if chunk.strip()]
     if not primes:
         raise ValueError("no primes given")
+    # the oracle refuses a negative budget and a first prime below 2 before any charge
+    poly = _load_poly(args.f, args.budget if args.budget >= 0 and primes[0] > 1 else None)
     _check_size("verify", COHOMOLOGY, poly.nvars, poly.min_total_degree(), args.m)
     from .oracle import count_contact_jets  # only once the input is known to be valid
 
@@ -336,25 +364,6 @@ def _add_ndm(sub, domain) -> None:
     sub.set_defaults(domain=domain)
 
 
-def _largest_output(command: str, n: int, d: int, m: int) -> int:
-    """A bound, within m // d + 2, on the integers cohomology, floer and euler
-    print: rank M = (d-1)^n for the Milnor fiber stratum (d | m), at most
-    M // d + 1 for a cone stratum, all strata summed in one degree when
-    d = n, else one rank-one group more; euler prints 1 -+ M or 0.  M is not
-    formed when its bit length alone puts M / d over 2^(4 * CLI_MAX_DIGITS)."""
-    q, fiber = m // d, m % d == 0
-    if not q or command == "euler" and not fiber:
-        return 0
-    if (n - 1) * ((d - 1).bit_length() - 1) > 4 * CLI_MAX_DIGITS + 1:
-        return 10 ** CLI_MAX_DIGITS
-    milnor, cones = (d - 1) ** n, q - fiber
-    if command == "euler":
-        return milnor + 1
-    if d == n:
-        return cones * (milnor // d + 1) + fiber * milnor + 2
-    return max(cones and milnor // d + 1, fiber * milnor) + 2
-
-
 def _check_cap(what: str, size: int, cap: int) -> None:
     if size > cap:
         shown = size if size < 10 ** CLI_MAX_DIGITS else "a number too long to print"
@@ -368,20 +377,12 @@ def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     q = m // d
     divisors = q * m - d * q * (q + 1) // 2 if command == "resolve" else 0
     degrees = 2 * n if command in ("cohomology", "floer", "euler") else 0
+    milnor_bits = n * (d - 1).bit_length() if degrees and m >= d else 0
     for what, size, cap in (("strata", q, CLI_MAX_STRATA),
                             ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS),
-                            ("degrees of S (2n)", degrees, CLI_MAX_DEGREES)):
+                            ("degrees of S (2n)", degrees, CLI_MAX_DEGREES),
+                            ("bits of (d-1)^n (upper bound)", milnor_bits, CLI_MAX_MILNOR_BITS)):
         _check_cap(what, size, cap)
-    if command in ("cohomology", "floer", "euler") \
-            and _largest_output(command, n, d, m) >= 10 ** CLI_MAX_DIGITS:
-        if command == "floer":  # prints no rank where the theorem does not apply
-            from .spectral import condition_degeneration, condition_filtration
-
-            if not (condition_degeneration(n, d, m).holds
-                    and condition_filtration(n, d, m).holds):
-                return
-        raise BudgetExceededError(f"output: an integer of more than {CLI_MAX_DIGITS} digits "
-                                  "is over the command-line cap")
 
 
 def _add_output(sub, choices=("text", "json")) -> None:

@@ -20,10 +20,12 @@ SCATTER_MAX = 200  # largest nmax and dmax of the scatter grid
 # kappa + r*d <= m, coprime or not, bound the chain length; m // d strata.
 CLI_MAX_DIVISORS = 250_000
 CLI_MAX_STRATA = 20_000
-# cohomology, floer and euler loop over the 2n degrees of S.
+# cohomology, floer and euler loop over the 2n degrees of S, and for m >= d
+# form the Milnor number (d-1)^n, of at most n * bitlength(d-1) bits.
 CLI_MAX_DEGREES = 20_000
-# Decimal digits of the largest integer cohomology, floer and euler may print:
-# Python's default limit on int-to-str conversion, which is left in place.
+CLI_MAX_MILNOR_BITS = 1_000_000
+# Digits of the largest integer an (n, d, m) subcommand may print: Python's
+# default limit on int-to-str conversion, which is left in place.
 CLI_MAX_DIGITS = 4300
 DEFAULT_BUDGET = 10_000_000  # candidate vectors one finite-field jet count may enumerate
 

@@ -110,35 +110,25 @@ class ConditionReport(Value):
         return {"holds": self.holds, "violating_k": list(self.violating_k)}
 
 
-def _k_range_max(d: int, m: int) -> int:
-    # integers k with 1 <= k < m/d
-    return (m - 1) // d
-
-
-def _deg_forbidden(n: int) -> frozenset[int]:
-    return frozenset({1, -1, n - 1, -(n - 1), n - 2, -(n - 2), 2 * n - 3, -(2 * n - 3)})
-
-
-def _filt_forbidden(n: int) -> frozenset[int]:
-    return frozenset({0, n - 2, -(n - 2), n - 1, -(n - 1)})
-
-
-def _scan(n: int, d: int, forbidden: frozenset[int], offset: int, k_max: int) -> tuple[int, ...]:
-    return tuple(k for k in range(1, k_max + 1) if 2 * k * (d - n) + offset in forbidden)
+def _violations(n: int, d: int, delta: int, k_max: int) -> tuple[int, ...]:
+    """The k in [1, k_max] at which |2k(d-n) + delta| lies in {1, n-2, n-1,
+    2n-3} (delta = 1, degeneration) or {0, n-2, n-1} (delta = 0, filtration)."""
+    forbidden = {n - 2, n - 1, *((1, 2 * n - 3) if delta else (0,))}
+    return tuple(k for k in range(1, k_max + 1) if abs(2 * k * (d - n) + delta) in forbidden)
 
 
 def condition_degeneration(n: int, d: int, m: int) -> ConditionReport:
     """Membership scan deciding degeneration of the fixed-point sequence:
     2k(d-n) + 1 must avoid {+-1, +-(n-1), +-(n-2), +-(2n-3)} for every
     integer k in [1, m/d)."""
-    return ConditionReport(_scan(n, d, _deg_forbidden(n), 1, _k_range_max(d, m)))
+    return ConditionReport(_violations(n, d, 1, (m - 1) // d))
 
 
 def condition_filtration(n: int, d: int, m: int) -> ConditionReport:
     """Membership scan deciding single-column support per total degree:
     2k(d-n) must avoid {0, +-(n-2), +-(n-1)} for every integer k in
     [1, m/d)."""
-    return ConditionReport(_scan(n, d, _filt_forbidden(n), 0, _k_range_max(d, m)))
+    return ConditionReport(_violations(n, d, 0, (m - 1) // d))
 
 
 def floer_cohomology(n: int, d: int, m: int) -> Optional[GradedGroup]:
@@ -187,8 +177,7 @@ def classify_pair(n: int, d: int) -> PairClass:
     both scans stop at default_k_bound."""
     COHOMOLOGY.check(n, d)
     k_bound = default_k_bound(n, d)
-    return PairClass(_scan(n, d, _deg_forbidden(n), 1, k_bound),
-                     _scan(n, d, _filt_forbidden(n), 0, k_bound))
+    return PairClass(_violations(n, d, 1, k_bound), _violations(n, d, 0, k_bound))
 
 
 def scatter_grid(n_range, d_range) -> list[tuple[int, int, PairClass]]:

@@ -334,7 +334,8 @@ def test_work_caps_stop_before_work(capsys, tmp_path):
 
 
 def test_output_cap_stops_before_work(capsys):
-    # integers over Python's 4300-digit str limit exit 3 before any work
+    # integers over Python's 4300-digit str limit exit 3 before anything is
+    # printed, after the capped work of at most a second
     for argv in (("euler", "--n", "3000", "--d", "3000", "--m", "3000"),
                  ("cohomology", "--n", "3000", "--d", "3000", "--m", "3000"),
                  ("floer", "--n", "3001", "--d", "3000", "--m", "3000"),
@@ -357,30 +358,66 @@ def test_output_cap_stops_before_work(capsys):
     assert len(str(27 ** 3000)) == 4295
 
 
-def _printed_ranks(command, doc):
-    if command == "euler":
-        return [doc["chi"], doc["lefschetz"]]
-    groups = (doc["floer"] or []) if command == "floer" else doc["total"] + [
-        row for piece in doc["pieces"] for row in piece["cohomology"]]
-    return [row["rank"] for row in groups] + [t for row in groups for t in row["torsion"]] + (
-        [doc["euler"]] if command == "cohomology" else [])
+NINES = "9" * 4300  # the longest integer Python prints, 10^4300 - 1
 
 
-def test_output_bound_is_tight(capsys):
-    # the closed-form bound on the printed ranks exceeds the largest by at
-    # most m // d + 2, so the cap refuses only what would not print
-    for command in ("cohomology", "floer", "euler"):
-        for n in range(3, 7):
-            for d in range(2, 8):
-                for m in range(1, 2 * d + 2):
-                    _, out, _ = run(capsys, command, "--n", str(n), "--d", str(d),
-                                    "--m", str(m), "--format", "json")
-                    doc = json.loads(out)
-                    largest = max(map(abs, _printed_ranks(command, doc)), default=0)
-                    slack = cli._largest_output(command, n, d, m) - largest
-                    # floer prints no rank where the theorem does not apply
-                    loose = command == "floer" and not doc["determined"]
-                    assert 0 <= slack and (loose or slack <= m // d + 2), (command, n, d, m)
+def test_output_cap_is_checked_on_the_document(capsys):
+    # 27^3004 has 4300 digits and 27^3005 has 4301
+    assert len(str(27 ** 3004)) == 4300
+    for n, want in (("3004", 0), ("3005", 3)):
+        code, out, err = run(capsys, "cohomology", "--n", n, "--d", "28", "--m", "28")
+        assert code == want and (out == "") == (want == 3), n
+    # a 4300-digit n prints, but nu = kappa + r*n and the codimensions of
+    # nash do not
+    for command in ("nash", "resolve"):
+        for fmt in ("text", "json"):
+            started = time.perf_counter()
+            code, out, err = run(capsys, command, "--n", NINES, "--d", "2", "--m", "4",
+                                 "--format", fmt)
+            assert time.perf_counter() - started < 1, (command, fmt)
+            assert code == 3 and out == "", (command, fmt)
+            assert err.startswith("error: output") and "set_int_max_str_digits" not in err
+
+
+def test_milnor_number_cap_stops_before_work(capsys):
+    # (d-1)^n has about 1.3 * 10^8 bits here, though euler prints chi = 0
+    started = time.perf_counter()
+    code, out, err = run(capsys, "euler", "--n", "10000", "--d", str(10 ** 4000),
+                         "--m", str(10 ** 4000 + 1))
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == "" and "(d-1)^n" in err and "cap of 1000000" in err
+
+
+def test_verify_refuses_a_first_charge_over_the_budget(capsys):
+    # 2 * 3^10000 candidates: refused from the largest index, before the
+    # parser builds 10^4 exponent vectors of length 10^4
+    squares = "+".join(f"x{j}^2" for j in range(10000))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--f", squares, "--m", "3", "--primes", "3")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == "" and "budget" in err
+    # 30 variables against a budget of 10, which has 4 bits; a negative
+    # budget and a first prime below 2 are still invalid input
+    squares = "+".join(f"x{j}^2" for j in range(30))
+    for primes, budget, want, message in (("3", "10", 3, "budget exceeded"),
+                                          ("1", "10", 2, "1 is not prime"),
+                                          ("3", "-1", 2, "budget must be >= 0")):
+        code, _, err = run(capsys, "verify", "--f", squares, "--m", "3", "--primes", primes,
+                           "--budget", budget)
+        assert code == want and message in err, (primes, budget)
+
+
+def test_over_long_input_integers_name_their_argument(capsys):
+    long = "1" * 4401
+    for flag, value in (("--f", f"x0^2+x1^2+{long}*x2^2"), ("--f", f"x0^2+x1^2+x2^{long}"),
+                        ("--f", f"x0^2+x1^2+x{long}^2"),
+                        ("--f", '{"n":3,"terms":[{"exps":[2,0,0],"coeff":%s}]}' % long),
+                        ("--primes", f"5,{long}")):
+        argv = {"--f": "x0^2+x1^2+x2^2", "--primes": "5", flag: value}
+        code, out, err = run(capsys, "verify", "--f", argv["--f"], "--m", "4",
+                             "--primes", argv["--primes"])
+        assert code == 2 and out == "", value[:20]
+        assert err == f"error: {flag} holds an integer of more than 4300 digits\n", value[:20]
 
 
 def test_help_text_reads_the_domain_table(capsys):

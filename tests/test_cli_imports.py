@@ -42,7 +42,8 @@ ALLOWED = {
     ("resolve", "--n", "1", "--d", "2", "--m", "4"): (2, ENTRY),
     ("cohomology", "--n", "3", "--d", "1", "--m", "4"): (2, ENTRY),
     ("floer", "--n", "3", "--d", "3", "--m", "60003"): (3, ENTRY),
-    ("euler", "--n", "3000", "--d", "3000", "--m", "3000"): (3, ENTRY),
+    ("euler", "--n", "3000", "--d", "3000", "--m", "3000"): (3, SPECTRAL),
+    ("euler", "--n", "10000", "--d", str(10 ** 40), "--m", str(10 ** 40 + 1)): (3, ENTRY),
     ("resolve", "--bogus"): (2, ENTRY),
     ("scatter", "--nmax", "201", "--dmax", "10"): (2, ENTRY),
 }
