@@ -10,7 +10,7 @@ independent Milnor number.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, gcd, isqrt, prod
 from operator import add, getitem, mul
 from typing import Iterator, NamedTuple, Optional
@@ -75,27 +75,67 @@ def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:
 
 def _orbits(gens, n: int, p: int) -> list[tuple[tuple, int]]:
     """(first member, size) of each orbit of F_p^n under the group generated
-    by gens, by closure with a seen-map."""
-    maps = []
+    by gens, in product order of first members.
+
+    The one-coordinate scalings generate a subgroup S_i of F_p^* per
+    coordinate, and the orbits of S = prod S_i are cells: products of {0} and
+    cosets v S_i, whose first member is the coordinatewise least.  The other
+    generators must be scaled transpositions of coordinates with equal S_i,
+    which normalise S and so map cells to cells; they are closed over cells
+    with a seen-map."""
+    scalings = [set() for _ in range(n)]
+    swaps = []
     for perm, scale in gens:
-        # g(v) has index high[v_0..v_(n-2)] + low[v_(n-1)], v in product
-        # order; v_k lands in coordinate perm^-1(k) = perm[k]
-        tables = [[scale[i] * x % p * p ** (n - 1 - i) for x in range(p)] for i in perm]
+        moved = [k for k in range(n) if perm[k] != k]
+        if moved:
+            swaps.append((moved, perm, scale))
+            continue
+        scaled = [k for k in range(n) if scale[k] % p != 1]
+        if len(scaled) > 1:
+            raise AssertionError(f"scaling of several coordinates {scaled}")
+        for i in scaled:
+            scalings[i].add(scale[i] % p)
+    cosets, labels = [], []  # per coordinate; labels[i][x]: the cell factor of x
+    for generators in scalings:
+        group, grown = set(), {1}
+        while grown != group:
+            group, grown = grown, grown | {x * c % p for x in grown for c in generators}
+        label = [0] * p
+        factors = [(0, 1)]  # (least, size): {0}, then cosets in order of least
+        for x in range(1, p):
+            if not label[x]:  # x is the least of its coset
+                for s in group:
+                    label[x * s % p] = len(factors)
+                factors.append((x, len(group)))
+        cosets.append(factors)
+        labels.append(label)
+    radix = [len(factors) for factors in cosets]
+    weights = [prod(radix[i + 1:]) for i in range(n)]
+    maps = []
+    for moved, perm, scale in swaps:
+        if len(moved) != 2 or labels[moved[0]] != labels[moved[1]]:  # S_i != S_j
+            raise AssertionError(f"{perm} is no transposition of coordinates with equal scalings")
+        # g(c) has index high[c_0..c_(n-2)] + low[c_(n-1)], c in product
+        # order; factor c_k lands in coordinate perm^-1(k) = perm[k]
+        tables = [[labels[q][scale[q] * least % p] * weights[q] for least, _ in cosets[k]]
+                  for k, q in enumerate(perm)]
         maps.append((list(map(sum, product(*tables[:-1]))), tables[-1]))
-    seen = bytearray(p ** n)
+    firsts = product(*([least for least, _ in factors] for factors in cosets))
+    sizes = list(map(prod, product(*([size for _, size in factors] for factors in cosets))))
+    seen = bytearray(len(sizes))
     orbits = []
-    for start, point in enumerate(product(range(p), repeat=n)):
+    for start, point in enumerate(firsts):
         if not seen[start]:
             seen[start] = 1
             orbit = [start]
             for x in orbit:  # grows as walked
-                x, v = divmod(x, p)
+                x, v = divmod(x, radix[-1])
                 for high, low in maps:
                     y = high[x] + low[v]
                     if not seen[y]:
                         seen[y] = 1
                         orbit.append(y)
-            orbits.append((point, len(orbit)))
+            orbits.append((point, sum(sizes[c] for c in orbit)))
     return orbits
 
 
@@ -210,9 +250,11 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
                 f"enumeration budget exceeded (more than {budget} candidates)")
 
     if p > 1:
-        # The two scans of F_p^n, and the orbit pass over it when there are
-        # jets to count, charged before p is trial-divided; p^n is not formed
-        # when its bit length alone puts it over the budget.
+        # The two scans of F_p^n, and a third p^n when there are jets to
+        # count.  That unit once paid for an orbit pass over F_p^n; the
+        # orbits now come from cells, and it stays so that the exit-3
+        # boundaries do not move.  Charged before p is trial-divided; p^n is
+        # not formed when its bit length alone puts it over the budget.
         charge(budget + 1 if n * (p.bit_length() - 1) > budget.bit_length()
                else (3 if m >= d else 2) * p ** n)
     _require_prime(p)
@@ -317,36 +359,26 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
                           cone_count, milnor_count, tuple(sorted(predicted.items())))
 
 
-def _monomials(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _monomials(nvars - 1, degree - first):
-            yield (first,) + rest
-
-
-def _rank_sparse_int(rows: Iterator[dict]) -> int:
-    """Rank over Q of integer rows given as {column: value} dicts.  A pivot row
-    is kept as its (column, value) pairs in column order, pivot first."""
+def _rank_sparse_int(rows: Iterator[list]) -> int:
+    """Rank over Q of integer rows given as their (column, value) pairs with
+    nonzero values, in column order.  A pivot row is kept as such a tuple."""
     pivots: dict = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
         while row:
-            col = min(row)
-            if col not in pivots:
-                pivots[col] = tuple(sorted(row.items()))
+            col, lead = row[0]
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = tuple(row)
                 break
-            piv = pivots[col]
-            g = gcd(row[col], piv[0][1])
-            ma, mb = piv[0][1] // g, row[col] // g
-            merged = {c: v * ma for c, v in row.items()}
+            g = gcd(lead, piv[0][1])
+            ma, mb = piv[0][1] // g, lead // g
+            merged = {c: v * ma for c, v in row}
             for c, v in piv:
                 merged[c] = merged.get(c, 0) - v * mb
-            row = {c: v for c, v in merged.items() if v}
+            row = sorted((c, v) for c, v in merged.items() if v)
             if row:
-                shrink = gcd(*row.values())
-                row = {c: v // shrink for c, v in row.items()}
+                shrink = gcd(*(v for _, v in row))
+                row = [(c, v // shrink) for c, v in row]
     return len(pivots)
 
 
@@ -377,12 +409,15 @@ def milnor_number_oracle(h: SparseIntPoly) -> int:
         shift = degree - (d - 1)
         # rows x^factor * dh/dx_j, streamed.  A column is its exponent vector
         # read as digits in base degree + 1: small ints in place of tuples,
-        # whose codes add under products and order as the vectors do.
+        # whose codes add under products and order as the vectors do.  So a
+        # row is its partial's terms, coded and sorted once, shifted by the
+        # factor's code (its variables' weights summed with repeats).
         weights = [(degree + 1) ** (n - 1 - i) for i in range(n)]
-        code = lambda exps: sum(map(mul, exps, weights))
-        coded = [[(code(exps), coeff) for exps, coeff in terms] for terms in partials]
-        rows = ({key + code(factor): coeff for key, coeff in terms}
-                for factor in (_monomials(n, shift) if shift >= 0 else ()) for terms in coded)
+        coded = [sorted((sum(map(mul, exps, weights)), coeff) for exps, coeff in terms)
+                 for terms in partials]
+        factors = map(sum, combinations_with_replacement(weights, shift)) if shift >= 0 else ()
+        rows = ([(key + factor, coeff) for key, coeff in terms]
+                for factor in factors for terms in coded)
         dim = columns - _rank_sparse_int(rows)
         if degree > top and dim:
             raise NonIsolatedSingularityError(

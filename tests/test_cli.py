@@ -154,7 +154,7 @@ def test_verify_budget_exit_code(capsys):
                            "--primes", prime, "--budget", "10")
         assert code == 3
         assert "budget" in err
-    # the orbit pass is charged with the two scans: 3 * 101^3 > 2.5 * 10^6
+    # a third p^n is charged with the two scans: 3 * 101^3 > 2.5 * 10^6
     started = time.perf_counter()
     code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "2",
                        "--primes", "101", "--budget", "2500000")

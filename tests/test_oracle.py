@@ -1,8 +1,11 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactloci.oracle import (
     MAX_JET_DEPTH,
@@ -11,6 +14,7 @@ from contactloci.oracle import (
     NonIsolatedSingularityError,
     NonSmoothReductionError,
     _orbits,
+    _rank_sparse_int,
     _symmetries,
     count_base,
     count_contact_jets,
@@ -467,11 +471,65 @@ def test_scaled_form_needs_scaled_transpositions():
 
 
 @pytest.mark.parametrize("poly,p", [(SCALED, 7), (CUBIC, 7), (HYPERBOLIC, 5), (LOWSYM, 5),
-                                    (MIXED_CUBIC, 7)])
+                                    (MIXED_CUBIC, 7),
+                                    # the benchmark's sizes, and scalings that
+                                    # generate a proper subgroup of F_p^*
+                                    (CUBIC, 13), (LOWSYM, 13), (QUATERNARY, 7), (QUARTIC, 13),
+                                    (SEXTIC, 7)])
 def test_orbits_are_the_closures_under_the_generators(poly, p):
     gens = _symmetries(poly, p)
     sizes = Counter(_orbit_labels(gens, poly.nvars, p).values())
     assert _orbits(gens, poly.nvars, p) == sorted(sizes.items())
+
+
+def test_orbits_refuse_a_scaling_of_two_coordinates():
+    with pytest.raises(AssertionError):
+        _orbits([([0, 1, 2], [4, 4, 1])], 3, 5)
+
+
+def test_orbits_refuse_a_transposition_of_unequal_scaling_subgroups():
+    # x0 is scaled by -1 and x1 not at all, so the swap does not map the
+    # cells of the scalings to cells
+    with pytest.raises(AssertionError):
+        _orbits([([0, 1, 2], [4, 1, 1]), ([1, 0, 2], [1, 1, 1])], 3, 5)
+
+
+def _dense_rank(matrix):
+    # Gaussian elimination over Q with exact fractions
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    # random rows, then zero, repeated, dependent and scaled rows among them
+    width = draw(st.integers(1, 6))
+    entries = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(entries), draw(entries)
+        rows.append(draw(st.sampled_from([
+            [0] * width, list(a), [s * x + t * y for x, y in zip(a, b)],
+            [x * draw(st.integers(2, 6)) for x in a]])))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300)
+@given(matrix=integer_matrices())
+def test_sparse_rank_agrees_with_dense_elimination(matrix):
+    rows = [[(c, v) for c, v in enumerate(row) if v] for row in matrix]
+    assert _rank_sparse_int(iter(rows)) == _dense_rank(matrix)
 
 
 def brute_force_jet_counts(poly, m, p):
