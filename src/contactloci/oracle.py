@@ -10,7 +10,7 @@ independent Milnor number.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, isqrt, prod
 from operator import add, getitem, mul
 from typing import Iterator, NamedTuple, Optional
@@ -38,68 +38,50 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _symmetries(f: SparseIntPoly, p: int) -> list[tuple[list, list]]:
-    """Scalings and scaled transpositions g(x)_i = scale[i] * x[perm[i]], as
-    (perm, scale), with f(g(x)) = f(x) term by term mod p.  One transposition
-    per pair: the scalings give the rest for diagonal f, and a subgroup only
-    refines the orbits.  One scaling per coordinate: with 1, the accepted
-    scalings of a coordinate form a subgroup of the cyclic group F_p^*, and
-    the one of maximal order generates it, so it gives the same orbits."""
+def _symmetries(f: SparseIntPoly, p: int) -> tuple[list[set], list[tuple[list, list]]]:
+    """(subgroups, swaps): the symmetries of f term by term mod p.
+
+    subgroups[i] is the set of c in 1..p-1 whose scaling x_i -> c x_i fixes
+    f: those with c^e = 1 for the exponent e of x_i in every term nonzero
+    mod p, a subgroup S_i of the cyclic group F_p^*, with 1 in it.  swaps
+    holds, for each pair i < j in order, the first scaled transposition
+    g(x)_k = scale[k] * x[perm[k]] with f(g(x)) = f(x), as (perm, scale).
+    One per pair: the scalings give the rest for diagonal f, and a subgroup
+    only refines the orbits."""
     n = f.nvars
     reduced = {exps: c % p for exps, c in f.terms if c % p}
-    found = []
-    for i, j in product(range(n), repeat=2):
+    subgroups = [{c for c in range(1, p) if all(pow(c, exps[i], p) == 1 for exps in reduced)}
+                 for i in range(n)]
+    swaps = []
+    for i, j in combinations(range(n), 2):
         perm = list(range(n))
         perm[i], perm[j] = j, i
         # scales are units mod p, so an image has f's support only if perm maps it
-        if i > j or {tuple(exps[q] for q in perm) for exps in reduced} != reduced.keys():
+        if {tuple(exps[q] for q in perm) for exps in reduced} != reduced.keys():
             continue
-        accepted = []
         for c, c2 in product(range(1, p), repeat=2):
-            if i < j or c2 == 1 < c:
-                scale = [1] * n
-                scale[j], scale[i] = c2, c
-                if all(reduced[tuple(exps[q] for q in perm)]
-                       == c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
-                       for exps, c0 in reduced.items()):
-                    accepted.append((perm, scale))
-                    if i < j:
-                        break
-        if i == j and accepted:
-            order = len(accepted) + 1  # of the subgroup, which a generator's powers fill
-            accepted = [next(g for g in accepted
-                             if len({pow(g[1][i], e, p) for e in range(order)}) == order)]
-        found += accepted
-    return found
+            scale = [1] * n
+            scale[j], scale[i] = c2, c
+            if all(reduced[tuple(exps[q] for q in perm)]
+                   == c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
+                   for exps, c0 in reduced.items()):
+                swaps.append((perm, scale))
+                break
+    return subgroups, swaps
 
 
-def _orbits(gens, n: int, p: int) -> list[tuple[tuple, int]]:
+def _orbits(subgroups: list[set], swaps, p: int) -> list[tuple[tuple, int]]:
     """(first member, size) of each orbit of F_p^n under the group generated
-    by gens, in product order of first members.
+    by the scalings in subgroups and the swaps, in product order of first
+    members.
 
-    The one-coordinate scalings generate a subgroup S_i of F_p^* per
-    coordinate, and the orbits of S = prod S_i are cells: products of {0} and
-    cosets v S_i, whose first member is the coordinatewise least.  The other
-    generators must be scaled transpositions of coordinates with equal S_i,
-    which normalise S and so map cells to cells; they are closed over cells
-    with a seen-map."""
-    scalings = [set() for _ in range(n)]
-    swaps = []
-    for perm, scale in gens:
-        moved = [k for k in range(n) if perm[k] != k]
-        if moved:
-            swaps.append((moved, perm, scale))
-            continue
-        scaled = [k for k in range(n) if scale[k] % p != 1]
-        if len(scaled) > 1:
-            raise AssertionError(f"scaling of several coordinates {scaled}")
-        for i in scaled:
-            scalings[i].add(scale[i] % p)
+    The orbits of S = prod S_i are cells: products of {0} and cosets v S_i,
+    whose first member is the coordinatewise least.  The swaps must be
+    scaled transpositions of coordinates with equal S_i, which normalise S
+    and so map cells to cells; they are closed over cells with a seen-map."""
+    n = len(subgroups)
     cosets, labels = [], []  # per coordinate; labels[i][x]: the cell factor of x
-    for generators in scalings:
-        group, grown = set(), {1}
-        while grown != group:
-            group, grown = grown, grown | {x * c % p for x in grown for c in generators}
+    for group in subgroups:
         label = [0] * p
         factors = [(0, 1)]  # (least, size): {0}, then cosets in order of least
         for x in range(1, p):
@@ -112,8 +94,9 @@ def _orbits(gens, n: int, p: int) -> list[tuple[tuple, int]]:
     radix = [len(factors) for factors in cosets]
     weights = [prod(radix[i + 1:]) for i in range(n)]
     maps = []
-    for moved, perm, scale in swaps:
-        if len(moved) != 2 or labels[moved[0]] != labels[moved[1]]:  # S_i != S_j
+    for perm, scale in swaps:
+        i, j = (k for k, q in enumerate(perm) if k != q)
+        if subgroups[i] != subgroups[j]:
             raise AssertionError(f"{perm} is no transposition of coordinates with equal scalings")
         # g(c) has index high[c_0..c_(n-2)] + low[c_(n-1)], c in product
         # order; factor c_k lands in coordinate perm^-1(k) = perm[k]
@@ -346,7 +329,7 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
                     descend(lambda j, e, a, v=v: table(j, e, a)[v[j]], k + 1, v_rho, weight * size)
 
     if m >= d:
-        orbits = _orbits(_symmetries(f, p), n, p)
+        orbits = _orbits(*_symmetries(f, p), p)
         descend(lambda j, e, a: int(e == a == 0), 1, None, 1)
         del descend  # self-referencing: free its state now
 

@@ -1,9 +1,12 @@
 """Fuzzing `verify` inputs against the exit-code contract.
 
 Whatever the polynomial text, JSON document, contact order, prime list and
-budget, the command line must end with exit 0, 1, 2 or 3, never with an
+budget, the command line must end with exit 0, 2 or 3, never with an
 uncaught exception (which is what a traceback on stderr would be), and every
-nonzero exit must say `error:`.  Examples stay small: primes <= 13 and
+nonzero exit must say `error:`.  Exit 1, a count that differs from its
+prediction, is a bug here: every polynomial either input grammar accepts is a
+sum of pure powers c * x_j^e, so a reduction that passes the smoothness check
+has an exact prediction.  Examples stay small: primes <= 13 and
 budget <= 10^5, and m <= 4 or m up to 5 * 10^4, where the jet search is
 refused by its depth or the strata cap unless m is small.
 """
@@ -88,7 +91,7 @@ def test_verify_meets_the_exit_code_contract(f, m, prime_list, budget, fmt):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2, 3), argv
+    assert code in (0, 2, 3), (code, argv)
     assert "Traceback" not in err.getvalue(), argv
     if code:
         assert "error:" in err.getvalue(), argv

@@ -382,11 +382,19 @@ SYMMETRY_CASES = [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7), (LOWSYM, 
                   (MIXED_CUBIC, 7), (HYPERBOLIC, 5), (QUATERNARY, 3)]
 
 
+def _generators(subgroups, swaps):
+    # every element of each coordinate's scaling subgroup, then the swaps
+    n = len(subgroups)
+    return [(list(range(n)), [c if k == i else 1 for k in range(n)])
+            for i, group in enumerate(subgroups) for c in sorted(group)] + swaps
+
+
 @pytest.mark.parametrize("poly,p", SYMMETRY_CASES)
 def test_accepted_symmetries_fix_f_at_every_point(poly, p):
-    accepted = _symmetries(poly, p)
-    assert accepted
-    for g in accepted:
+    subgroups, swaps = _symmetries(poly, p)
+    assert len(subgroups) == poly.nvars and all(1 in group for group in subgroups)
+    assert swaps or any(len(group) > 1 for group in subgroups)
+    for g in _generators(subgroups, swaps):
         for point in product(range(p), repeat=poly.nvars):
             assert value_mod(poly.terms, _apply(g, point, p), p) == value_mod(poly.terms, point, p)
 
@@ -411,32 +419,18 @@ def unfiltered_symmetries(f, p):
     return found
 
 
-def one_scaling_per_coordinate(gens, p):
-    # each coordinate's scalings replaced, in the place of its first one, by
-    # the first of them whose powers cover them all
-    def coordinate(scale):
-        return next(k for k, c in enumerate(scale) if c != 1)
-
-    scalings = {}
-    for perm, scale in gens:
-        if perm == sorted(perm):
-            scalings.setdefault(coordinate(scale), []).append(scale)
-    kept = []
-    for perm, scale in gens:
-        if perm != sorted(perm):
-            kept.append((perm, scale))
-        elif (i := coordinate(scale)) in scalings:
-            values = {g[i] for g in scalings[i]}
-            kept.append((perm, next(g for g in scalings.pop(i)
-                                    if values <= {pow(g[i], e, p) for e in range(p)})))
-    return kept
-
-
 @pytest.mark.parametrize("poly,p", SYMMETRY_CASES)
 def test_symmetries_match_the_unfiltered_search(poly, p):
-    # the support filter loses no generator: the same list, in the same
-    # order, as the unfiltered search reduced to one scaling per coordinate
-    assert _symmetries(poly, p) == one_scaling_per_coordinate(unfiltered_symmetries(poly, p), p)
+    # the support filter loses no generator: each coordinate's subgroup is 1
+    # and the unfiltered search's scalings of it, and the swaps are its
+    # transpositions in the same order
+    n = poly.nvars
+    unfiltered = unfiltered_symmetries(poly, p)
+    subgroups, swaps = _symmetries(poly, p)
+    assert subgroups == [{1} | {scale[i] for perm, scale in unfiltered
+                                if perm == list(range(n)) and scale[i] != 1}
+                         for i in range(n)]
+    assert swaps == [g for g in unfiltered if g[0] != list(range(n))]
 
 
 @pytest.mark.parametrize("poly,p", [(poly, p) for poly in (QUADRIC, CUBIC, LOWSYM)
@@ -445,10 +439,18 @@ def test_symmetries_match_the_unfiltered_search(poly, p):
                          # 12 mod 13 for the quartic, 2 mod 7 for the sextic
                          + [(QUARTIC, 5), (QUARTIC, 13), (SEXTIC, 7)])
 def test_one_scaling_per_coordinate_keeps_the_orbits(poly, p):
-    # every accepted scaling, as the search kept them before, against the
-    # one of maximal order per coordinate
-    every_scaling = unfiltered_symmetries(poly, p)
-    assert _orbits(_symmetries(poly, p), poly.nvars, p) == _orbits(every_scaling, poly.nvars, p)
+    # each S_i is the cyclic group that its element of maximal order
+    # generates, so that one scaling per coordinate, closed point by point
+    # with the swaps, gives the orbits
+    n = poly.nvars
+    subgroups, swaps = _symmetries(poly, p)
+    gens = []
+    for i, group in enumerate(subgroups):
+        c = max(group, key=lambda c: len({pow(c, e, p) for e in range(p)}))
+        assert {pow(c, e, p) for e in range(p)} == group
+        gens.append((list(range(n)), [c if k == i else 1 for k in range(n)]))
+    sizes = Counter(_orbit_labels(gens + swaps, n, p).values())
+    assert _orbits(subgroups, swaps, p) == sorted(sizes.items())
 
 
 @pytest.mark.parametrize("poly,p", [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7),
@@ -457,7 +459,7 @@ def test_diagonal_forms_lose_no_symmetry_of_the_family(poly, p):
     # Every exponent is below p, so a member of the family that fixes f at
     # every point fixes it term by term, and must then preserve each orbit.
     n = poly.nvars
-    label = _orbit_labels(_symmetries(poly, p), n, p)
+    label = _orbit_labels(_generators(*_symmetries(poly, p)), n, p)
     for g in _family(n, p):
         if all(value_mod(poly.terms, _apply(g, x, p), p) == value_mod(poly.terms, x, p)
                for x in label):
@@ -465,33 +467,53 @@ def test_diagonal_forms_lose_no_symmetry_of_the_family(poly, p):
 
 
 def test_scaled_form_needs_scaled_transpositions():
-    swaps = [(perm, scale) for perm, scale in _symmetries(SCALED, 7) if perm != [0, 1, 2]]
+    _, swaps = _symmetries(SCALED, 7)
     assert swaps and all(perm == [1, 0, 2] for perm, _ in swaps)
     assert all(scale[0] ** 2 % 7 == 2 for _, scale in swaps)
 
 
 @pytest.mark.parametrize("poly,p", [(SCALED, 7), (CUBIC, 7), (HYPERBOLIC, 5), (LOWSYM, 5),
                                     (MIXED_CUBIC, 7),
-                                    # the benchmark's sizes, and scalings that
-                                    # generate a proper subgroup of F_p^*
+                                    # the benchmark's sizes, and proper
+                                    # subgroups of F_p^*
                                     (CUBIC, 13), (LOWSYM, 13), (QUATERNARY, 7), (QUARTIC, 13),
-                                    (SEXTIC, 7)])
+                                    (SEXTIC, 7),
+                                    (QUADRIC, 5), (QUADRIC, 7), (QUADRIC, 13), (CUBIC, 5),
+                                    (LOWSYM, 7), (QUARTIC, 5)])
 def test_orbits_are_the_closures_under_the_generators(poly, p):
-    gens = _symmetries(poly, p)
-    sizes = Counter(_orbit_labels(gens, poly.nvars, p).values())
-    assert _orbits(gens, poly.nvars, p) == sorted(sizes.items())
+    # every accepted scaling, as the unfiltered search finds them, closed
+    # point by point
+    sizes = Counter(_orbit_labels(unfiltered_symmetries(poly, p), poly.nvars, p).values())
+    assert _orbits(*_symmetries(poly, p), p) == sorted(sizes.items())
 
 
-def test_orbits_refuse_a_scaling_of_two_coordinates():
-    with pytest.raises(AssertionError):
-        _orbits([([0, 1, 2], [4, 4, 1])], 3, 5)
+@st.composite
+def diagonal_forms(draw):
+    # (sum of a_j x_j^(e_j) over three variables, p): S_j has order
+    # gcd(e_j, p - 1), and x_i, x_j swap when e_i = e_j and a_j / a_i is an
+    # e_i-th power mod p
+    terms = []
+    for j in range(3):
+        e, a = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+        terms.append((tuple(e * (k == j) for k in range(3)), a))
+    return SparseIntPoly.from_terms(3, terms), draw(st.sampled_from([5, 7, 11, 13]))
+
+
+@settings(max_examples=40)
+@given(case=diagonal_forms())
+def test_orbits_of_diagonal_forms_are_the_closures(case):
+    poly, p = case
+    orbits = _orbits(*_symmetries(poly, p), p)
+    sizes = Counter(_orbit_labels(unfiltered_symmetries(poly, p), 3, p).values())
+    assert orbits == sorted(sizes.items())
+    assert sum(size for _, size in orbits) == p ** 3
 
 
 def test_orbits_refuse_a_transposition_of_unequal_scaling_subgroups():
     # x0 is scaled by -1 and x1 not at all, so the swap does not map the
     # cells of the scalings to cells
     with pytest.raises(AssertionError):
-        _orbits([([0, 1, 2], [4, 1, 1]), ([1, 0, 2], [1, 1, 1])], 3, 5)
+        _orbits([{1, 4}, {1}, {1}], [([1, 0, 2], [1, 1, 1])], 5)
 
 
 def _dense_rank(matrix):
