@@ -7,10 +7,11 @@ interface and the scatter command also emits CSV or a dependency-free SVG.
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input (outside the
 domain table), 3 budget exceeded (the oracle's budget, a work cap of the
 domain table checked before any work starts, or an integer too long to print
-in a finished document, checked before anything is printed).
+in any subcommand's finished document, checked before anything is rendered).
 
 Each handler imports the layers it runs, so a process loads only those: an
-input rejected by the domain table exits before any layer is loaded.
+input rejected by the domain table exits before any layer is loaded.  It
+returns (document, text-lines function, matched); main checks, renders, writes.
 """
 
 from __future__ import annotations
@@ -77,15 +78,6 @@ def _check_output(doc) -> None:
                                       "digits is over the command-line cap")
 
 
-def _emit(args, doc: dict, text: str) -> int:
-    if args.format == "json":
-        import json  # text output never loads it
-        _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        _write(args, text)
-    return EXIT_OK
-
-
 def _graded_lines(profile: GradedGroup, label: str) -> list[str]:
     lines = [label]
     if profile.is_zero:
@@ -95,31 +87,34 @@ def _graded_lines(profile: GradedGroup, label: str) -> list[str]:
     return lines
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args):
     from .resolution import build_minimal_resolution, m_divisors
 
     chain = build_minimal_resolution(args.n, args.d, args.m)
     mlist = m_divisors(chain)
     doc = chain.to_doc()
     doc["m_divisors"] = mlist.to_doc()
-    _check_output(doc)
-    lines = [f"minimal {args.m}-separating resolution for n={args.n}, d={args.d}, m={args.m}",
-             "chain (left to right):",
-             "  kappa  r      N     nu  kind"]
-    for div in chain:
-        lines.append(f"  {div.pair.kappa:>5}  {div.pair.r:<4} {div.multiplicity:>4} "
-                     f"{div.log_discrepancy:>6}  {div.kind}")
-    lines.append("m-divisors (multiplicity divides m):")
-    lines.append("      i  kappa  r      N     nu  exceptional")
-    for entry in mlist.entries:
-        div = entry.divisor
-        lines.append(f"  {entry.index:>5}  {div.pair.kappa:>5}  {div.pair.r:<4} "
-                     f"{div.multiplicity:>4} {div.log_discrepancy:>6}  "
-                     f"{'yes' if entry.exceptional else 'no'}")
-    return _emit(args, doc, "\n".join(lines) + "\n")
+
+    def text():
+        lines = [f"minimal {args.m}-separating resolution for n={args.n}, d={args.d}, m={args.m}",
+                 "chain (left to right):",
+                 "  kappa  r      N     nu  kind"]
+        for div in chain:
+            lines.append(f"  {div.pair.kappa:>5}  {div.pair.r:<4} {div.multiplicity:>4} "
+                         f"{div.log_discrepancy:>6}  {div.kind}")
+        lines.append("m-divisors (multiplicity divides m):")
+        lines.append("      i  kappa  r      N     nu  exceptional")
+        for entry in mlist.entries:
+            div = entry.divisor
+            lines.append(f"  {entry.index:>5}  {div.pair.kappa:>5}  {div.pair.r:<4} "
+                         f"{div.multiplicity:>4} {div.log_discrepancy:>6}  "
+                         f"{'yes' if entry.exceptional else 'no'}")
+        return lines
+
+    return doc, text, True
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args):
     from .contact import (
         contact_class,
         contact_cohomology,
@@ -142,22 +137,25 @@ def cmd_cohomology(args) -> int:
         "dimension": contact_dimension(n, d, m),
         "motivic_class": cls.to_doc(),
     }
-    _check_output(doc)
-    lines = [f"compactly supported cohomology of the contact locus, n={n}, d={d}, m={m}"]
-    if not pieces:
-        lines.append("empty locus: m < d")
-    for piece, profile in zip(pieces, profiles):
-        lines.extend(_graded_lines(
-            profile,
-            f"order {piece.rho} stratum ({piece.base_kind}, fiber dim {piece.fiber_dim}, "
-            f"total dim {piece.total_dim}):"))
-    lines.extend(_graded_lines(total, "total:"))
-    lines.append(f"euler characteristic: {total.euler_char()}")
-    lines.append(f"class: {cls}")
-    return _emit(args, doc, "\n".join(lines) + "\n")
+
+    def text():
+        lines = [f"compactly supported cohomology of the contact locus, n={n}, d={d}, m={m}"]
+        if not pieces:
+            lines.append("empty locus: m < d")
+        for piece, profile in zip(pieces, profiles):
+            lines.extend(_graded_lines(
+                profile,
+                f"order {piece.rho} stratum ({piece.base_kind}, fiber dim {piece.fiber_dim}, "
+                f"total dim {piece.total_dim}):"))
+        lines.extend(_graded_lines(total, "total:"))
+        lines.append(f"euler characteristic: {total.euler_char()}")
+        lines.append(f"class: {cls}")
+        return lines
+
+    return doc, text, True
 
 
-def cmd_floer(args) -> int:
+def cmd_floer(args):
     from .spectral import (
         comparison_shift,
         condition_degeneration,
@@ -177,44 +175,42 @@ def cmd_floer(args) -> int:
         "shift": comparison_shift(n, m),
         "floer": None if profile is None else profile.to_doc(),
     }
-    _check_output(doc)
-    lines = [f"fixed-point Floer cohomology of the iterate m={m}, n={n}, d={d}",
-             f"degeneration condition: {'holds' if deg.holds else 'fails at k = ' + str(list(deg.violating_k))}",
-             f"filtration condition:   {'holds' if filt.holds else 'fails at k = ' + str(list(filt.violating_k))}"]
-    if profile is None:
-        lines.append("not determined by the isomorphism theorem for these parameters")
-    else:
-        lines.extend(_graded_lines(profile, f"HF (shift {comparison_shift(n, m)}):"))
-    return _emit(args, doc, "\n".join(lines) + "\n")
+
+    def text():
+        lines = [f"fixed-point Floer cohomology of the iterate m={m}, n={n}, d={d}",
+                 f"degeneration condition: {'holds' if deg.holds else 'fails at k = ' + str(list(deg.violating_k))}",
+                 f"filtration condition:   {'holds' if filt.holds else 'fails at k = ' + str(list(filt.violating_k))}"]
+        if profile is None:
+            lines.append("not determined by the isomorphism theorem for these parameters")
+        else:
+            lines.extend(_graded_lines(profile, f"HF (shift {comparison_shift(n, m)}):"))
+        return lines
+
+    return doc, text, True
 
 
-def cmd_nash(args) -> int:
+def cmd_nash(args):
     from .nash import valuation_report
 
     report = valuation_report(args.n, args.d, args.m)
-    doc = report.to_doc()
-    _check_output(doc)
-    dlt, contact, essential = report.counts()
-    lines = [f"m-valuations for n={args.n}, d={args.d}, m={args.m}",
-             f"counts: dlt={dlt}, contact={contact}, essential={essential}"]
 
-    def describe(name, divisors):
-        if not divisors:
-            lines.append(f"{name}: none")
-        else:
+    def text():
+        dlt, contact, essential = report.counts()
+        lines = [f"m-valuations for n={args.n}, d={args.d}, m={args.m}",
+                 f"counts: dlt={dlt}, contact={contact}, essential={essential}"]
+        for name, divisors in (("essential", report.essential), ("contact", report.contact),
+                               ("dlt", report.dlt)):
             parts = ", ".join(f"{div.pair} N={div.multiplicity} nu={div.log_discrepancy}"
                               for div in divisors)
-            lines.append(f"{name}: {parts}")
+            lines.append(f"{name}: {parts or 'none'}")
+        for i, codim in report.codims:
+            lines.append(f"codim of the order-{-i} stratum (i={i}): {codim}")
+        return lines
 
-    describe("essential", report.essential)
-    describe("contact", report.contact)
-    describe("dlt", report.dlt)
-    for i, codim in report.codims:
-        lines.append(f"codim of the order-{-i} stratum (i={i}): {codim}")
-    return _emit(args, doc, "\n".join(lines) + "\n")
+    return report.to_doc(), text, True
 
 
-def cmd_euler(args) -> int:
+def cmd_euler(args):
     from .contact import contact_euler
     from .spectral import lefschetz_closed_form
 
@@ -223,21 +219,12 @@ def cmd_euler(args) -> int:
     closed = lefschetz_closed_form(n, d, m)
     match = chi == closed
     doc = {"n": n, "d": d, "m": m, "chi": chi, "lefschetz": closed, "match": match}
-    _check_output(doc)
-    text = (f"chi_c(X_m) = {chi}\n"
-            f"Lefschetz number of the m-th iterate = {closed}\n"
-            f"match: {'yes' if match else 'NO'}\n")
-    code = _emit(args, doc, text)
-    return code if match else EXIT_MISMATCH
+    return doc, lambda: [f"chi_c(X_m) = {chi}",
+                         f"Lefschetz number of the m-th iterate = {closed}",
+                         f"match: {'yes' if match else 'NO'}"], match
 
 
-def _scatter_csv(rows) -> str:
-    out = ["n,d,class"]
-    out.extend(f"{n},{d},{cls.color}" for n, d, cls in rows)
-    return "\n".join(out) + "\n"
-
-
-def _scatter_svg(rows, n_max: int, d_max: int) -> str:
+def _scatter_svg(rows, n_max: int, d_max: int) -> list[str]:
     n0, d0 = COHOMOLOGY.n_min, COHOMOLOGY.d_min
     cell = 12
     left, bottom, top, right = 40, 30, 14, 150
@@ -273,10 +260,10 @@ def _scatter_svg(rows, n_max: int, d_max: int) -> str:
                      f'fill="{SCATTER_COLORS[color]}"/>')
         parts.append(f'<text x="{legend_x + 14}" y="{y + 9}" font-size="9">{label}</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
-def cmd_scatter(args) -> int:
+def cmd_scatter(args):
     n0, d0 = COHOMOLOGY.n_min, COHOMOLOGY.d_min
     for name, low, value in (("nmax", n0, args.nmax), ("dmax", d0, args.dmax)):
         if not low <= value <= SCATTER_MAX:
@@ -284,15 +271,16 @@ def cmd_scatter(args) -> int:
     from .spectral import scatter_grid
 
     rows = scatter_grid(range(n0, args.nmax + 1), range(d0, args.dmax + 1))
-    if args.format == "svg":
-        _write(args, _scatter_svg(rows, args.nmax, args.dmax))
-        return EXIT_OK
-    if args.format == "csv":
-        _write(args, _scatter_csv(rows))
-        return EXIT_OK
     doc = {"rows": [{"n": n, "d": d, "class": cls.color} for n, d, cls in rows]}
-    text_lines = [f"{n:>4} {d:>4}  {cls.color}" for n, d, cls in rows]
-    return _emit(args, doc, "   n    d  class\n" + "\n".join(text_lines) + "\n")
+
+    def text():
+        if args.format == "svg":
+            return _scatter_svg(rows, args.nmax, args.dmax)
+        if args.format == "csv":
+            return ["n,d,class", *(f"{n},{d},{cls.color}" for n, d, cls in rows)]
+        return ["   n    d  class", *(f"{n:>4} {d:>4}  {cls.color}" for n, d, cls in rows)]
+
+    return doc, text, True
 
 
 def _load_poly(spec: str, budget: Optional[int]) -> SparseIntPoly:
@@ -319,9 +307,9 @@ def _load_poly(spec: str, budget: Optional[int]) -> SparseIntPoly:
     return parse_poly(spec)
 
 
-def cmd_verify(args) -> int:
-    for flag, text in (("--f", args.f), ("--primes", args.primes)):
-        if re.search(rf"\d{{{CLI_MAX_DIGITS + 1}}}", text):  # Python reads no such int
+def cmd_verify(args):
+    for flag, value in (("--f", args.f), ("--primes", args.primes)):
+        if re.search(rf"\d{{{CLI_MAX_DIGITS + 1}}}", value):  # Python reads no such int
             raise ValueError(f"{flag} holds an integer of more than {CLI_MAX_DIGITS} digits")
     primes = [int(chunk) for chunk in args.primes.split(",") if chunk.strip()]
     if not primes:
@@ -339,20 +327,23 @@ def cmd_verify(args) -> int:
         "reports": [report.to_doc() for report in reports],
         "all_match": all_match,
     }
-    lines = [f"jet counts for f = {poly}, m = {args.m}"]
-    for report in reports:
-        lines.append(f"p = {report.prime}: total {report.total_count} "
-                     f"(cone base {report.cone_count}, fiber base {report.milnor_count})")
-        predicted = dict(report.predicted_by_order)
-        for rho, count in report.by_order:
-            want = predicted.get(rho)
-            verdict = "ok" if want == count else f"MISMATCH (predicted {want})"
-            lines.append(f"  order {rho}: counted {count}, predicted {want}: {verdict}")
-        if not report.by_order:
-            lines.append("  empty locus (m below the degree)")
-    lines.append("verdict: " + ("all counts match" if all_match else "MISMATCH"))
-    code = _emit(args, doc, "\n".join(lines) + "\n")
-    return code if all_match else EXIT_MISMATCH
+
+    def text():
+        lines = [f"jet counts for f = {poly}, m = {args.m}"]
+        for report in reports:
+            lines.append(f"p = {report.prime}: total {report.total_count} "
+                         f"(cone base {report.cone_count}, fiber base {report.milnor_count})")
+            predicted = dict(report.predicted_by_order)
+            for rho, count in report.by_order:
+                want = predicted.get(rho)
+                verdict = "ok" if want == count else f"MISMATCH (predicted {want})"
+                lines.append(f"  order {rho}: counted {count}, predicted {want}: {verdict}")
+            if not report.by_order:
+                lines.append("  empty locus (m below the degree)")
+        lines.append("verdict: " + ("all counts match" if all_match else "MISMATCH"))
+        return lines
+
+    return doc, text, all_match
 
 
 def _add_ndm(sub, domain) -> None:
@@ -435,13 +426,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if hasattr(args, "domain"):
             _check_size(args.command, args.domain, args.n, args.d, args.m)
-        return args.handler(args)
+        doc, text, ok = args.handler(args)
+        _check_output(doc)  # before text(): an f-string refuses such an int too
+        if args.format == "json":
+            import json  # text output never loads it
+            _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        else:
+            _write(args, "\n".join(text()) + "\n")
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, NonSmoothReductionError, NonIsolatedSingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def entrypoint() -> None:

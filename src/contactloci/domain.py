@@ -24,8 +24,8 @@ CLI_MAX_STRATA = 20_000
 # form the Milnor number (d-1)^n, of at most n * bitlength(d-1) bits.
 CLI_MAX_DEGREES = 20_000
 CLI_MAX_MILNOR_BITS = 1_000_000
-# Digits of the largest integer an (n, d, m) subcommand may print: Python's
-# default limit on int-to-str conversion, which is left in place.
+# Digits of the largest integer any subcommand may print: Python's default
+# limit on int-to-str conversion, which is left in place.
 CLI_MAX_DIGITS = 4300
 DEFAULT_BUDGET = 10_000_000  # candidate vectors one finite-field jet count may enumerate
 

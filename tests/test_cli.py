@@ -1,9 +1,9 @@
 import json
 import time
 
-from contactloci import cli, oracle
+from contactloci import cli, oracle, spectral
 from contactloci.cli import main
-from contactloci.contact import contact_cohomology
+from contactloci.contact import contact_cohomology, contact_euler
 from contactloci.domain import CHAIN, COHOMOLOGY
 from contactloci.oracle import MAX_JET_DEPTH, JetCountReport
 from contactloci.resolution import build_minimal_resolution
@@ -96,6 +96,19 @@ def test_euler_match(capsys):
     code, out, _ = run(capsys, "euler", "--n", "4", "--d", "3", "--m", "6")
     assert code == 0
     assert "-15" in out and "match: yes" in out
+
+
+def test_euler_mismatch_exit_code(capsys, monkeypatch):
+    # a Lefschetz number off by one exercises the failure path
+    monkeypatch.setattr(spectral, "lefschetz_closed_form",
+                        lambda n, d, m: contact_euler(n, d, m) + 1)
+    argv = ("euler", "--n", "4", "--d", "3", "--m", "6")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "match: NO" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert '"match": false' in out
 
 
 def test_scatter_csv(capsys):
@@ -238,6 +251,10 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
                        "--primes", "3")
     assert code == 1
     assert "MISMATCH" in out
+    code, out, _ = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "2",
+                       "--primes", "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["all_match"] is False
 
 
 def test_output_file(tmp_path, capsys):
@@ -377,6 +394,19 @@ def test_output_cap_is_checked_on_the_document(capsys):
             assert time.perf_counter() - started < 1, (command, fmt)
             assert code == 3 and out == "", (command, fmt)
             assert err.startswith("error: output") and "set_int_max_str_digits" not in err
+
+
+def test_verify_output_cap(capsys):
+    # the one order count of the degree-716 Fermat form at m = 716 over F_101
+    # has 4304 digits, and at 715 it has 4298
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--f", "x0^716+x1^716+x2^716", "--m", "716",
+                             "--primes", "101", "--format", fmt)
+        assert code == 3 and out == "", fmt
+        assert err.startswith("error: output") and "set_int_max_str_digits" not in err, fmt
+    code, out, _ = run(capsys, "verify", "--f", "x0^715+x1^715+x2^715", "--m", "715",
+                       "--primes", "101")
+    assert code == 0 and out.endswith("verdict: all counts match\n")
 
 
 def test_milnor_number_cap_stops_before_work(capsys):

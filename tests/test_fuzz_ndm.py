@@ -55,5 +55,6 @@ def test_ndm_subcommands_meet_the_exit_code_contract(command, ndm, fmt):
     domain = DOMAINS[command]
     assert (code == 2) == (n < domain.n_min or d < domain.d_min or m < 1), argv
     assert "Traceback" not in err.getvalue(), argv
+    assert "set_int_max_str_digits" not in err.getvalue(), argv
     if code:
         assert "error:" in err.getvalue(), argv

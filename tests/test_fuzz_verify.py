@@ -93,5 +93,6 @@ def test_verify_meets_the_exit_code_contract(f, m, prime_list, budget, fmt):
         code = main(argv)
     assert code in (0, 2, 3), (code, argv)
     assert "Traceback" not in err.getvalue(), argv
+    assert "set_int_max_str_digits" not in err.getvalue(), argv
     if code:
         assert "error:" in err.getvalue(), argv
