@@ -69,13 +69,16 @@ def _check_output(doc) -> None:
     """Refuse a document that holds an integer Python would not print, one of
     more than CLI_MAX_DIGITS digits; text prints only what the document holds."""
     limit, stack = 10 ** CLI_MAX_DIGITS, [doc]
-    while stack:
+    while stack:  # containers only: each one's leaves are tested in place
         item = stack.pop()
-        if isinstance(item, (dict, list)):
-            stack.extend(item.values() if isinstance(item, dict) else item)
-        elif isinstance(item, int) and abs(item) >= limit:
-            raise BudgetExceededError(f"output: an integer of more than {CLI_MAX_DIGITS} "
-                                      "digits is over the command-line cap")
+        for value in item.values() if isinstance(item, dict) else item:
+            if isinstance(value, int):
+                if abs(value) >= limit:
+                    raise BudgetExceededError(
+                        f"output: an integer of more than {CLI_MAX_DIGITS} digits is over "
+                        "the command-line cap")
+            elif isinstance(value, (dict, list)):
+                stack.append(value)
 
 
 def _graded_lines(profile: GradedGroup, label: str) -> list[str]:

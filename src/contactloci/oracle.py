@@ -78,7 +78,8 @@ def _orbits(subgroups: list[set], swaps, p: int) -> list[tuple[tuple, int]]:
     The orbits of S = prod S_i are cells: products of {0} and cosets v S_i,
     whose first member is the coordinatewise least.  The swaps must be
     scaled transpositions of coordinates with equal S_i, which normalise S
-    and so map cells to cells; they are closed over cells with a seen-map."""
+    and so map cells to cells; they are closed over cells with a seen-map.
+    Without swaps the cells are the orbits."""
     n = len(subgroups)
     cosets, labels = [], []  # per coordinate; labels[i][x]: the cell factor of x
     for group in subgroups:
@@ -105,6 +106,8 @@ def _orbits(subgroups: list[set], swaps, p: int) -> list[tuple[tuple, int]]:
         maps.append((list(map(sum, product(*tables[:-1]))), tables[-1]))
     firsts = product(*([least for least, _ in factors] for factors in cosets))
     sizes = list(map(prod, product(*([size for _, size in factors] for factors in cosets))))
+    if not maps:
+        return list(zip(firsts, sizes))
     seen = bytearray(len(sizes))
     orbits = []
     for start, point in enumerate(firsts):

@@ -274,21 +274,20 @@ def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int
 
 
 def _counts(pair: CoprimePair, left: CoprimePair, right: CoprimePair) -> tuple[int, int]:
+    # The counts of blowup_counts, read off two determinants without the
+    # parents.  The low parent (h, k) has 0 < k <= r and det(low, pair) =
+    # h*r - kappa*k = -1; the high parent is (kappa - h, r - k).  left - low
+    # is parallel to the pair exactly when det(left, pair) = -1 too, and the
+    # pair is primitive, so a parallel integer vector is an integer multiple
+    # n' of it.  Then r_L = k + n'*r with 0 <= k - 1 < r fixes n'.  Likewise
+    # right - high is n'' times the pair exactly when det(pair, right) = -1,
+    # and r_R = (r - k) + n''*r with 0 <= r - k < r fixes n''.  Neither count
+    # is negative for non-negative entries: det(left, pair) = -1 forces
+    # r_L >= 1, and r_R >= 0.
     kappa, r = pair
-    low, high = parents_from_cf(kappa, r)
-    # the r entries give the same integral count exactly when they differ by
-    # that count times r
-    dk = left[0] - low[0]
-    n_left = dk // kappa
-    if dk % kappa or left[1] - low[1] != n_left * r:
+    if left[0] * r - kappa * left[1] != -1 or kappa * right[1] - r * right[0] != -1:
         raise AssertionError(f"non-integral blow-up count at {pair}")
-    dk = right[0] - high[0]
-    n_right = dk // kappa
-    if dk % kappa or right[1] - high[1] != n_right * r:
-        raise AssertionError(f"non-integral blow-up count at {pair}")
-    if n_left < 0 or n_right < 0:
-        raise AssertionError(f"negative blow-up count at {pair}")
-    return n_left, n_right
+    return (left[1] - 1) // r, right[1] // r
 
 
 def blowup_counts(chain: ResolutionChain, pair: CoprimePair) -> tuple[int, int]:
@@ -298,7 +297,10 @@ def blowup_counts(chain: ResolutionChain, pair: CoprimePair) -> tuple[int, int]:
     and (kappa*, r*), (kappa**, r**) its chain neighbors (primed and starred
     both taken on the (0,1) side first), the counts are
     n' = (kappa* - kappa')/kappa = (r* - r')/r and symmetrically n''.
-    Non-integrality would mean the chain was built wrong and raises.
+    Non-integrality would mean the chain was built wrong and raises.  The
+    counts are read off the determinants of the pair with its two neighbors,
+    without deriving the parents; the tests check them against
+    parents_from_cf.
     """
     left, _, right = _flanks(chain, pair)
     return _counts(pair, left[0], right[0])
@@ -307,7 +309,8 @@ def blowup_counts(chain: ResolutionChain, pair: CoprimePair) -> tuple[int, int]:
 def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     """Fiber-degree identity for both linear invariants of an intermediate
     divisor: the neighbor values sum to (1 + n' + n'') times the divisor's own,
-    both for N and for nu."""
+    both for N and for nu.  n' and n'' are the counts of blowup_counts, read
+    off two determinants."""
     left, div, right = _flanks(chain, pair)
     n_left, n_right = _counts(pair, left[0], right[0])
     factor = 1 + n_left + n_right

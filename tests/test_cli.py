@@ -396,6 +396,23 @@ def test_output_cap_is_checked_on_the_document(capsys):
             assert err.startswith("error: output") and "set_int_max_str_digits" not in err
 
 
+class Wide(int):
+    pass
+
+
+def test_output_cap_reaches_nested_integers(capsys, monkeypatch):
+    # dict -> list -> dict, the shape of scatter's rows, holding an integer
+    # over the cap of either sign or of an int subclass; one under it prints
+    for value, want in ((10 ** 4300, 3), (-10 ** 4300, 3), (Wide(10 ** 4300), 3),
+                        (int(NINES), 0), (-int(NINES), 0)):
+        doc = {"rows": [{"n": 3, "d": 2, "class": "red"}, {"n": 4, "d": value}]}
+        monkeypatch.setattr(cli, "cmd_scatter", lambda args: (doc, lambda: ["row"], True))
+        code, out, err = run(capsys, "scatter", "--nmax", "3", "--dmax", "2")
+        assert code == want and (out == "") == (want == 3), (value < 0, type(value))
+        if want == 3:
+            assert err.startswith("error: output") and "set_int_max_str_digits" not in err
+
+
 def test_verify_output_cap(capsys):
     # the one order count of the degree-716 Fermat form at m = 716 over F_101
     # has 4304 digits, and at 715 it has 4298

@@ -10,6 +10,7 @@ from contactloci.resolution import (
     Divisor,
     ResolutionChain,
     _check_chain_invariants,
+    _counts,
     adjacency,
     blowup_counts,
     build_minimal_resolution,
@@ -462,3 +463,69 @@ def convergent_parents(kappa, r):
 @given(large_coprime_pairs)
 def test_parents_match_the_convergent_recurrence(pair):
     assert parents_from_cf(*pair) == convergent_parents(*pair)
+
+
+def counts_by_definition(pair, left, right):
+    # n' = (kappa_L - kappa')/kappa = (r_L - r')/r from the low mediant parent
+    # (kappa', r'), and n'' likewise from the high one; None where a count is
+    # not one integer
+    kappa, r = pair
+    counts = []
+    for (kn, rn), (kp, rp) in zip((left, right), parents_from_cf(kappa, r)):
+        count = (kn - kp) // kappa
+        if (kn - kp, rn - rp) != (count * kappa, count * r):
+            return None
+        counts.append(count)
+    return tuple(counts)
+
+
+def test_blowup_counts_match_the_parents_on_built_chains():
+    checked = 0
+    for n in range(2, 6):
+        for d in range(1, 9):
+            for m in range(1, 61):
+                chain = build_minimal_resolution(n, d, m)
+                for div in chain.intermediate_divisors():
+                    expected = counts_by_definition(div.pair, *adjacency(chain, div.pair))
+                    assert blowup_counts(chain, div.pair) == expected, (n, d, m, div.pair)
+                    checked += 1
+    assert checked == 247_388
+
+
+@st.composite
+def flank_triples(draw):
+    # a coprime pair between two neighbours with non-negative entries; each
+    # neighbour is its parent plus a multiple of the pair, such a point moved
+    # by one in either entry, or arbitrary, so that integral counts, near
+    # misses and the multiples below the parent all come up
+    kappa, r = draw(st.builds(reduced, st.integers(min_value=1, max_value=40),
+                              st.integers(min_value=1, max_value=40)))
+    sides = []
+    for pk, pr in parents_from_cf(kappa, r):
+        multiples = st.builds(lambda t: (pk + t * kappa, pr + t * r),
+                              st.integers(min_value=-2, max_value=6))
+        moved = st.builds(lambda v, dk, dr: (v[0] + dk, v[1] + dr), multiples,
+                          st.integers(min_value=-1, max_value=1),
+                          st.integers(min_value=-1, max_value=1))
+        arbitrary = st.tuples(st.integers(min_value=0, max_value=300),
+                              st.integers(min_value=0, max_value=300))
+        sides.append(draw(st.one_of(multiples, moved, arbitrary).filter(
+            lambda v: min(v) >= 0)))
+    return sides[0], CoprimePair(kappa, r), sides[1]
+
+
+@example(((0, 1), CoprimePair(1, 1), (1, 0)))
+@example(((1, 1), CoprimePair(2, 1), (1, 0)))
+@example(((0, 1), CoprimePair(1, 3), (1, 2)))
+@given(flank_triples())
+def test_counts_match_the_parents_on_any_neighbours(triple):
+    left, pair, right = triple
+    expected = counts_by_definition(pair, left, right)
+    if expected is None:
+        with pytest.raises(AssertionError, match="non-integral blow-up count"):
+            _counts(pair, left, right)
+    else:
+        # with non-negative entries no count is negative, so _counts need
+        # not check for one
+        assert min(expected) >= 0
+        assert _counts(pair, left, right) == expected
