@@ -37,8 +37,6 @@ _LAYERS = {
         "Divisor",
         "MDivisorList",
         "ResolutionChain",
-        "adjacency",
-        "blowup_counts",
         "build_minimal_resolution",
         "m_divisors",
         "nef_fiber_identity",

@@ -28,6 +28,7 @@ from .domain import (
     CLI_MAX_DIVISORS,
     CLI_MAX_MILNOR_BITS,
     CLI_MAX_STRATA,
+    CLI_MAX_STRATA_BITS,
     COHOMOLOGY,
     DEFAULT_BUDGET,
     M_MIN,
@@ -299,7 +300,7 @@ def _load_poly(spec: str, budget: Optional[int]) -> SparseIntPoly:
         import json
         try:
             poly = SparseIntPoly.from_doc(json.loads(spec))
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed polynomial document: {exc!r}") from None
         _check_cap("variables", poly.nvars, max_vars)
         return poly
@@ -372,10 +373,12 @@ def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     divisors = q * m - d * q * (q + 1) // 2 if command == "resolve" else 0
     degrees = 2 * n if command in ("cohomology", "floer", "euler") else 0
     milnor_bits = n * (d - 1).bit_length() if degrees and m >= d else 0
+    strata_bits = q * milnor_bits if command in ("cohomology", "floer") else 0
     for what, size, cap in (("strata", q, CLI_MAX_STRATA),
                             ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS),
                             ("degrees of S (2n)", degrees, CLI_MAX_DEGREES),
-                            ("bits of (d-1)^n (upper bound)", milnor_bits, CLI_MAX_MILNOR_BITS)):
+                            ("bits of (d-1)^n (upper bound)", milnor_bits, CLI_MAX_MILNOR_BITS),
+                            ("strata times bits of (d-1)^n", strata_bits, CLI_MAX_STRATA_BITS)):
         _check_cap(what, size, cap)
 
 

@@ -24,6 +24,10 @@ CLI_MAX_STRATA = 20_000
 # form the Milnor number (d-1)^n, of at most n * bitlength(d-1) bits.
 CLI_MAX_DEGREES = 20_000
 CLI_MAX_MILNOR_BITS = 1_000_000
+# cohomology and floer print ranks of up to that many bits for each of the
+# m // d strata; measured, they print at most 1.7 characters per stratum and
+# bit once that product passes 10^5, so it bounds their output.
+CLI_MAX_STRATA_BITS = 20_000_000
 # Digits of the largest integer any subcommand may print: Python's default
 # limit on int-to-str conversion, which is left in place.
 CLI_MAX_DIGITS = 4300

@@ -122,9 +122,10 @@ def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
 class ResolutionChain(Value):
     """The divisor chain of the minimal m-separating resolution, left to right
     from (0, 1) to (1, 0).  Iteration and len run over the divisors; a fifth
-    item maps each pair to its position.  An endpoint pair maps to its own end
-    even where a hand-made chain holds it elsewhere, so that _flanks refuses
-    it as an endpoint.
+    item maps each pair to its position, so that nef_fiber_identity finds a
+    divisor's neighbours with one lookup.  An endpoint pair maps to its own
+    end even where a hand-made chain holds it elsewhere, so that
+    nef_fiber_identity refuses it as an endpoint.
     """
 
     __slots__ = ()
@@ -223,31 +224,6 @@ def verify_minimality(chain: ResolutionChain) -> bool:
     return min(map(add, mults, mults[1:]), default=m + 1) > m
 
 
-def _flanks(chain: ResolutionChain, pair: CoprimePair) -> tuple[Divisor, Divisor, Divisor]:
-    # An intermediate divisor between its left and right chain neighbours,
-    # found by one index lookup.  The index puts an endpoint pair at an end
-    # of the chain, so the endpoint test runs only off the success path.
-    idx = chain[4].get(pair)  # the pair index
-    divs = chain[3]  # the divisors
-    if idx is None or not 0 < idx < len(divs) - 1:
-        if pair in _ENDPOINT_KINDS:
-            raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
-        if idx is None:
-            raise ValueError(f"pair {pair} is not a divisor of this chain")
-        side = "left" if idx == 0 else "right"
-        raise ValueError(f"{pair} has no {side} neighbour in this chain")
-    return divs[idx - 1], divs[idx], divs[idx + 1]
-
-
-def adjacency(chain: ResolutionChain, pair: CoprimePair) -> tuple[CoprimePair, CoprimePair]:
-    """Chain neighbors of an intermediate divisor, the left one first.
-
-    Left means closer to (0, 1), i.e. smaller kappa/r.
-    """
-    left, _, right = _flanks(chain, pair)
-    return left[0], right[0]
-
-
 def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The two coprime pairs whose mediant is (kappa, r).
 
@@ -273,47 +249,39 @@ def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int
     return (h, k), (kappa - h, r - k)
 
 
-def _counts(pair: CoprimePair, left: CoprimePair, right: CoprimePair) -> tuple[int, int]:
-    # The counts of blowup_counts, read off two determinants without the
-    # parents.  The low parent (h, k) has 0 < k <= r and det(low, pair) =
-    # h*r - kappa*k = -1; the high parent is (kappa - h, r - k).  left - low
-    # is parallel to the pair exactly when det(left, pair) = -1 too, and the
-    # pair is primitive, so a parallel integer vector is an integer multiple
-    # n' of it.  Then r_L = k + n'*r with 0 <= k - 1 < r fixes n'.  Likewise
-    # right - high is n'' times the pair exactly when det(pair, right) = -1,
-    # and r_R = (r - k) + n''*r with 0 <= r - k < r fixes n''.  Neither count
-    # is negative for non-negative entries: det(left, pair) = -1 forces
-    # r_L >= 1, and r_R >= 0.
-    kappa, r = pair
-    if left[0] * r - kappa * left[1] != -1 or kappa * right[1] - r * right[0] != -1:
-        raise AssertionError(f"non-integral blow-up count at {pair}")
-    return (left[1] - 1) // r, right[1] // r
-
-
-def blowup_counts(chain: ResolutionChain, pair: CoprimePair) -> tuple[int, int]:
-    """How many times each side of a divisor was blown up after its creation.
-
-    If (kappa', r') and (kappa'', r'') are the mediant parents of the pair
-    and (kappa*, r*), (kappa**, r**) its chain neighbors (primed and starred
-    both taken on the (0,1) side first), the counts are
-    n' = (kappa* - kappa')/kappa = (r* - r')/r and symmetrically n''.
-    Non-integrality would mean the chain was built wrong and raises.  The
-    counts are read off the determinants of the pair with its two neighbors,
-    without deriving the parents; the tests check them against
-    parents_from_cf.
-    """
-    left, _, right = _flanks(chain, pair)
-    return _counts(pair, left[0], right[0])
-
-
 def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     """Fiber-degree identity for both linear invariants of an intermediate
-    divisor: the neighbor values sum to (1 + n' + n'') times the divisor's own,
-    both for N and for nu.  n' and n'' are the counts of blowup_counts, read
-    off two determinants."""
-    left, div, right = _flanks(chain, pair)
-    n_left, n_right = _counts(pair, left[0], right[0])
-    factor = 1 + n_left + n_right
+    divisor (kappa, r) and its chain neighbours L and R:
+    N_L + N_R = (1 + n' + n'')*N and nu_L + nu_R = (1 + n' + n'')*nu, where
+    n' and n'' count the blow-ups on each side of the divisor after its
+    creation.
+
+    The mediant parents low and high of the pair add up to it, and each has
+    determinant -1 with it (see parents_from_cf).  So det(L, pair) = -1 holds
+    exactly when L - low is parallel to the pair, and the pair is primitive,
+    so L - low is an integer multiple n' of it; likewise R - high is n''
+    times the pair exactly when det(pair, R) = -1.  Then
+    L + R = (1 + n' + n'')*(kappa, r), and r_L + r_R fixes the factor.  A
+    determinant other than -1 means the chain was built wrong and raises.
+    The tests check the factor against parents_from_cf's parents.
+    """
+    # one lookup; the index puts an endpoint pair at an end of the chain, so
+    # the endpoint test runs only off the success path
+    idx = chain[4].get(pair)  # the pair index
+    divs = chain[3]  # the divisors
+    if idx is None or not 0 < idx < len(divs) - 1:
+        if pair in _ENDPOINT_KINDS:
+            raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
+        if idx is None:
+            raise ValueError(f"pair {pair} is not a divisor of this chain")
+        side = "left" if idx == 0 else "right"
+        raise ValueError(f"{pair} has no {side} neighbour in this chain")
+    left, div, right = divs[idx - 1:idx + 2]
+    kappa, r = pair
+    (kappa_l, r_l), (kappa_r, r_r) = left[0], right[0]
+    if kappa_l * r - kappa * r_l != -1 or kappa * r_r - r * kappa_r != -1:
+        raise AssertionError(f"non-integral blow-up count at {pair}")
+    factor = (r_l + r_r) // r
     return (left[2] + right[2] == factor * div[2]
             and left[1] + right[1] == factor * div[1])
 

@@ -1,10 +1,12 @@
 import json
 import time
 
+import pytest
+
 from contactloci import cli, oracle, spectral
 from contactloci.cli import main
 from contactloci.contact import contact_cohomology, contact_euler
-from contactloci.domain import CHAIN, COHOMOLOGY
+from contactloci.domain import CHAIN, COHOMOLOGY, BudgetExceededError
 from contactloci.oracle import MAX_JET_DEPTH, JetCountReport
 from contactloci.resolution import build_minimal_resolution
 
@@ -424,6 +426,41 @@ def test_verify_output_cap(capsys):
     code, out, _ = run(capsys, "verify", "--f", "x0^715+x1^715+x2^715", "--m", "715",
                        "--primes", "101")
     assert code == 0 and out.endswith("verdict: all counts match\n")
+
+
+def test_verify_deeply_nested_json_polynomial_exit_code(capsys):
+    # json.loads recurses once per bracket and gives up past the recursion limit
+    doc = '{"n":' + "[" * 20_000 + "]" * 20_000 + "}"
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--f", doc, "--m", "3", "--primes", "3",
+                             "--format", fmt)
+        assert code == 2 and out == "", fmt
+        assert err.startswith("error: malformed polynomial document"), fmt
+
+
+def test_strata_times_milnor_bits_cap(capsys, monkeypatch):
+    # cohomology and floer at (2500, 3, 12000): 4000 strata times 2500 * 2 bits
+    assert 4000 * 5000 == cli.CLI_MAX_STRATA_BITS
+    for command in ("cohomology", "floer"):
+        cli._check_size(command, COHOMOLOGY, 2500, 3, 12000)
+    # euler prints no rank per stratum, and below d there are no bits
+    cli._check_size("euler", COHOMOLOGY, 10000, 3, 60000)
+    cli._check_size("cohomology", COHOMOLOGY, 10000, 3, 2)
+    for command, ndm in (("cohomology", (2500, 3, 12003)), ("floer", (2501, 3, 12000))):
+        with pytest.raises(BudgetExceededError, match="strata times bits of"):
+            cli._check_size(command, COHOMOLOGY, *ndm)
+    # about 246 million characters of ranks without the cap
+    for fmt in ("text", "json"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "cohomology", "--n", "10000", "--d", "3", "--m", "60000",
+                             "--format", fmt)
+        assert time.perf_counter() - started < 1, fmt
+        assert code == 3 and out == "" and err.startswith("error: strata times bits"), fmt
+    # no (n, d, m) within the other caps gives the cap plus one, so the cap
+    # moves one below the product
+    monkeypatch.setattr(cli, "CLI_MAX_STRATA_BITS", 4000 * 5000 - 1)
+    with pytest.raises(BudgetExceededError, match="20000000 is over the command-line cap"):
+        cli._check_size("cohomology", COHOMOLOGY, 2500, 3, 12000)
 
 
 def test_milnor_number_cap_stops_before_work(capsys):

@@ -1,4 +1,4 @@
-"""The package namespace: 47 names, each resolved on first use by loading the
+"""The package namespace: 45 names, each resolved on first use by loading the
 one layer that owns it, and then bound as a plain global."""
 
 import importlib
@@ -11,8 +11,8 @@ import contactloci
 EXPORTED = [
     "ConditionReport", "CoprimePair", "Divisor", "FgAbGroup", "GradedGroup", "GradedPiece",
     "HypersurfaceData", "JetCountReport", "MDivisorList", "MotivicClass", "PairClass",
-    "ResolutionChain", "SparseIntPoly", "SpectralPage", "ValuationReport", "adjacency",
-    "blowup_counts", "build_minimal_resolution", "classify_pair", "compare_pages",
+    "ResolutionChain", "SparseIntPoly", "SpectralPage", "ValuationReport",
+    "build_minimal_resolution", "classify_pair", "compare_pages",
     "condition_degeneration", "condition_filtration", "cone_compact_cohomology",
     "contact_class", "contact_cohomology", "contact_dimension", "contact_euler",
     "count_base", "count_contact_jets", "cover_homology", "floer_cohomology",
@@ -44,7 +44,7 @@ def first_access(fresh_python, statement):
 
 def test_all_is_unchanged():
     assert contactloci.__all__ == EXPORTED
-    assert len(EXPORTED) == 47
+    assert len(EXPORTED) == 45
 
 
 def test_each_name_is_its_layers_object():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,9 +11,6 @@ from contactloci.resolution import (
     Divisor,
     ResolutionChain,
     _check_chain_invariants,
-    _counts,
-    adjacency,
-    blowup_counts,
     build_minimal_resolution,
     exceptional_m_divisors,
     m_divisors,
@@ -134,32 +132,19 @@ def test_exceptional_m_divisors_shortcut_agrees_with_chain():
         assert list(exceptional_m_divisors(n, d, m)) == from_chain
 
 
-def test_adjacency_examples():
-    chain = build_minimal_resolution(3, 2, 4)
-    assert adjacency(chain, CoprimePair(1, 1)) == (CoprimePair(0, 1), CoprimePair(2, 1))
-    assert adjacency(chain, CoprimePair(2, 1)) == (CoprimePair(1, 1), CoprimePair(1, 0))
-    with pytest.raises(ValueError):
-        adjacency(chain, CoprimePair(1, 0))
-    # (1, 1) has multiplicity 3 > 2, so it is absent from the 2-separating chain
-    small = build_minimal_resolution(3, 2, 2)
-    with pytest.raises(ValueError):
-        adjacency(small, CoprimePair(1, 1))
-
-
-def test_blowup_counts_examples():
-    chain = build_minimal_resolution(3, 2, 4)
-    assert blowup_counts(chain, CoprimePair(1, 1)) == (0, 1)
-    assert blowup_counts(chain, CoprimePair(2, 1)) == (0, 0)
-
-
 def test_fresh_mediant_has_zero_counts():
-    # deepest divisors are flanked by their own parents
+    # a divisor flanked by its own parents is the mediant of its neighbours,
+    # so their N and nu add up to its own: the factor of the nef identity is 1
     chain = build_minimal_resolution(3, 3, 12)
-    for div in chain.intermediate_divisors():
-        low, high = parents_from_cf(div.pair.kappa, div.pair.r)
-        left, right = adjacency(chain, div.pair)
-        if (left, right) == (low, high):
-            assert blowup_counts(chain, div.pair) == (0, 0)
+    divs = chain.divisors
+    fresh = 0
+    for left, div, right in zip(divs, divs[1:], divs[2:]):
+        if (left.pair, right.pair) == parents_from_cf(*div.pair):
+            assert tuple(map(add, left.pair, right.pair)) == div.pair
+            assert tuple(map(add, left[1:], right[1:])) == div[1:]
+            assert nef_fiber_identity(chain, div.pair)
+            fresh += 1
+    assert fresh == 5
 
 
 def test_nef_fiber_identity_examples_and_grid():
@@ -216,12 +201,18 @@ def test_divisor_validation():
 
 
 BUILT_3_2_4 = [(0, 1), (1, 1), (2, 1), (1, 0)]
-READERS = (adjacency, blowup_counts, nef_fiber_identity)
 
 
 def chain_of(pairs, n=3, d=2, m=4):
     return ResolutionChain(n, d, m, tuple(Divisor.for_params(CoprimePair(*p), n, d)
                                           for p in pairs))
+
+
+def wrapped(rows, n=3, d=2, m=4):
+    # a chain of (pair, N, nu) rows, wrapped without the constructors' checks
+    new = tuple.__new__
+    return ResolutionChain(n, d, m, tuple(
+        new(Divisor, (new(CoprimePair, pair), mult, disc)) for pair, mult, disc in rows))
 
 
 @pytest.mark.parametrize("pairs", [
@@ -252,10 +243,8 @@ def test_verify_minimality_rejects_non_separating_chain():
     ([(0, 1), (1, 1), (2, 1)], (2, 1), "right"),
 ])
 def test_flanks_refuse_a_missing_neighbour(pairs, pair, side):
-    chain = chain_of(pairs)
-    for reader in READERS:
-        with pytest.raises(ValueError, match=f"has no {side} neighbour in this chain"):
-            reader(chain, CoprimePair(*pair))
+    with pytest.raises(ValueError, match=f"has no {side} neighbour in this chain"):
+        nef_fiber_identity(chain_of(pairs), CoprimePair(*pair))
 
 
 @pytest.mark.parametrize("pairs,pair,message", [
@@ -268,10 +257,8 @@ def test_flanks_refuse_a_missing_neighbour(pairs, pair, side):
     ([(0, 1), (1, 0), (1, 1), (2, 1)], (1, 0), "chain endpoint"),
 ])
 def test_flanks_messages(pairs, pair, message):
-    chain = chain_of(pairs)
-    for reader in READERS:
-        with pytest.raises(ValueError, match=message):
-            reader(chain, CoprimePair(*pair))
+    with pytest.raises(ValueError, match=message):
+        nef_fiber_identity(chain_of(pairs), CoprimePair(*pair))
 
 
 @pytest.mark.parametrize("pairs,pair", [
@@ -291,12 +278,9 @@ def test_flanks_messages(pairs, pair, message):
     ([(0, 1), (1, 4), (1, 2), (1, 1), (1, 0)], (1, 2)),
 ])
 def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
-    chain = chain_of(pairs)
     with pytest.raises(AssertionError, match="blow-up count"):
-        blowup_counts(chain, CoprimePair(*pair))
-    with pytest.raises(AssertionError, match="blow-up count"):
-        nef_fiber_identity(chain, CoprimePair(*pair))
-    assert blowup_counts(chain_of(BUILT_3_2_4), CoprimePair(1, 1)) == (0, 1)
+        nef_fiber_identity(chain_of(pairs), CoprimePair(*pair))
+    assert nef_fiber_identity(chain_of(BUILT_3_2_4), CoprimePair(1, 1))
 
 
 @pytest.mark.parametrize("divisors,message", [
@@ -310,11 +294,8 @@ def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
     ([((0, 1), 2, 3), ((-1, 1), 1, 2), ((1, 0), 1, 1)], "negative"),
 ])
 def test_chain_invariant_check_rejects_broken_chains(divisors, message):
-    new = tuple.__new__
-    chain = ResolutionChain(3, 2, 4, tuple(
-        new(Divisor, (new(CoprimePair, pair), mult, disc)) for pair, mult, disc in divisors))
     with pytest.raises(AssertionError, match=message):
-        _check_chain_invariants(chain)
+        _check_chain_invariants(wrapped(divisors))
     _check_chain_invariants(build_minimal_resolution(3, 2, 4))
 
 
@@ -479,25 +460,42 @@ def counts_by_definition(pair, left, right):
     return tuple(counts)
 
 
+def identity_by_definition(left, div, right):
+    # the nef identity with counts_by_definition's counts; None where they
+    # are not integers
+    counts = counts_by_definition(div.pair, left.pair, right.pair)
+    if counts is None:
+        return None
+    factor = 1 + sum(counts)
+    return (left.multiplicity + right.multiplicity == factor * div.multiplicity
+            and left.log_discrepancy + right.log_discrepancy == factor * div.log_discrepancy)
+
+
 def test_blowup_counts_match_the_parents_on_built_chains():
     checked = 0
     for n in range(2, 6):
         for d in range(1, 9):
             for m in range(1, 61):
                 chain = build_minimal_resolution(n, d, m)
-                for div in chain.intermediate_divisors():
-                    expected = counts_by_definition(div.pair, *adjacency(chain, div.pair))
-                    assert blowup_counts(chain, div.pair) == expected, (n, d, m, div.pair)
+                divs = chain.divisors
+                for left, div, right in zip(divs, divs[1:], divs[2:]):
+                    expected = identity_by_definition(left, div, right)
+                    assert expected is True, (n, d, m, div.pair)
+                    assert nef_fiber_identity(chain, div.pair) is True, (n, d, m, div.pair)
                     checked += 1
     assert checked == 247_388
 
 
 @st.composite
-def flank_triples(draw):
-    # a coprime pair between two neighbours with non-negative entries; each
-    # neighbour is its parent plus a multiple of the pair, such a point moved
-    # by one in either entry, or arbitrary, so that integral counts, near
-    # misses and the multiples below the parent all come up
+def flanked_chains(draw):
+    # a coprime pair between two neighbours with non-negative entries, as a
+    # three-divisor chain.  Each neighbour is its parent plus a multiple of
+    # the pair, such a point moved by one in either entry, or arbitrary, so
+    # that integral counts, near misses, non-coprime neighbours and the
+    # multiples below the parent all come up.  Each N and nu is its linear
+    # form or one off it, so that the identity can fail where the counts
+    # are integral.
+    n, d = draw(st.integers(min_value=2, max_value=5)), draw(st.integers(min_value=1, max_value=8))
     kappa, r = draw(st.builds(reduced, st.integers(min_value=1, max_value=40),
                               st.integers(min_value=1, max_value=40)))
     sides = []
@@ -510,22 +508,24 @@ def flank_triples(draw):
         arbitrary = st.tuples(st.integers(min_value=0, max_value=300),
                               st.integers(min_value=0, max_value=300))
         sides.append(draw(st.one_of(multiples, moved, arbitrary).filter(
-            lambda v: min(v) >= 0)))
-    return sides[0], CoprimePair(kappa, r), sides[1]
+            lambda v: min(v) >= 0 and v != (kappa, r))))
+    off = st.sampled_from((0, 0, 0, 1, -1))
+    return wrapped([((k, q), k + q * d + draw(off), k + q * n + draw(off))
+                    for k, q in (sides[0], (kappa, r), sides[1])], n, d)
 
 
-@example(((0, 1), CoprimePair(1, 1), (1, 0)))
-@example(((1, 1), CoprimePair(2, 1), (1, 0)))
-@example(((0, 1), CoprimePair(1, 3), (1, 2)))
-@given(flank_triples())
-def test_counts_match_the_parents_on_any_neighbours(triple):
-    left, pair, right = triple
-    expected = counts_by_definition(pair, left, right)
+@example(wrapped([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 0), 1, 1)]))
+@example(wrapped([((1, 1), 3, 4), ((2, 1), 4, 5), ((1, 0), 1, 1)]))
+@example(wrapped([((0, 1), 2, 3), ((1, 3), 7, 10), ((1, 2), 5, 7)]))
+# integral counts where only nu, or only N, fails to add up
+@example(wrapped([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 0), 1, 2)]))
+@example(wrapped([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 0), 2, 1)]))
+@given(flanked_chains())
+def test_counts_match_the_parents_on_any_neighbours(chain):
+    left, div, right = chain.divisors
+    expected = identity_by_definition(left, div, right)
     if expected is None:
         with pytest.raises(AssertionError, match="non-integral blow-up count"):
-            _counts(pair, left, right)
+            nef_fiber_identity(chain, div.pair)
     else:
-        # with non-negative entries no count is negative, so _counts need
-        # not check for one
-        assert min(expected) >= 0
-        assert _counts(pair, left, right) == expected
+        assert nef_fiber_identity(chain, div.pair) is expected
