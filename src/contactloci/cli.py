@@ -372,7 +372,7 @@ def _check_size(command: str, domain, n: int, d: int, m: int) -> None:
     q = m // d
     divisors = q * m - d * q * (q + 1) // 2 if command == "resolve" else 0
     degrees = 2 * n if command in ("cohomology", "floer", "euler") else 0
-    milnor_bits = n * (d - 1).bit_length() if degrees and m >= d else 0
+    milnor_bits = n * (d - 2).bit_length() + 1 if degrees and m >= d else 0
     strata_bits = q * milnor_bits if command in ("cohomology", "floer") else 0
     for what, size, cap in (("strata", q, CLI_MAX_STRATA),
                             ("chain divisors (upper bound)", divisors, CLI_MAX_DIVISORS),

@@ -21,7 +21,8 @@ SCATTER_MAX = 200  # largest nmax and dmax of the scatter grid
 CLI_MAX_DIVISORS = 250_000
 CLI_MAX_STRATA = 20_000
 # cohomology, floer and euler loop over the 2n degrees of S, and for m >= d
-# form the Milnor number (d-1)^n, of at most n * bitlength(d-1) bits.
+# form the Milnor number (d-1)^n, of at most n * bitlength(d-2) + 1 bits:
+# d - 1 <= 2^bitlength(d-2), with equality when d - 1 is a power of two.
 CLI_MAX_DEGREES = 20_000
 CLI_MAX_MILNOR_BITS = 1_000_000
 # cohomology and floer print ranks of up to that many bits for each of the

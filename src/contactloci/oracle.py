@@ -52,6 +52,12 @@ def _symmetries(f: SparseIntPoly, p: int) -> tuple[list[set], list[tuple[list, l
     reduced = {exps: c % p for exps, c in f.terms if c % p}
     subgroups = [{c for c in range(1, p) if all(pow(c, exps[i], p) == 1 for exps in reduced)}
                  for i in range(n)]
+
+    def fixes(c, c2, rows):
+        # x_i -> c x_i and x_j -> c2 x_j scale each term onto its image
+        return all(want == c0 * pow(c, e_i, p) * pow(c2, e_j, p) % p
+                   for want, c0, e_i, e_j in rows)
+
     swaps = []
     for i, j in combinations(range(n), 2):
         perm = list(range(n))
@@ -59,14 +65,18 @@ def _symmetries(f: SparseIntPoly, p: int) -> tuple[list[set], list[tuple[list, l
         # scales are units mod p, so an image has f's support only if perm maps it
         if {tuple(exps[q] for q in perm) for exps in reduced} != reduced.keys():
             continue
-        for c, c2 in product(range(1, p), repeat=2):
+        # (coefficient of the image, c0, e_i, e_j) per term; the terms without
+        # x_j do not see c2, so they filter c before c2 is searched
+        terms = [(reduced[tuple(exps[q] for q in perm)], c0, exps[i], exps[j])
+                 for exps, c0 in reduced.items()]
+        free = [term for term in terms if not term[3]]
+        # the first accepted (c, c2) in product order
+        found = next(((c, c2) for c in range(1, p) if fixes(c, 1, free)
+                      for c2 in range(1, p) if fixes(c, c2, terms)), None)
+        if found:
             scale = [1] * n
-            scale[j], scale[i] = c2, c
-            if all(reduced[tuple(exps[q] for q in perm)]
-                   == c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
-                   for exps, c0 in reduced.items()):
-                swaps.append((perm, scale))
-                break
+            scale[i], scale[j] = found
+            swaps.append((perm, scale))
     return subgroups, swaps
 
 

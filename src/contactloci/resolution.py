@@ -123,7 +123,8 @@ class ResolutionChain(Value):
     """The divisor chain of the minimal m-separating resolution, left to right
     from (0, 1) to (1, 0).  Iteration and len run over the divisors; a fifth
     item maps each pair to its position, so that nef_fiber_identity finds a
-    divisor's neighbours with one lookup.  An endpoint pair maps to its own
+    divisor's neighbours with one lookup, and verify_minimality reads its
+    keys as the chain's set of pairs.  An endpoint pair maps to its own
     end even where a hand-made chain holds it elsewhere, so that
     nef_fiber_identity refuses it as an endpoint.
     """
@@ -179,9 +180,15 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
     # the build skips: a pair with determinant +-1 against a neighbour is
     # coprime, and N = kappa + r*d and nu = kappa + r*n are >= 1 for
     # kappa, r >= 0 not both 0, d >= 1 and n >= 2.
+    #
+    # One walk: each divisor's own fields, then its determinant and
+    # separation against the previous divisor, so the leftmost fault is the
+    # one raised.  The first divisor is (0, 1), and it has no predecessor;
+    # the start values (1, 0) and N = m + 1 let it pass the second half.
     n, d, m, divs = chain[:4]
     if divs[0][0] != PAIR_FIRST or divs[-1][0] != PAIR_STRICT:
         raise AssertionError("chain endpoints are wrong")
+    kappa_p, r_p, mult_p = 1, 0, m + 1
     for (kappa, r), mult, disc in divs:
         if kappa < 0 or r < 0:
             raise AssertionError(f"({kappa},{r}) has a negative entry")
@@ -189,14 +196,12 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
             raise AssertionError(f"multiplicity of ({kappa},{r}) is inconsistent")
         if disc != kappa + r * n:
             raise AssertionError(f"log discrepancy of ({kappa},{r}) is inconsistent")
-    prev = divs[0]
-    for div in divs[1:]:
-        (ka, ra), (kb, rb) = prev[0], div[0]
-        if ka * rb - kb * ra not in (1, -1):
-            raise AssertionError(f"{prev[0]}, {div[0]} are not Farey neighbors")
-        if prev[1] + div[1] <= m:
-            raise AssertionError(f"chain is not {m}-separating at {prev[0]}, {div[0]}")
-        prev = div
+        if kappa_p * r - kappa * r_p not in (1, -1):
+            raise AssertionError(f"({kappa_p},{r_p}), ({kappa},{r}) are not Farey neighbors")
+        if mult_p + mult <= m:
+            raise AssertionError(
+                f"chain is not {m}-separating at ({kappa_p},{r_p}), ({kappa},{r})")
+        kappa_p, r_p, mult_p = kappa, r, mult
 
 
 def verify_minimality(chain: ResolutionChain) -> bool:
@@ -204,20 +209,21 @@ def verify_minimality(chain: ResolutionChain) -> bool:
 
     The predicted intermediate pairs are the coprime (kappa, r) with both
     >= 1 and N <= m.  The chain's pairs hash and compare as plain tuples, so
-    the closed form is enumerated as tuples and never wrapped.  It is
+    the closed form is enumerated as tuples, never wrapped, and looked up in
+    the chain's own pair index, whose keys are the chain's pairs.  It is
     enumerated one r at a time: the rows are disjoint, so if each lies in
-    the chain's set and their sizes add up to the set's, the two are equal.
+    the index and their sizes, with the endpoint pairs the index holds, add
+    up to the index's, the intermediate pairs are exactly the closed form.
     """
-    d, m, divs = chain[1:4]
-    actual = set(map(itemgetter(0), divs))
-    actual.difference_update(_ENDPOINT_KINDS)
-    predicted = 0
+    d, m, divs, index = chain[1:5]
+    found = index.__contains__
+    predicted = sum(map(found, _ENDPOINT_KINDS))
     for r in range(1, m // d + 1):
         row = [(kappa, r) for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1]
-        if not actual.issuperset(row):
+        if not all(map(found, row)):
             return False
         predicted += len(row)
-    if predicted != len(actual):
+    if predicted != len(index):
         return False
     # the smallest sum of adjacent multiplicities exceeds m
     mults = list(map(itemgetter(1), divs))
@@ -276,14 +282,14 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
             raise ValueError(f"pair {pair} is not a divisor of this chain")
         side = "left" if idx == 0 else "right"
         raise ValueError(f"{pair} has no {side} neighbour in this chain")
-    left, div, right = divs[idx - 1:idx + 2]
+    (kappa_l, r_l), mult_l, disc_l = divs[idx - 1]
+    _, mult, disc = divs[idx]
+    (kappa_r, r_r), mult_r, disc_r = divs[idx + 1]
     kappa, r = pair
-    (kappa_l, r_l), (kappa_r, r_r) = left[0], right[0]
     if kappa_l * r - kappa * r_l != -1 or kappa * r_r - r * kappa_r != -1:
         raise AssertionError(f"non-integral blow-up count at {pair}")
     factor = (r_l + r_r) // r
-    return (left[2] + right[2] == factor * div[2]
-            and left[1] + right[1] == factor * div[1])
+    return disc_l + disc_r == factor * disc and mult_l + mult_r == factor * mult
 
 
 def _m_divisor(n: int, d: int, m: int, i: int) -> Divisor:

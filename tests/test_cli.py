@@ -439,14 +439,17 @@ def test_verify_deeply_nested_json_polynomial_exit_code(capsys):
 
 
 def test_strata_times_milnor_bits_cap(capsys, monkeypatch):
-    # cohomology and floer at (2500, 3, 12000): 4000 strata times 2500 * 2 bits
+    # cohomology and floer at (4999, 3, 12000): 4000 strata times the 5000
+    # bits of 2^4999, counted as 4999 * bitlength(1) + 1
     assert 4000 * 5000 == cli.CLI_MAX_STRATA_BITS
     for command in ("cohomology", "floer"):
-        cli._check_size(command, COHOMOLOGY, 2500, 3, 12000)
-    # euler prints no rank per stratum, and below d there are no bits
+        cli._check_size(command, COHOMOLOGY, 4999, 3, 12000)
+    # euler prints no rank per stratum, below d there are no bits, and
+    # (d-1)^n = 1 for d = 2 is counted as one bit
     cli._check_size("euler", COHOMOLOGY, 10000, 3, 60000)
     cli._check_size("cohomology", COHOMOLOGY, 10000, 3, 2)
-    for command, ndm in (("cohomology", (2500, 3, 12003)), ("floer", (2501, 3, 12000))):
+    cli._check_size("cohomology", COHOMOLOGY, 10000, 2, 40000)
+    for command, ndm in (("cohomology", (4999, 3, 12003)), ("floer", (5000, 3, 12000))):
         with pytest.raises(BudgetExceededError, match="strata times bits of"):
             cli._check_size(command, COHOMOLOGY, *ndm)
     # about 246 million characters of ranks without the cap
@@ -460,7 +463,7 @@ def test_strata_times_milnor_bits_cap(capsys, monkeypatch):
     # moves one below the product
     monkeypatch.setattr(cli, "CLI_MAX_STRATA_BITS", 4000 * 5000 - 1)
     with pytest.raises(BudgetExceededError, match="20000000 is over the command-line cap"):
-        cli._check_size("cohomology", COHOMOLOGY, 2500, 3, 12000)
+        cli._check_size("cohomology", COHOMOLOGY, 4999, 3, 12000)
 
 
 def test_milnor_number_cap_stops_before_work(capsys):

@@ -419,11 +419,13 @@ def unfiltered_symmetries(f, p):
     return found
 
 
-@pytest.mark.parametrize("poly,p", SYMMETRY_CASES)
+@pytest.mark.parametrize("poly,p", SYMMETRY_CASES + [(LOWSYM, 11), (LOWSYM, 13)])
 def test_symmetries_match_the_unfiltered_search(poly, p):
-    # the support filter loses no generator: each coordinate's subgroup is 1
-    # and the unfiltered search's scalings of it, and the swaps are its
-    # transpositions in the same order
+    # the support filter and the filter on c by the terms without x_j lose
+    # no generator: each coordinate's subgroup is 1 and the unfiltered
+    # search's scalings of it, and the swaps are its transpositions in the
+    # same order.  LOWSYM's supports match under x0 <-> x1, and from p = 7
+    # on no scale pair is accepted, so every c is tried.
     n = poly.nvars
     unfiltered = unfiltered_symmetries(poly, p)
     subgroups, swaps = _symmetries(poly, p)

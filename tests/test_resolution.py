@@ -229,6 +229,52 @@ def test_verify_minimality_rejects_missing_divisor(pairs):
     assert not verify_minimality(chain_of(pairs))
 
 
+def minimality_by_sets(chain):
+    # the chain's intermediate pairs hashed into a set of their own, against
+    # the closed form as a set, and every adjacent multiplicity sum
+    d, m = chain.d, chain.m
+    actual = {div.pair for div in chain} - {(0, 1), (1, 0)}
+    predicted = {(kappa, r) for r in range(1, m // d + 1)
+                 for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1}
+    mults = [div.multiplicity for div in chain]
+    return actual == predicted and all(a + b > m for a, b in zip(mults, mults[1:]))
+
+
+@st.composite
+def edited_chains(draw):
+    # a built chain, perhaps shuffled, then closed-form pairs dropped,
+    # duplicated or moved, coprime pairs added, and endpoints put anywhere
+    n, d, m = draw(st.integers(2, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 24))
+    pairs = pairs_of(build_minimal_resolution(n, d, m))
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs))
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("drop", "duplicate", "move", "add", "endpoint")))
+        if op in ("drop", "duplicate", "move") and pairs:
+            pair = pairs[draw(st.integers(0, len(pairs) - 1))]
+            if op != "duplicate":
+                pairs.remove(pair)
+            if op != "drop":
+                pairs.insert(draw(st.integers(0, len(pairs))), pair)
+        elif op == "add":
+            kappa, r = draw(st.integers(0, m + 2)), draw(st.integers(0, m // d + 2))
+            if gcd(kappa, r) == 1:
+                pairs.insert(draw(st.integers(0, len(pairs))), (kappa, r))
+        elif op == "endpoint":
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from([(0, 1), (1, 0)])))
+    return chain_of(pairs, n, d, m)
+
+
+@given(edited_chains())
+@example(chain_of([(0, 1), (1, 1), (2, 1), (1, 0)]))
+@example(chain_of([(1, 1), (2, 1), (1, 0)]))
+@example(chain_of([(1, 1), (0, 1), (2, 1), (1, 1), (1, 0)], m=3))
+def test_verify_minimality_matches_a_set_based_check(chain):
+    # verify_minimality reads the chain's pair index and counts the endpoint
+    # pairs it holds; the reference builds sets of its own
+    assert verify_minimality(chain) == minimality_by_sets(chain)
+
+
 def test_verify_minimality_rejects_non_separating_chain():
     # the intermediate divisors are the closed-form set, but (0, 1) sits
     # next to (1, 0) and 2 + 1 <= 4
@@ -292,8 +338,14 @@ def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
     ([((0, 1), 2, 3), ((1, 0), 1, 1)], "separating"),
     # CoprimePair refuses (-1, 1), so the rows are wrapped without the checks
     ([((0, 1), 2, 3), ((-1, 1), 1, 2), ((1, 0), 1, 1)], "negative"),
+    # two faults: (1, 1), (3, 1) have determinant -2, and (1, 0) has N = 2
+    ([((0, 1), 2, 3), ((1, 1), 3, 4), ((3, 1), 5, 6), ((1, 0), 2, 1)],
+     r"^\(1,1\), \(3,1\) are not Farey neighbors$"),
 ])
 def test_chain_invariant_check_rejects_broken_chains(divisors, message):
+    """The check walks the chain once, from the left: each divisor's own
+    fields (entries, N, nu), then its determinant and separation against
+    the previous divisor.  So the leftmost fault is the one reported."""
     with pytest.raises(AssertionError, match=message):
         _check_chain_invariants(wrapped(divisors))
     _check_chain_invariants(build_minimal_resolution(3, 2, 4))
