@@ -40,7 +40,6 @@ _LAYERS = {
         "build_minimal_resolution",
         "m_divisors",
         "nef_fiber_identity",
-        "parents_from_cf",
         "verify_minimality",
     ),
     "spectral": (

@@ -4,7 +4,8 @@ Chains, m-divisors and valuation counts take n >= 2, d >= 1; the topology of
 S needs n >= 3 (S connected); the cohomology layers also need d >= 2.  The
 command line reads this table for its help text and error messages, and its
 caps bound the work one invocation may start; the library is not capped,
-apart from the depth of the jet oracle's recursive search.
+apart from the depth of the jet oracle's recursive search and the monomials
+of one degree of the Milnor oracle's Jacobian matrix.
 The errors the command line maps to exit codes 2 and 3 live here too, so
 that it can catch them without loading the layers that raise them, and the
 base of the value types that check or normalise their fields.

@@ -57,9 +57,6 @@ class FgAbGroup(Value):
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-ZERO_GROUP = FgAbGroup()
-
-
 def free_group(rank: int) -> FgAbGroup:
     return FgAbGroup(rank)
 
@@ -89,12 +86,6 @@ class GradedGroup(Value):
     def from_dict(cls, mapping: Mapping[int, FgAbGroup]) -> "GradedGroup":
         return cls(tuple((k, g) for k, g in mapping.items() if not g.is_zero))
 
-    def at(self, degree: int) -> FgAbGroup:
-        for k, g in self.entries:
-            if k == degree:
-                return g
-        return ZERO_GROUP
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
@@ -105,11 +96,6 @@ class GradedGroup(Value):
     def euler_char(self) -> int:
         """Alternating sum of ranks; torsion is invisible to it."""
         return sum((-1) ** k * rank for k, (rank, _) in self.entries)
-
-    def __str__(self) -> str:
-        if not self.entries:
-            return "0"
-        return ", ".join(f"deg {k}: {g}" for k, g in self.entries)
 
     def to_doc(self) -> list:
         return [{"degree": k, **g.to_doc()} for k, g in self.entries]

@@ -213,7 +213,8 @@ def verify_minimality(chain: ResolutionChain) -> bool:
     the chain's own pair index, whose keys are the chain's pairs.  It is
     enumerated one r at a time: the rows are disjoint, so if each lies in
     the index and their sizes, with the endpoint pairs the index holds, add
-    up to the index's, the intermediate pairs are exactly the closed form.
+    up to the chain's length, the intermediate pairs are exactly the closed
+    form and no pair appears twice.
     """
     d, m, divs, index = chain[1:5]
     found = index.__contains__
@@ -223,36 +224,12 @@ def verify_minimality(chain: ResolutionChain) -> bool:
         if not all(map(found, row)):
             return False
         predicted += len(row)
-    if predicted != len(index):
+    # the index's keys are distinct, so a repeated pair makes the chain longer
+    if predicted != len(divs):
         return False
     # the smallest sum of adjacent multiplicities exceeds m
     mults = list(map(itemgetter(1), divs))
     return min(map(add, mults, mults[1:]), default=m + 1) > m
-
-
-def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two coprime pairs whose mediant is (kappa, r).
-
-    Returns the pair ``(low, high)`` where ``low`` has the smaller value
-    kappa/r, i.e. it is the parent on the (0, 1) side of the Stern-Brocot
-    tree.  The endpoints (1, 0) and (0, 1) have no parents and are rejected.
-    Pairs go in and out as bare ``(kappa, r)`` tuples.
-
-    The low parent (h, k) is the one pair with kappa*k - r*h = 1 and
-    0 < k <= r: k is the inverse of kappa mod r (r itself when r = 1) and
-    h = (kappa*k - 1) / r.  The high parent is (kappa - h, r - k).  These are
-    the parents that truncating the continued fraction of kappa/r gives: the
-    truncated expansion and the one with its last quotient decremented are
-    the two Farey neighbours of kappa/r whose denominators add up to r.
-    """
-    if kappa < 1 or r < 1:
-        raise ValueError(f"({kappa}, {r}): both entries must be >= 1")
-    try:
-        k = pow(kappa, -1, r) or r
-    except ValueError:
-        raise ValueError(f"({kappa}, {r}) is not a coprime pair") from None
-    h = (kappa * k - 1) // r
-    return (h, k), (kappa - h, r - k)
 
 
 def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
@@ -263,13 +240,14 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     creation.
 
     The mediant parents low and high of the pair add up to it, and each has
-    determinant -1 with it (see parents_from_cf).  So det(L, pair) = -1 holds
-    exactly when L - low is parallel to the pair, and the pair is primitive,
-    so L - low is an integer multiple n' of it; likewise R - high is n''
-    times the pair exactly when det(pair, R) = -1.  Then
+    determinant -1 with it.  So det(L, pair) = -1 holds exactly when
+    L - low is parallel to the pair, and the pair is primitive, so L - low
+    is an integer multiple n' of it; likewise R - high is n'' times the pair
+    exactly when det(pair, R) = -1.  Then
     L + R = (1 + n' + n'')*(kappa, r), and r_L + r_R fixes the factor.  A
     determinant other than -1 means the chain was built wrong and raises.
-    The tests check the factor against parents_from_cf's parents.
+    The tests check the factor against the parents that their Stern-Brocot
+    reference, tests/sternbrocot.py, derives.
     """
     # one lookup; the index puts an endpoint pair at an end of the chain, so
     # the endpoint test runs only off the success path
@@ -317,9 +295,6 @@ class MDivisor(NamedTuple):
 
 
 class MDivisorList(NamedTuple):
-    n: int
-    d: int
-    m: int
     entries: tuple[MDivisor, ...]
 
     def to_doc(self) -> list:
@@ -339,7 +314,7 @@ def m_divisors(chain: ResolutionChain) -> MDivisorList:
         if div.pair not in chain._index:
             raise AssertionError(f"m-divisor {div.pair} missing from chain")
         entries.append(MDivisor(i, div))
-    return MDivisorList(n, d, m, tuple(entries))
+    return MDivisorList(tuple(entries))
 
 
 def exceptional_m_divisors(n: int, d: int, m: int) -> tuple[Divisor, ...]:

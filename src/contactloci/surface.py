@@ -70,20 +70,12 @@ class HypersurfaceData(NamedTuple):
     middle: int
     milnor: int
     euler: int
-    ring: GradedGroup
 
 
 @lru_cache(maxsize=None)
 def hypersurface_data(n: int, d: int) -> HypersurfaceData:
-    SURFACE.check(n, d)
-    b = middle_rank(n, d)
-    entries = {k: free_group(1) for k in range(0, 2 * n - 3, 2)}
-    entries[n - 2] = free_group(b)
-    data = HypersurfaceData(n, d, b, milnor_number(n, d), euler_characteristic(n, d),
-                            GradedGroup.from_dict(entries))
-    if data.ring.euler_char() != data.euler:
-        raise AssertionError("cohomology ring disagrees with chi")
-    return data
+    return HypersurfaceData(n, d, middle_rank(n, d), milnor_number(n, d),
+                            euler_characteristic(n, d))
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +91,7 @@ def cone_compact_cohomology(n: int, d: int) -> GradedGroup:
     where c = b for odd n and b - 1 for even n; for odd n, multiplication by
     d on H^(n-3) adds Z/d in degree n.
     """
-    b = hypersurface_data(n, d).middle
+    b = middle_rank(n, d)
     c = b if n % 2 else b - 1
     return GradedGroup.from_dict({
         1: free_group(1),

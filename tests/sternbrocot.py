@@ -1,0 +1,33 @@
+"""The tests' Stern-Brocot reference: the mediant parents of a coprime pair.
+
+No library function derives parents; nef_fiber_identity reads its blow-up
+counts off two neighbour determinants.  The tests check those counts, and
+the chain's neighbours, against the parents given here, and
+tests/test_resolution.py checks this function against a descent of the
+Stern-Brocot tree and against the continued-fraction convergents.
+"""
+
+
+def parents_from_cf(kappa: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two coprime pairs whose mediant is (kappa, r).
+
+    Returns the pair ``(low, high)`` where ``low`` has the smaller value
+    kappa/r, i.e. it is the parent on the (0, 1) side of the Stern-Brocot
+    tree.  The endpoints (1, 0) and (0, 1) have no parents and are rejected.
+    Pairs go in and out as bare ``(kappa, r)`` tuples.
+
+    The low parent (h, k) is the one pair with kappa*k - r*h = 1 and
+    0 < k <= r: k is the inverse of kappa mod r (r itself when r = 1) and
+    h = (kappa*k - 1) / r.  The high parent is (kappa - h, r - k).  These are
+    the parents that truncating the continued fraction of kappa/r gives: the
+    truncated expansion and the one with its last quotient decremented are
+    the two Farey neighbours of kappa/r whose denominators add up to r.
+    """
+    if kappa < 1 or r < 1:
+        raise ValueError(f"({kappa}, {r}): both entries must be >= 1")
+    try:
+        k = pow(kappa, -1, r) or r
+    except ValueError:
+        raise ValueError(f"({kappa}, {r}) is not a coprime pair") from None
+    h = (kappa * k - 1) // r
+    return (h, k), (kappa - h, r - k)

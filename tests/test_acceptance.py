@@ -16,7 +16,6 @@ from contactloci.poly import parse_poly
 from contactloci.resolution import (
     build_minimal_resolution,
     nef_fiber_identity,
-    parents_from_cf,
     verify_minimality,
 )
 from contactloci.spectral import (
@@ -29,6 +28,7 @@ from contactloci.spectral import (
     floer_cohomology,
 )
 from contactloci.surface import cover_homology, middle_rank, middle_rank_alternating_sum
+from sternbrocot import parents_from_cf
 
 
 def _report(number: int, name: str, failures: list, elapsed: float, bound: float) -> None:

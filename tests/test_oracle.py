@@ -312,6 +312,15 @@ def test_non_isolated_singularity_is_detected():
         milnor_number_oracle(degenerate)
 
 
+def test_milnor_refuses_a_degree_of_too_many_monomials():
+    # the Milnor oracle's one cap: the 10-variable Fermat cubic's Jacobian
+    # matrix has C(16, 9) = 11,440 columns in degree 7 and C(17, 9) = 24,310
+    # in degree 8
+    fermat = parse_poly("+".join(f"x{j}^3" for j in range(10)))
+    with pytest.raises(BudgetExceededError, match="^degree 8 needs more than 20000 monomials$"):
+        milnor_number_oracle(fermat)
+
+
 # by_order of count_contact_jets as computed by the unreduced search, which
 # rebuilt every power series from the whole prefix and expanded every vector
 PINNED_COUNTS = [

@@ -1,4 +1,4 @@
-"""The package namespace: 45 names, each resolved on first use by loading the
+"""The package namespace: 44 names, each resolved on first use by loading the
 one layer that owns it, and then bound as a plain global."""
 
 import importlib
@@ -18,9 +18,8 @@ EXPORTED = [
     "count_base", "count_contact_jets", "cover_homology", "floer_cohomology",
     "graded_pieces", "hypersurface_data", "lefschetz_number",
     "m_divisors", "mclean_e1", "middle_rank", "milnor_fiber_compact_cohomology",
-    "milnor_number_oracle", "nef_fiber_identity", "order_e1", "parents_from_cf",
-    "parse_poly", "piece_compact_cohomology", "scatter_grid", "valuation_report",
-    "verify_minimality",
+    "milnor_number_oracle", "nef_fiber_identity", "order_e1", "parse_poly",
+    "piece_compact_cohomology", "scatter_grid", "valuation_report", "verify_minimality",
 ]
 
 LAYERS = ("contact", "groups", "nash", "oracle", "poly", "resolution", "spectral", "surface")
@@ -44,7 +43,7 @@ def first_access(fresh_python, statement):
 
 def test_all_is_unchanged():
     assert contactloci.__all__ == EXPORTED
-    assert len(EXPORTED) == 45
+    assert len(EXPORTED) == 44
 
 
 def test_each_name_is_its_layers_object():
@@ -88,7 +87,7 @@ def test_oracle_access_loads_no_chain_layer(fresh_python):
 def test_first_access_binds_the_whole_layer(fresh_python):
     loaded, bound = first_access(fresh_python, "cl.nef_fiber_identity")
     assert loaded == ["domain", "resolution"]
-    assert "parents_from_cf" in bound
+    assert "verify_minimality" in bound
     assert bound == sorted(contactloci._LAYERS["resolution"])
 
 

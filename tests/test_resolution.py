@@ -15,9 +15,9 @@ from contactloci.resolution import (
     exceptional_m_divisors,
     m_divisors,
     nef_fiber_identity,
-    parents_from_cf,
     verify_minimality,
 )
+from sternbrocot import parents_from_cf
 
 GRID = [(n, d, m) for n in (2, 3, 5) for d in (1, 2, 3, 5, 8) for m in range(1, 26)]
 
@@ -231,13 +231,16 @@ def test_verify_minimality_rejects_missing_divisor(pairs):
 
 def minimality_by_sets(chain):
     # the chain's intermediate pairs hashed into a set of their own, against
-    # the closed form as a set, and every adjacent multiplicity sum
+    # the closed form as a set, no pair twice, and every adjacent
+    # multiplicity sum
     d, m = chain.d, chain.m
-    actual = {div.pair for div in chain} - {(0, 1), (1, 0)}
+    pairs = {div.pair for div in chain}
+    actual = pairs - {(0, 1), (1, 0)}
     predicted = {(kappa, r) for r in range(1, m // d + 1)
                  for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1}
     mults = [div.multiplicity for div in chain]
-    return actual == predicted and all(a + b > m for a, b in zip(mults, mults[1:]))
+    return (actual == predicted and len(pairs) == len(chain)
+            and all(a + b > m for a, b in zip(mults, mults[1:])))
 
 
 @st.composite
@@ -269,6 +272,9 @@ def edited_chains(draw):
 @example(chain_of([(0, 1), (1, 1), (2, 1), (1, 0)]))
 @example(chain_of([(1, 1), (2, 1), (1, 0)]))
 @example(chain_of([(1, 1), (0, 1), (2, 1), (1, 1), (1, 0)], m=3))
+# Farey neighbours and separated throughout, but every divisor of the built
+# chain (0, 1), (1, 1), (1, 0) but the last comes twice
+@example(chain_of([(0, 1), (1, 1), (0, 1), (1, 1), (1, 0)], 2, 1, 2))
 def test_verify_minimality_matches_a_set_based_check(chain):
     # verify_minimality reads the chain's pair index and counts the endpoint
     # pairs it holds; the reference builds sets of its own

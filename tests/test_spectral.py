@@ -130,8 +130,8 @@ def test_violations_are_monotone_in_m():
 def test_floer_cohomology_determined():
     hf = floer_cohomology(3, 5, 5)
     assert hf is not None
-    assert hf.at(4) == free_group(64)
-    assert hf.at(6) == free_group(1)
+    assert dict(hf.entries)[4] == free_group(64)
+    assert dict(hf.entries)[6] == free_group(1)
     assert comparison_shift(3, 5) == 22
 
 
@@ -221,7 +221,7 @@ def test_diagonal_stacks_strata_at_one_shift():
     from contactloci.contact import contact_cohomology
 
     profile = contact_cohomology(3, 3, 9)
-    assert profile.at(39) == FgAbGroup(4, (3, 3))
+    assert dict(profile.entries)[39] == FgAbGroup(4, (3, 3))
 
 
 def test_condition_report_round_trip():

@@ -4,7 +4,6 @@ from contactloci.groups import FgAbGroup, GradedGroup, free_group
 from contactloci.surface import (
     cone_compact_cohomology,
     cover_homology,
-    euler_characteristic,
     hypersurface_data,
     middle_rank,
     middle_rank_alternating_sum,
@@ -59,16 +58,6 @@ def test_hypersurface_data(n, d, b, mu, chi):
     assert data.middle == b
     assert data.milnor == mu
     assert data.euler == chi
-
-
-def test_cohomology_ring_profile():
-    data = hypersurface_data(3, 2)
-    assert [data.ring.at(k).rank for k in range(3)] == [1, 0, 1]
-    quartic = hypersurface_data(3, 4)
-    assert quartic.ring.at(1) == free_group(6)
-    surface = hypersurface_data(4, 3)
-    assert surface.ring.at(2) == free_group(7)
-    assert surface.ring.at(1).is_zero and surface.ring.at(3).is_zero
 
 
 def test_gysin_profile_odd_dimension():
@@ -157,11 +146,3 @@ def test_cover_is_poincare_dual_of_cone():
             cover = cover_homology(n, d, -1, 3 * d + 1)
             dual = GradedGroup(tuple((2 * n - 2 - k, g) for k, g in cone.entries))
             assert cover == dual, (n, d)
-
-
-def test_euler_characteristic_closed_form():
-    # cross-check chi against the alternating rank sum of the stored ring
-    for n in (3, 4, 5, 6):
-        for d in range(1, 8):
-            data = hypersurface_data(n, d)
-            assert data.ring.euler_char() == euler_characteristic(n, d)

@@ -46,10 +46,9 @@ VALUES = {
                   ("rho", "base_kind", "hyperplane_vars", "free_vars", "fiber_dim", "total_dim")),
     MotivicClass: (lambda: contact_class(3, 2, 4), ("terms",)),
     HypersurfaceData: (lambda: hypersurface_data.__wrapped__(3, 4),
-                       ("n", "d", "middle", "milnor", "euler", "ring")),
+                       ("n", "d", "middle", "milnor", "euler")),
     ResolutionChain: (lambda: build_minimal_resolution(3, 2, 12), ("n", "d", "m", "divisors")),
-    MDivisorList: (lambda: m_divisors(build_minimal_resolution(3, 2, 12)),
-                   ("n", "d", "m", "entries")),
+    MDivisorList: (lambda: m_divisors(build_minimal_resolution(3, 2, 12)), ("entries",)),
     SpectralPage: (lambda: mclean_e1(3, 2, 6), ("entries",)),
     ConditionReport: (lambda: condition_degeneration(3, 3, 9), ("violating_k", "holds")),
     PairClass: (lambda: classify_pair(3, 3),
