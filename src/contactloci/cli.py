@@ -47,11 +47,12 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-SCATTER_COLORS = {
-    "blue": "#4477aa",
-    "orange": "#ee7733",
-    "yellow": "#ddcc33",
-    "pink": "#ee77aa",
+# scatter class -> (SVG fill, legend label), in legend order
+SCATTER_CLASSES = {
+    "blue": ("#4477aa", "isomorphism proved"),
+    "orange": ("#ee7733", "filtration condition can fail"),
+    "yellow": ("#ddcc33", "degeneration condition can fail"),
+    "pink": ("#ee77aa", "both conditions can fail"),
 }
 
 
@@ -242,7 +243,7 @@ def _scatter_svg(rows, n_max: int, d_max: int) -> list[str]:
         x = left + (n - n0) * cell
         y = top + (d_max - d) * cell
         parts.append(f'<rect x="{x}" y="{y}" width="{cell - 1}" height="{cell - 1}" '
-                     f'fill="{SCATTER_COLORS[cls.color]}"><title>n={n}, d={d}: '
+                     f'fill="{SCATTER_CLASSES[cls.color][0]}"><title>n={n}, d={d}: '
                      f'{cls.color}</title></rect>')
     axis_y = top + (d_max - d0 + 1) * cell + 12
     for n in range(n0, n_max + 1, 5):
@@ -254,14 +255,9 @@ def _scatter_svg(rows, n_max: int, d_max: int) -> list[str]:
     parts.append(f'<text x="{left}" y="{axis_y + 14}" font-size="10">n (variables)</text>')
     parts.append(f'<text x="4" y="{top - 2}" font-size="10">d (degree)</text>')
     legend_x = left + (n_max - n0 + 1) * cell + 12
-    legend = [("blue", "isomorphism proved"),
-              ("orange", "filtration condition can fail"),
-              ("yellow", "degeneration condition can fail"),
-              ("pink", "both conditions can fail")]
-    for row, (color, label) in enumerate(legend):
+    for row, (fill, label) in enumerate(SCATTER_CLASSES.values()):
         y = top + row * 16
-        parts.append(f'<rect x="{legend_x}" y="{y}" width="10" height="10" '
-                     f'fill="{SCATTER_COLORS[color]}"/>')
+        parts.append(f'<rect x="{legend_x}" y="{y}" width="10" height="10" fill="{fill}"/>')
         parts.append(f'<text x="{legend_x + 14}" y="{y + 9}" font-size="9">{label}</text>')
     parts.append("</svg>")
     return parts

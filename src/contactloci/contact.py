@@ -102,16 +102,15 @@ def contact_dimension(n: int, d: int, m: int) -> Optional[int]:
     return max(piece.total_dim for piece in pieces)
 
 
-BASIS_POINT = "pt"
 BASIS_SURFACE = "S"
 BASIS_MILNOR = "Mh"
-_BASES = (BASIS_POINT, BASIS_SURFACE, BASIS_MILNOR)
+_BASES = (BASIS_SURFACE, BASIS_MILNOR)
 
 
 class MotivicClass(Value):
-    """Integer combination of L^e * [S], L^e * [Mh], L^e * [pt], where L is
-    the class of the affine line.  The punctured cone never appears as a
-    basis element: it is always expanded as (L - 1)[S]."""
+    """Integer combination of L^e * [S] and L^e * [Mh], where L is the class
+    of the affine line.  The punctured cone never appears as a basis
+    element: it is always expanded as (L - 1)[S]."""
 
     __slots__ = ()
 
@@ -143,8 +142,8 @@ class MotivicClass(Value):
         return not self.terms
 
     def specialize(self, lef: int, surface: int, milnor_fiber: int) -> int:
-        """Evaluate by substituting integers for L, [S] and [Mh], and 1 for [pt]."""
-        values = {BASIS_POINT: 1, BASIS_SURFACE: surface, BASIS_MILNOR: milnor_fiber}
+        """Evaluate by substituting integers for L, [S] and [Mh]."""
+        values = {BASIS_SURFACE: surface, BASIS_MILNOR: milnor_fiber}
         return sum(coeff * lef ** exp * values[basis] for basis, exp, coeff in self.terms)
 
     def __str__(self) -> str:

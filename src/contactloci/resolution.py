@@ -123,26 +123,20 @@ class ResolutionChain(Value):
     """The divisor chain of the minimal m-separating resolution, left to right
     from (0, 1) to (1, 0).  Iteration and len run over the divisors; a fifth
     item maps each pair to its position, so that nef_fiber_identity finds a
-    divisor's neighbours with one lookup, and verify_minimality reads its
-    keys as the chain's set of pairs.  An endpoint pair maps to its own
-    end even where a hand-made chain holds it elsewhere, so that
-    nef_fiber_identity refuses it as an endpoint.
+    divisor's neighbours with one lookup, and verify_minimality and
+    m_divisors read its keys as the chain's set of pairs.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, m: int, divisors: tuple[Divisor, ...]) -> "ResolutionChain":
         index = dict(zip(map(itemgetter(0), divisors), range(len(divisors))))
-        for pair, end in ((PAIR_FIRST, 0), (PAIR_STRICT, len(divisors) - 1)):
-            if pair in index:
-                index[pair] = end
         return tuple.__new__(cls, (n, d, m, divisors, index))
 
     n = property(itemgetter(0))
     d = property(itemgetter(1))
     m = property(itemgetter(2))
     divisors = property(itemgetter(3))
-    _index = property(itemgetter(4))
 
     def intermediate_divisors(self) -> tuple[Divisor, ...]:
         return tuple(div for div in self[3] if div[0] not in _ENDPOINT_KINDS)
@@ -249,25 +243,28 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     The tests check the factor against the parents that their Stern-Brocot
     reference, tests/sternbrocot.py, derives.
     """
-    # one lookup; the index puts an endpoint pair at an end of the chain, so
-    # the endpoint test runs only off the success path
+    # one lookup and the determinant test; every refusal, the endpoint test
+    # among them, comes after them, so a call that succeeds hashes once
     idx = chain[4].get(pair)  # the pair index
     divs = chain[3]  # the divisors
-    if idx is None or not 0 < idx < len(divs) - 1:
-        if pair in _ENDPOINT_KINDS:
-            raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
-        if idx is None:
-            raise ValueError(f"pair {pair} is not a divisor of this chain")
+    if idx is not None and 0 < idx < len(divs) - 1:
+        (kappa_l, r_l), mult_l, disc_l = divs[idx - 1]
+        _, mult, disc = divs[idx]
+        (kappa_r, r_r), mult_r, disc_r = divs[idx + 1]
+        kappa, r = pair
+        if kappa_l * r - kappa * r_l == -1 and kappa * r_r - r * kappa_r == -1:
+            factor = (r_l + r_r) // r
+            return disc_l + disc_r == factor * disc and mult_l + mult_r == factor * mult
+    # an endpoint held inside a hand-made chain fails the determinant test:
+    # det(L, (0, 1)) is kappa_L >= 0 and det((1, 0), R) is r_R >= 0
+    if pair in _ENDPOINT_KINDS:
+        raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
+    if idx is None:
+        raise ValueError(f"pair {pair} is not a divisor of this chain")
+    if not 0 < idx < len(divs) - 1:
         side = "left" if idx == 0 else "right"
         raise ValueError(f"{pair} has no {side} neighbour in this chain")
-    (kappa_l, r_l), mult_l, disc_l = divs[idx - 1]
-    _, mult, disc = divs[idx]
-    (kappa_r, r_r), mult_r, disc_r = divs[idx + 1]
-    kappa, r = pair
-    if kappa_l * r - kappa * r_l != -1 or kappa * r_r - r * kappa_r != -1:
-        raise AssertionError(f"non-integral blow-up count at {pair}")
-    factor = (r_l + r_r) // r
-    return disc_l + disc_r == factor * disc and mult_l + mult_r == factor * mult
+    raise AssertionError(f"non-integral blow-up count at {pair}")
 
 
 def _m_divisor(n: int, d: int, m: int, i: int) -> Divisor:
@@ -302,19 +299,17 @@ class MDivisorList(NamedTuple):
 
 
 def m_divisors(chain: ResolutionChain) -> MDivisorList:
-    """The m-divisors of a chain, indexed by i in [-floor(m/d), 0].
+    """The m-divisors of a chain, indexed by i in [-floor(m/d), 0]: the
+    exceptional ones, then the strict transform E_0.
 
     Each listed pair is checked to be present in the chain.
     """
-    n, d, m = chain.n, chain.d, chain.m
-    CHAIN.check(n, d, m)
-    entries = []
-    for i in range(-(m // d), 1):
-        div = _m_divisor(n, d, m, i)
-        if div.pair not in chain._index:
+    n, d, m, _, index = chain[:5]
+    divs = exceptional_m_divisors(n, d, m) + (_m_divisor(n, d, m, 0),)
+    for div in divs:
+        if div.pair not in index:
             raise AssertionError(f"m-divisor {div.pair} missing from chain")
-        entries.append(MDivisor(i, div))
-    return MDivisorList(tuple(entries))
+    return MDivisorList(tuple(map(MDivisor, range(-(m // d), 1), divs)))
 
 
 def exceptional_m_divisors(n: int, d: int, m: int) -> tuple[Divisor, ...]:

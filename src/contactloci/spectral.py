@@ -91,20 +91,15 @@ def compare_pages(n: int, d: int, m: int) -> bool:
     return shifted == dict(order.entries)
 
 
-class ConditionReport(Value):
+class ConditionReport(NamedTuple):
     """The k in [1, m/d) at which a membership condition fails; it holds when
     there are none."""
 
-    __slots__ = ()
-
-    def __new__(cls, violating_k: tuple[int, ...]) -> "ConditionReport":
-        return tuple.__new__(cls, (violating_k,))
-
-    violating_k = property(itemgetter(0))
+    violating_k: tuple[int, ...]
 
     @property
     def holds(self) -> bool:
-        return not self[0]
+        return not self.violating_k
 
     def to_doc(self) -> dict:
         return {"holds": self.holds, "violating_k": list(self.violating_k)}

@@ -15,7 +15,6 @@ it.  The extensions that appear all split because the quotient term is free.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from typing import NamedTuple
 
 from .domain import SURFACE
@@ -38,20 +37,6 @@ def middle_rank(n: int, d: int) -> int:
     if b < 0 or (n % 2 == 0 and b < 1):
         raise AssertionError(f"middle rank {b} out of range for (n, d) = ({n}, {d})")
     return b
-
-
-def middle_rank_alternating_sum(n: int, d: int) -> int:
-    """Alternating binomial-sum expression for the middle rank.
-
-    Only trustworthy for odd n; the even-dimensional case needs a different
-    correction term (the quadric surface is the smallest counterexample), so
-    middle_rank derives b from chi instead and the tests compare the two on
-    odd n only.
-    """
-    SURFACE.check(n, d)
-    correction = (-1) ** (n - 1) * 2 * (n // 2)  # n // 2 == ceil((n-1)/2)
-    total = sum((-1) ** k * comb(n, k) * d ** (n - 1 - k) for k in range(n - 1))
-    return correction + total
 
 
 def milnor_number(n: int, d: int) -> int:

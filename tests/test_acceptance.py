@@ -8,6 +8,7 @@ pytest -s or in the failure report).
 import time
 from itertools import product
 
+from alternating_sum import middle_rank_alternating_sum
 from contactloci.contact import contact_cohomology, contact_euler, graded_pieces
 from contactloci.groups import FgAbGroup, GradedGroup, free_group
 from contactloci.nash import valuation_report
@@ -27,7 +28,7 @@ from contactloci.spectral import (
     default_k_bound,
     floer_cohomology,
 )
-from contactloci.surface import cover_homology, middle_rank, middle_rank_alternating_sum
+from contactloci.surface import cover_homology, middle_rank
 from sternbrocot import parents_from_cf
 
 

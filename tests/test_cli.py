@@ -134,7 +134,7 @@ def test_scatter_svg(capsys):
     assert code == 0
     assert out.startswith("<svg")
     assert out.count("<rect") >= 4 * 5
-    assert cli.SCATTER_COLORS["pink"] in out
+    assert cli.SCATTER_CLASSES["pink"][0] in out
 
 
 def test_scatter_bounds(capsys):

@@ -152,10 +152,10 @@ def test_contact_dimension():
 
 
 def test_motivic_class_algebra():
-    a = MotivicClass.from_terms([("S", 2, 1), ("pt", 0, 3)])
+    a = MotivicClass.from_terms([("S", 2, 1), ("Mh", 0, 3)])
     b = MotivicClass.from_terms([("S", 2, -1)])
-    assert MotivicClass.from_terms(a.terms + b.terms) == MotivicClass.from_terms([("pt", 0, 3)])
-    assert a.specialize(lef=2, surface=5, milnor_fiber=0) == 4 * 5 + 3
+    assert MotivicClass.from_terms(a.terms + b.terms) == MotivicClass.from_terms([("Mh", 0, 3)])
+    assert a.specialize(lef=2, surface=5, milnor_fiber=7) == 4 * 5 + 3 * 7
 
 
 def test_motivic_class_validation():

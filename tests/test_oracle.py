@@ -88,6 +88,10 @@ def test_poly_doc_round_trip():
 def test_initial_form_and_partials():
     assert PERTURBED.min_total_degree() == 2
     assert PERTURBED.initial_form() == QUADRIC
+    zero = SparseIntPoly(3, ())
+    assert str(zero) == "0"
+    with pytest.raises(ValueError, match="^the zero polynomial has no order$"):
+        zero.min_total_degree()
     dx0 = PERTURBED.partial(0)
     assert dx0.terms == (((1, 0, 0), 2), ((2, 0, 0), 3))
 
@@ -196,6 +200,23 @@ def test_total_is_sum_of_strata():
     assert report.total_count == sum(c for _, c in report.by_order)
 
 
+@pytest.mark.parametrize("poly,p,top", [(QUADRIC, 3, 6), (QUADRIC, 7, 5), (LOWSYM, 5, 5),
+                                        (CUBIC, 5, 6), (QUATERNARY, 3, 5)])
+def test_counts_satisfy_the_zeta_recurrence(poly, p, top):
+    # Blowing up the origin once is a log resolution with two divisors,
+    # (N, nu) = (d, n) and the strict transform's (1, 1), so Denef-Loeser's
+    # formula ("Motivic Igusa zeta functions", 1998) gives Z(T) the
+    # denominator (1 - L^(-n) T^d)(1 - L^(-1) T).  At L = p the totals c_m
+    # satisfy the recurrence below for m >= d + 2, whatever the base counts.
+    # Its T^d term needs c_(m-d) != 0, which first holds at m = 2d.
+    n, d = poly.nvars, poly.min_total_degree()
+    c = {m: count_contact_jets(poly, m, p).total_count for m in range(1, top + 1)}
+    assert top >= 2 * d and c[top - d] != 0
+    for m in range(d + 2, top + 1):
+        assert c[m] == (p ** (n - 1) * c[m - 1] + p ** (n * (d - 1)) * c[m - d]
+                        - p ** (n * d - 1) * c[m - d - 1]), m
+
+
 def test_total_count_matches_class_specialization():
     # the Grothendieck-ring class evaluated at L = p, [S] = projective point
     # count, [Mh] = fiber point count must reproduce the enumerated total
@@ -242,6 +263,8 @@ def test_budget_guard():
         count_contact_jets(QUADRIC, 4, 10007, budget=10)
     with pytest.raises(ValueError, match="budget must be >= 0"):
         count_contact_jets(QUADRIC, 4, 5, budget=-1)
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        count_contact_jets(QUADRIC, 0, 5)
 
 
 def test_depth_limit():
@@ -303,6 +326,9 @@ def test_milnor_number_of_linear_form():
 def test_milnor_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         milnor_number_oracle(PERTURBED)
+    # a nonzero constant is homogeneous, of degree 0
+    with pytest.raises(ValueError, match="^expected positive degree$"):
+        milnor_number_oracle(SparseIntPoly(2, (((0, 0), 1),)))
 
 
 def test_non_isolated_singularity_is_detected():

@@ -1,12 +1,12 @@
 import pytest
 
+from alternating_sum import middle_rank_alternating_sum
 from contactloci.groups import FgAbGroup, GradedGroup, free_group
 from contactloci.surface import (
     cone_compact_cohomology,
     cover_homology,
     hypersurface_data,
     middle_rank,
-    middle_rank_alternating_sum,
     milnor_fiber_compact_cohomology,
     milnor_number,
 )
