@@ -311,7 +311,12 @@ def cmd_verify(args):
     for flag, value in (("--f", args.f), ("--primes", args.primes)):
         if re.search(rf"\d{{{CLI_MAX_DIGITS + 1}}}", value):  # Python reads no such int
             raise ValueError(f"{flag} holds an integer of more than {CLI_MAX_DIGITS} digits")
-    primes = [int(chunk) for chunk in args.primes.split(",") if chunk.strip()]
+    primes = []
+    for chunk in filter(str.strip, args.primes.split(",")):
+        try:
+            primes.append(int(chunk))
+        except ValueError:
+            raise ValueError(f"--primes: {chunk.strip()!r} is not an integer") from None
     if not primes:
         raise ValueError("no primes given")
     # the oracle refuses a negative budget and a first prime below 2 before any charge

@@ -10,9 +10,9 @@ independent Milnor number.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, compress, islice, product
 from math import comb, gcd, isqrt, prod
-from operator import add, getitem, mul
+from operator import add, getitem, mul, not_
 from typing import Iterator, NamedTuple, Optional
 
 from .contact import BASE_MILNOR_FIBER, graded_pieces
@@ -38,20 +38,27 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _scalings(f: SparseIntPoly, p: int) -> list[set]:
+    """S_i per coordinate: the c in 1..p-1 whose scaling x_i -> c x_i fixes
+    f term by term mod p, those with c^e = 1 for the exponent e of x_i in
+    every term nonzero mod p.  Each is a subgroup of the cyclic group F_p^*,
+    with 1 in it.  As c^(p-1) = 1, c^e = 1 for every such e exactly when
+    c^g = 1 for g the gcd of them and p - 1."""
+    exponents = [exps for exps, c in f.terms if c % p]
+    orders = [gcd(p - 1, *(exps[i] for exps in exponents)) for i in range(f.nvars)]
+    return [{c for c in range(1, p) if pow(c, g, p) == 1} for g in orders]
+
+
 def _symmetries(f: SparseIntPoly, p: int) -> tuple[list[set], list[tuple[list, list]]]:
     """(subgroups, swaps): the symmetries of f term by term mod p.
 
-    subgroups[i] is the set of c in 1..p-1 whose scaling x_i -> c x_i fixes
-    f: those with c^e = 1 for the exponent e of x_i in every term nonzero
-    mod p, a subgroup S_i of the cyclic group F_p^*, with 1 in it.  swaps
-    holds, for each pair i < j in order, the first scaled transposition
-    g(x)_k = scale[k] * x[perm[k]] with f(g(x)) = f(x), as (perm, scale).
-    One per pair: the scalings give the rest for diagonal f, and a subgroup
-    only refines the orbits."""
+    subgroups is _scalings(f, p).  swaps holds, for each pair i < j in
+    order, the first scaled transposition g(x)_k = scale[k] * x[perm[k]]
+    with f(g(x)) = f(x), as (perm, scale).  One per pair: the scalings give
+    the rest for diagonal f, and a subgroup only refines the orbits."""
     n = f.nvars
     reduced = {exps: c % p for exps, c in f.terms if c % p}
-    subgroups = [{c for c in range(1, p) if all(pow(c, exps[i], p) == 1 for exps in reduced)}
-                 for i in range(n)]
+    subgroups = _scalings(f, p)
 
     def fixes(c, c2, rows):
         # x_i -> c x_i and x_j -> c2 x_j scale each term onto its image
@@ -80,6 +87,20 @@ def _symmetries(f: SparseIntPoly, p: int) -> tuple[list[set], list[tuple[list, l
     return subgroups, swaps
 
 
+def _cosets(group: set, p: int) -> tuple[list[int], list[int], list[int]]:
+    """(leasts, sizes, label) of F_p under the scalings by a subgroup S of
+    F_p^*: the least member and the size of {0}, then of each coset x*S in
+    order of least member, and label[x], the index of x's coset."""
+    leasts, sizes, label = [0], [1], [0] * p
+    for x in range(1, p):
+        if not label[x]:  # x is the least of its coset
+            for s in group:
+                label[x * s % p] = len(leasts)
+            leasts.append(x)
+            sizes.append(len(group))
+    return leasts, sizes, label
+
+
 def _orbits(subgroups: list[set], swaps, p: int) -> list[tuple[tuple, int]]:
     """(first member, size) of each orbit of F_p^n under the group generated
     by the scalings in subgroups and the swaps, in product order of first
@@ -91,18 +112,8 @@ def _orbits(subgroups: list[set], swaps, p: int) -> list[tuple[tuple, int]]:
     and so map cells to cells; they are closed over cells with a seen-map.
     Without swaps the cells are the orbits."""
     n = len(subgroups)
-    cosets, labels = [], []  # per coordinate; labels[i][x]: the cell factor of x
-    for group in subgroups:
-        label = [0] * p
-        factors = [(0, 1)]  # (least, size): {0}, then cosets in order of least
-        for x in range(1, p):
-            if not label[x]:  # x is the least of its coset
-                for s in group:
-                    label[x * s % p] = len(factors)
-                factors.append((x, len(group)))
-        cosets.append(factors)
-        labels.append(label)
-    radix = [len(factors) for factors in cosets]
+    leasts, cell_sizes, labels = zip(*(_cosets(group, p) for group in subgroups))
+    radix = list(map(len, leasts))
     weights = [prod(radix[i + 1:]) for i in range(n)]
     maps = []
     for perm, scale in swaps:
@@ -111,11 +122,11 @@ def _orbits(subgroups: list[set], swaps, p: int) -> list[tuple[tuple, int]]:
             raise AssertionError(f"{perm} is no transposition of coordinates with equal scalings")
         # g(c) has index high[c_0..c_(n-2)] + low[c_(n-1)], c in product
         # order; factor c_k lands in coordinate perm^-1(k) = perm[k]
-        tables = [[labels[q][scale[q] * least % p] * weights[q] for least, _ in cosets[k]]
+        tables = [[labels[q][scale[q] * least % p] * weights[q] for least in leasts[k]]
                   for k, q in enumerate(perm)]
         maps.append((list(map(sum, product(*tables[:-1]))), tables[-1]))
-    firsts = product(*([least for least, _ in factors] for factors in cosets))
-    sizes = list(map(prod, product(*([size for _, size in factors] for factors in cosets))))
+    firsts = product(*leasts)
+    sizes = list(map(prod, product(*cell_sizes)))
     if not maps:
         return list(zip(firsts, sizes))
     seen = bytearray(len(sizes))
@@ -135,19 +146,30 @@ def _orbits(subgroups: list[set], swaps, p: int) -> list[tuple[tuple, int]]:
     return orbits
 
 
-def _slices(h: SparseIntPoly, p: int) -> Iterator[list[int]]:
-    """h mod p over F_p^n in product order, one list per value of x_0.  Each
-    term is its x_0 power times its vector over the other coordinates, built
-    once from per-variable power tables."""
+def _grid(h: SparseIntPoly, p: int) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+    """(axes, sizes) of the cells of F_p^n under h's scalings: per
+    coordinate, 0 and the least member of each coset of S_i, and the size of
+    each.  A scaling that fixes h term by term maps the zeros of h, of h - 1
+    and of each partial of h onto themselves, so each is a union of cells;
+    a cell's least member, the grid point, is its first in product order."""
+    axes, sizes, _ = zip(*(_cosets(group, p) for group in _scalings(h, p)))
+    return axes, sizes
+
+
+def _slices(h: SparseIntPoly, axes, p: int) -> Iterator[list[int]]:
+    """h mod p over the grid prod axes in product order, one list per
+    member of axes[0].  Each term is its x_0 power times its vector over
+    the other axes, built once from per-axis power tables."""
     tails = []
     for exps, c in h.terms:
-        rows = [[pow(x, e, p) for x in range(p)] for e in exps]
+        rows = [[pow(x, e, p) for x in axis] for axis, e in zip(axes, exps)]
         vector = [c % p]
         for row in rows[1:]:
             vector = [a * b % p for a in vector for b in row]
         tails.append((rows[0], vector))
-    for x in range(p):
-        total = [0] * p ** (h.nvars - 1)
+    width = prod(map(len, axes[1:]))
+    for x in range(len(axes[0])):
+        total = [0] * width
         for row, vector in tails:
             total = list(map(add, total, map(row[x].__mul__, vector)))
         yield [v % p for v in total]
@@ -155,25 +177,28 @@ def _slices(h: SparseIntPoly, p: int) -> Iterator[list[int]]:
 
 def singular_point_mod_p(h: SparseIntPoly, p: int) -> Optional[tuple[int, ...]]:
     """The first common zero of the partials of h on F_p^n minus the origin,
-    in product order, if any."""
-    n = h.nvars
-    for x, values in enumerate(zip(*(_slices(h.partial(j), p) for j in range(n)))):
+    in product order, if any: the first such grid point of h's cells."""
+    axes, _ = _grid(h, p)
+    for x, values in enumerate(zip(*(_slices(h.partial(j), axes, p) for j in range(h.nvars)))):
         common = list(map(any, zip(*values)))  # False where every partial vanishes
         if False in common[x == 0:]:  # the origin skipped
             rest = common.index(False, x == 0)
-            return (x,) + tuple(rest // p ** i % p for i in reversed(range(n - 1)))
+            return (axes[0][x], *next(islice(product(*axes[1:]), rest, None)))
     return None
 
 
 def count_base(h: SparseIntPoly, p: int) -> tuple[int, int]:
-    """Exact counts of {h = 0} minus the origin and of {h = 1} over F_p^n."""
+    """Exact counts of {h = 0} minus the origin and of {h = 1} over F_p^n:
+    the cell sizes summed over the grid points where h is 0 or 1."""
     _require_prime(p)
     if not h.is_homogeneous() or h.is_zero or h.min_total_degree() < 1:
         raise ValueError("base counting expects a homogeneous form of positive degree")
+    axes, sizes = _grid(h, p)
+    tail = list(map(prod, product(*sizes[1:])))
     zeros = ones = 0
-    for values in _slices(h, p):
-        zeros += values.count(0)
-        ones += values.count(1)
+    for size, values in zip(sizes[0], _slices(h, axes, p)):
+        zeros += size * sum(compress(tail, map(not_, values)))
+        ones += size * sum(compress(tail, map((1).__eq__, values)))
     return zeros - 1, ones
 
 
@@ -217,11 +242,11 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
     """Count the m-jets gamma with gamma(0) = 0 and f(gamma) = t^m mod t^{m+1}
     over F_p, stratified by the order of gamma.
 
-    The budget caps the candidate vectors enumerated, scans of F_p^n included,
-    and the split products of terms in several variables that their lookups
-    sum, charged before each enumeration.  A search deeper than MAX_JET_DEPTH
-    levels, m - d + 1, is refused before any.  The initial form must be
-    smooth mod p away from 0, which is checked first.
+    The budget caps the candidate vectors enumerated, each scan charged as
+    p^n, and the split products of terms in several variables that their
+    lookups sum, charged before each enumeration.  A search deeper than
+    MAX_JET_DEPTH levels, m - d + 1, is refused before any.  The initial
+    form must be smooth mod p away from 0, which is checked first.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -246,9 +271,9 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
                 f"enumeration budget exceeded (more than {budget} candidates)")
 
     if p > 1:
-        # The two scans of F_p^n, and a third p^n when there are jets to
-        # count.  That unit once paid for an orbit pass over F_p^n; the
-        # orbits now come from cells, and it stays so that the exit-3
+        # p^n for each of the two scans, and a third p^n when there are jets
+        # to count.  The scans read one point per cell and the orbits come
+        # from cells, so these overstate both; they stay so that the exit-3
         # boundaries do not move.  Charged before p is trial-divided; p^n is
         # not formed when its bit length alone puts it over the budget.
         charge(budget + 1 if n * (p.bit_length() - 1) > budget.bit_length()

@@ -201,6 +201,25 @@ def test_verify_budget_exit_code(capsys):
         assert code == 3 and "budget" in err, m
 
 
+def test_verify_names_a_witness_off_the_axes(capsys):
+    # (x0 - x1)^2 + x2^2 is singular along x0 = x1, x2 = 0: the first such
+    # point in product order, (1, 1, 0), is the least of its scaling cell
+    doc = json.dumps({"n": 3, "terms": [{"exps": exps, "coeff": c} for exps, c in
+                                        (([2, 0, 0], 1), ([1, 1, 0], -2), ([0, 2, 0], 1),
+                                         ([0, 0, 2], 1))]})
+    code, out, err = run(capsys, "verify", "--f", doc, "--m", "3", "--primes", "13")
+    assert code == 2 and out == ""
+    assert err == "error: initial form is singular at (1, 1, 0) over F_13; pick another prime\n"
+
+
+def test_verify_names_a_prime_that_is_no_integer(capsys):
+    for primes, chunk in (("5.0", "5.0"), ("5,x", "x"), ("5, 7e1", "7e1")):
+        code, out, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "3",
+                             "--primes", primes)
+        assert code == 2 and out == "", primes
+        assert err == f"error: --primes: '{chunk}' is not an integer\n", primes
+
+
 def test_verify_refuses_too_many_variables(capsys):
     # the n bound of cohomology, floer and euler, 10,000, checked before the
     # inline parser builds an exponent vector as long as the largest index

@@ -4,7 +4,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactloci.oracle import (
@@ -13,8 +13,10 @@ from contactloci.oracle import (
     JetCountReport,
     NonIsolatedSingularityError,
     NonSmoothReductionError,
+    _grid,
     _orbits,
     _rank_sparse_int,
+    _scalings,
     _symmetries,
     count_base,
     count_contact_jets,
@@ -125,19 +127,69 @@ def scan_forms(n):
         [(mono(0, 0), 1)])]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_scans_agree_with_evaluating_every_point(n, p):
-    for h in scan_forms(n):
-        points = list(product(range(p), repeat=n))  # product order
-        values = [value_mod(h.terms, x, p) for x in points]
+# x0^3 + x1^3 in three variables: S_2 is all of F_p^*, and the partials
+# vanish along the x2 axis, so the witness is (0, 0, 1)
+BINARY_CUBIC = SparseIntPoly.from_terms(3, [((3, 0, 0), 1), ((0, 3, 0), 1)])
+# forms whose scalings are proper subgroups of F_p^* at some p
+CELL_FORMS = [CUBIC, QUARTIC, SEXTIC, SCALED, BINARY_CUBIC]
+
+
+def assert_scans_agree(h, p):
+    # both scans against every point of F_p^n, evaluated one by one
+    n = h.nvars
+    points = list(product(range(p), repeat=n))  # product order
+    values = [value_mod(h.terms, x, p) for x in points]
+    if h.is_homogeneous():
         assert count_base(h, p) == (values.count(0) - 1, values.count(1)), (str(h), p)
-        partials = [[(exps[:j] + (exps[j] - 1,) + exps[j + 1:], coeff * exps[j])
-                     for exps, coeff in h.terms if exps[j]] for j in range(n)]
-        # verify prints this witness, so it must be the first in product order
-        first = next((x for x in points[1:]
-                      if all(value_mod(terms, x, p) == 0 for terms in partials)), None)
-        assert singular_point_mod_p(h, p) == first, (str(h), p)
+    partials = [[(exps[:j] + (exps[j] - 1,) + exps[j + 1:], coeff * exps[j])
+                 for exps, coeff in h.terms if exps[j]] for j in range(n)]
+    # verify prints this witness, so it must be the first in product order
+    first = next((x for x in points[1:]
+                  if all(value_mod(terms, x, p) == 0 for terms in partials)), None)
+    assert singular_point_mod_p(h, p) == first, (str(h), p)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3, 4)
+                                 if n <= 3 or p <= 7])
+def test_scans_agree_with_evaluating_every_point(p, n):
+    for h in scan_forms(n) + (CELL_FORMS if n == 3 else []):
+        assert_scans_agree(h, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_a_free_coordinate_gives_its_axis_as_witness(p):
+    assert _scalings(BINARY_CUBIC, p)[2] == set(range(1, p))
+    assert singular_point_mod_p(BINARY_CUBIC, p) == (0, 0, 1)
+
+
+@st.composite
+def diagonal_scan_forms(draw):
+    # (sum of a_j x_j^(e_j) over n variables, p), homogeneous when the
+    # exponents are drawn equal; a coefficient may vanish mod p
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from([5, 7, 11, 13]))
+    degree = draw(st.integers(1, 6))
+    exponents = ([degree] * n if draw(st.booleans())
+                 else [draw(st.integers(1, 6)) for _ in range(n)])
+    terms = [(tuple(e * (k == j) for k in range(n)), draw(st.integers(1, 13)))
+             for j, e in enumerate(exponents)]
+    return SparseIntPoly.from_terms(n, terms), p
+
+
+@settings(max_examples=60)
+@given(case=diagonal_scan_forms())
+@example(case=(SparseIntPoly.from_terms(3, [((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 13)]),
+               13))
+def test_scans_of_diagonal_forms_agree_with_every_point(case):
+    h, p = case
+    assert_scans_agree(h, p)
+    # each grid point stands for the points whose coordinatewise least
+    # scaling image it is, and the cells cover F_p^n once
+    scalings = _scalings(h, p)
+    cells = Counter(tuple(min(c * x % p for c in group) for x, group in zip(point, scalings))
+                    for point in product(range(p), repeat=h.nvars))
+    axes, sizes = _grid(h, p)
+    assert dict(zip(product(*axes), map(prod, product(*sizes)))) == cells
+    assert sum(map(prod, product(*sizes))) == p ** h.nvars
 
 
 def test_count_base_rejects_inhomogeneous():
