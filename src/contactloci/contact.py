@@ -177,6 +177,13 @@ def contact_class(n: int, d: int, m: int) -> MotivicClass:
     return MotivicClass.from_terms(terms)
 
 
+def order_counts(n: int, d: int, m: int, p: int, cone: int, milnor: int) -> tuple:
+    """(rho, points over F_p) of each stratum of X_m, rho ascending: its base's points
+    (cone on the punctured cone, milnor on the Milnor fiber) times p^{D_rho}."""
+    return tuple((piece.rho, (milnor if piece.base_kind == BASE_MILNOR_FIBER else cone)
+                  * p ** piece.fiber_dim) for piece in graded_pieces(n, d, m))
+
+
 def euler_specialization(n: int, d: int, m: int) -> int:
     """contact_class evaluated at L = 1, [S] = chi(S), [Mh] = chi(M_h).
 

@@ -6,8 +6,8 @@ command line reads this table for its help text and error messages, and its
 caps bound the work one invocation may start; the library is not capped,
 apart from the depth of the jet oracle's recursive search and the monomials
 of one degree of the Milnor oracle's Jacobian matrix.
-The errors the command line maps to exit codes 2 and 3 live here too, so
-that it can catch them without loading the layers that raise them, and the
+Exit 3's budget error lives here too, so that the command line catches it
+without loading the layers that raise it (exit 2 is any ValueError), and the
 base of the value types that check or normalise their fields.
 """
 
@@ -21,8 +21,9 @@ SCATTER_MAX = 200  # largest nmax and dmax of the scatter grid
 # kappa + r*d <= m, coprime or not, bound the chain length; m // d strata.
 CLI_MAX_DIVISORS = 250_000
 CLI_MAX_STRATA = 20_000
-# cohomology, floer and euler loop over the 2n degrees of S, and for m >= d
-# form the Milnor number (d-1)^n, of at most n * bitlength(d-2) + 1 bits:
+# 2n, the degrees of S: cohomology and floer print degrees linear in n, and verify
+# takes up to CLI_MAX_DEGREES // 2 variables.  For m >= d those two and euler form
+# the Milnor number (d-1)^n, of at most n * bitlength(d-2) + 1 bits:
 # d - 1 <= 2^bitlength(d-2), with equality when d - 1 is a power of two.
 CLI_MAX_DEGREES = 20_000
 CLI_MAX_MILNOR_BITS = 1_000_000
@@ -52,14 +53,6 @@ class Value(tuple):
 
 class BudgetExceededError(RuntimeError):
     """More work than a budget or a command-line cap allows."""
-
-
-class NonSmoothReductionError(RuntimeError):
-    """The initial form is singular over the chosen prime field."""
-
-
-class NonIsolatedSingularityError(RuntimeError):
-    """The Jacobian quotient does not vanish past the socle degree bound."""
 
 
 class Domain(NamedTuple):

@@ -2,9 +2,9 @@
 
 Nothing here trusts the stratification theory.  Jets over F_p are enumerated
 by solving the coefficient equations of f(gamma(t)) degree by degree, up to
-symmetries of f checked mod p, and the per order counts are compared with the
-predicted base-count times p^fiber products.  A Jacobian-ideal rank gives an
-independent Milnor number.
+symmetries of f checked mod p; contact.order_counts predicts the per order
+counts.  A Jacobian-ideal rank gives an independent Milnor number.  The two
+errors defined here are ValueErrors: input that the oracle cannot count.
 """
 
 from __future__ import annotations
@@ -15,14 +15,8 @@ from math import comb, gcd, isqrt, prod
 from operator import add, getitem, mul, not_
 from typing import Iterator, NamedTuple, Optional
 
-from .contact import BASE_MILNOR_FIBER, graded_pieces
-from .domain import (
-    COHOMOLOGY,
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    NonIsolatedSingularityError,
-    NonSmoothReductionError,
-)
+from .contact import order_counts
+from .domain import COHOMOLOGY, DEFAULT_BUDGET, BudgetExceededError
 from .poly import SparseIntPoly
 
 # The search recurses once per level, and a node's tables read its ancestors'
@@ -31,6 +25,14 @@ from .poly import SparseIntPoly
 # spent anyway: the search tree branches p^(n-1) or p^n ways at most levels.
 MAX_JET_DEPTH = 100
 MILNOR_MAX_MONOMIALS = 20000  # columns of one degree of the Jacobian matrix
+
+
+class NonSmoothReductionError(ValueError):
+    """The initial form is singular over the chosen prime field."""
+
+
+class NonIsolatedSingularityError(ValueError):
+    """The Jacobian quotient does not vanish past the socle degree bound."""
 
 
 def _require_prime(p: int) -> None:
@@ -261,7 +263,6 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
         raise BudgetExceededError(
             f"jet search depth m - d + 1 = {kstar} is over the limit of {MAX_JET_DEPTH} "
             "levels, past any feasible budget")
-    pieces = graded_pieces(n, d, m)
     spent = [0]
 
     def charge(amount: int) -> None:
@@ -371,13 +372,11 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
         descend(lambda j, e, a: int(e == a == 0), 1, None, 1)
         del descend  # self-referencing: free its state now
 
-    predicted = {}
-    for piece in pieces:
-        base = milnor_count if piece.base_kind == BASE_MILNOR_FIBER else cone_count
-        predicted[piece.rho] = base * p ** piece.fiber_dim
-        by_order.setdefault(piece.rho, 0)
+    predicted = order_counts(n, d, m, p, cone_count, milnor_count)
+    for rho, _ in predicted:
+        by_order.setdefault(rho, 0)
     return JetCountReport(p, m, tuple(sorted(by_order.items())),
-                          cone_count, milnor_count, tuple(sorted(predicted.items())))
+                          cone_count, milnor_count, predicted)
 
 
 def _rank_sparse_int(rows: Iterator[list]) -> int:

@@ -91,7 +91,7 @@ class SparseIntPoly(Value):
         return cls(doc["n"], tuple((tuple(t["exps"]), t["coeff"]) for t in doc["terms"]))
 
 
-TERM_RE = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x(\d+)(?:\s*\^\s*(\d+))?\s*")
+TERM_RE = re.compile(r"\s*(?:([0-9]+)\s*\*\s*)?x([0-9]+)(?:\s*\^\s*([0-9]+))?\s*")
 _SEP_RE = re.compile(r"\s*([+-])")
 
 
@@ -99,8 +99,8 @@ def parse_poly(text: str) -> SparseIntPoly:
     """Parse the inline grammar: term ("+"|"-") term ..., with
     term := [coeff "*"] var ("^" int)? over variables x0, x1, ...
 
-    Anything outside the grammar is rejected.  The variable count is the
-    largest index used plus one.
+    Anything outside the grammar is rejected, digits other than ASCII 0-9
+    included.  The variable count is the largest index used plus one.
     """
     terms, pos, sign, max_index = [], 0, 1, -1
     while True:

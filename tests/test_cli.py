@@ -213,11 +213,62 @@ def test_verify_names_a_witness_off_the_axes(capsys):
 
 
 def test_verify_names_a_prime_that_is_no_integer(capsys):
-    for primes, chunk in (("5.0", "5.0"), ("5,x", "x"), ("5, 7e1", "7e1")):
+    # Python's int() reads digit-group underscores and non-ASCII digits
+    # (Arabic-Indic and fullwidth three here); the command line does not
+    for primes, chunk in (("5.0", "5.0"), ("5,x", "x"), ("5, 7e1", "7e1"), ("1_3", "1_3"),
+                          ("\u0663", "\u0663"), ("\uff13", "\uff13")):
         code, out, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "3",
                              "--primes", primes)
         assert code == 2 and out == "", primes
         assert err == f"error: --primes: '{chunk}' is not an integer\n", primes
+
+
+# flag -> an argv that gives it the value "{}"
+INTEGER_FLAGS = {
+    "--n": ("resolve", "--n", "{}", "--d", "2", "--m", "4"),
+    "--d": ("cohomology", "--n", "3", "--d", "{}", "--m", "4"),
+    "--m": ("nash", "--n", "3", "--d", "2", "--m", "{}"),
+    "--nmax": ("scatter", "--nmax", "{}", "--dmax", "5"),
+    "--dmax": ("scatter", "--nmax", "5", "--dmax", "{}"),
+    "--budget": ("verify", "--f", "x0^2+x1^2+x2^2", "--m", "3", "--primes", "3",
+                 "--budget", "{}"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "\u0663"])
+@pytest.mark.parametrize("flag", list(INTEGER_FLAGS))
+def test_integer_flags_take_ascii_digits_only(capsys, flag, spelling):
+    argv = [spelling if arg == "{}" else arg for arg in INTEGER_FLAGS[flag]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: argument {flag}: invalid integer value: {spelling!r}\n" in err
+    assert "Traceback" not in err
+
+
+def test_an_over_long_integer_flag_is_refused_by_the_reader(capsys):
+    # Python 3.10.7+ int() refuses 4301 digits too, but 3.10.0-3.10.6 reads them
+    code, out, err = run(capsys, "resolve", "--n", "9" * 4301, "--d", "2", "--m", "4")
+    assert code == 2 and out == ""
+    assert "error: argument --n: invalid integer value" in err
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
+def test_verify_reads_ascii_variable_indices_only(capsys):
+    f = "x\u0660^2+x1^2+x2^2"  # Arabic-Indic zero
+    code, out, err = run(capsys, "verify", "--f", f, "--m", "3", "--primes", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: expected a term at position 0 of {f!r}\n"
+
+
+def test_integers_take_a_sign_and_surrounding_blanks(capsys):
+    plain = run(capsys, "resolve", "--n", "3", "--d", "2", "--m", "4")
+    for n in ("+3", " 3", "3 ", "03"):
+        assert run(capsys, "resolve", "--n", n, "--d", "2", "--m", "4") == plain, n
+    plain = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "3", "--primes", "3,5")
+    assert plain[0] == 0
+    for primes in ("3, 5", " 3 , 5 ", "+3,+5"):
+        assert run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "3",
+                   "--primes", primes) == plain, primes
 
 
 def test_verify_refuses_too_many_variables(capsys):

@@ -14,6 +14,7 @@ from contactloci.contact import (
     contact_euler,
     euler_specialization,
     graded_pieces,
+    order_counts,
     piece_compact_cohomology,
 )
 from contactloci.groups import FgAbGroup, GradedGroup, free_group
@@ -143,6 +144,20 @@ def test_contact_class_examples():
 def test_contact_class_specializes_to_euler():
     for n, d, m in EULER_GRID:
         assert euler_specialization(n, d, m) == contact_euler(n, d, m), (n, d, m)
+
+
+def test_order_counts_sum_to_the_class_at_l_equals_p():
+    # [S] -> s and [Mh] -> t with s, t distinct, so the punctured cone has
+    # (p - 1) s points and no swap of the two bases goes unseen
+    s, t = 1000, 7
+    for n in range(3, 7):
+        for d in range(2, 6):
+            for m in range(1, 3 * d + 1):
+                for p in (3, 5, 7):
+                    counts = order_counts(n, d, m, p, (p - 1) * s, t)
+                    assert [rho for rho, _ in counts] == list(range(1, m // d + 1))
+                    assert sum(count for _, count in counts) \
+                        == contact_class(n, d, m).specialize(p, s, t), (n, d, m, p)
 
 
 def test_contact_dimension():

@@ -9,6 +9,8 @@ n also takes 4300 digits, so that the log discrepancies of resolve and nash
 outgrow it, and odd n also meets large prime d, whose torsion Z/d no trial
 division would normalise in time.  m stays within a few multiples of d, so that an
 accepted input runs in well under a second, or lies far over the strata cap.
+n is sometimes spelled as Python's int() would read it but the command line
+does not, with a digit-group underscore or a non-ASCII digit: exit 2.
 """
 
 import contextlib
@@ -42,18 +44,42 @@ def triples(draw):
     return n, d, m
 
 
+# the digit zero of the Arabic-Indic, Devanagari and fullwidth blocks
+NON_ASCII_ZEROS = (0x660, 0x966, 0xFF10)
+
+
+@st.composite
+def spellings(draw, n):
+    """str(n), or n with an underscore between two digits (a leading 0 for
+    one digit), or with one digit in another script: each one that int()
+    reads as n."""
+    sign, digits = ("-", str(n)[1:]) if n < 0 else ("", str(n))
+    kind = draw(st.sampled_from(["plain", "plain", "underscore", "non-ascii"]))
+    if kind == "underscore":
+        digits = digits if len(digits) > 1 else "0" + digits
+        i = draw(st.integers(1, len(digits) - 1))
+        return sign + digits[:i] + "_" + digits[i:]
+    if kind == "non-ascii":
+        i = draw(st.integers(0, len(digits) - 1))
+        zero = draw(st.sampled_from(NON_ASCII_ZEROS))
+        return sign + digits[:i] + chr(zero + int(digits[i])) + digits[i + 1:]
+    return str(n)
+
+
 @settings(max_examples=150)
 @given(command=st.sampled_from(["resolve", "cohomology", "floer", "nash", "euler"]),
-       ndm=triples(), fmt=st.sampled_from(["text", "json"]))
-def test_ndm_subcommands_meet_the_exit_code_contract(command, ndm, fmt):
+       ndm=triples(), fmt=st.sampled_from(["text", "json"]), data=st.data())
+def test_ndm_subcommands_meet_the_exit_code_contract(command, ndm, fmt, data):
     n, d, m = ndm
-    argv = [command, "--n", str(n), "--d", str(d), "--m", str(m), "--format", fmt]
+    spelled = data.draw(spellings(n))
+    argv = [command, "--n", spelled, "--d", str(d), "--m", str(m), "--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3), argv
     domain = DOMAINS[command]
-    assert (code == 2) == (n < domain.n_min or d < domain.d_min or m < 1), argv
+    invalid = spelled != str(n) or n < domain.n_min or d < domain.d_min or m < 1
+    assert (code == 2) == invalid, argv
     assert "Traceback" not in err.getvalue(), argv
     assert "set_int_max_str_digits" not in err.getvalue(), argv
     if code:

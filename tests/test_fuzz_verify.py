@@ -77,7 +77,8 @@ garbage_polys = st.text(alphabet="x0123^+-* {}[]:,\"n", max_size=24)
 
 good_primes = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=2)
 primes = st.one_of(good_primes.map(lambda ps: ",".join(map(str, ps))),
-                   st.sampled_from(["", ",", "a", "1", "-3", "9", "5,,7", " 3"]))
+                   st.sampled_from(["", ",", "a", "1", "-3", "9", "5,,7", " 3",
+                                    "1_3", "\u0663", "5,1_1"]))
 
 
 @settings(max_examples=150)

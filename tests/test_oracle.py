@@ -336,9 +336,9 @@ def test_depth_limit_is_checked_before_the_strata_are_built(monkeypatch):
     import contactloci.oracle as oracle
 
     def refuse(*args):
-        raise AssertionError("graded_pieces called before the depth check")
+        raise AssertionError("order_counts called before the depth check")
 
-    monkeypatch.setattr(oracle, "graded_pieces", refuse)
+    monkeypatch.setattr(oracle, "order_counts", refuse)
     with pytest.raises(BudgetExceededError, match="depth m - d \\+ 1 = 9999999 "):
         count_contact_jets(QUADRIC, 10 ** 7, 3)
     # an input outside the domain is still a ValueError, not a budget error

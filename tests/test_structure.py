@@ -1,0 +1,51 @@
+"""Each decision on the verify path lives in one place, checked on the
+source: the command line reads every integer through one function and maps
+invalid input to exit 2 through one exception type, the domain table
+defines one exception, and the oracle takes its prediction from contact
+through one function and names no stratum field."""
+
+import ast
+import builtins
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "contactloci"
+
+
+def tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_the_command_line_has_one_integer_reader():
+    types = [keyword.value for node in ast.walk(tree("cli")) if isinstance(node, ast.Call)
+             for keyword in node.keywords if keyword.arg == "type"]
+    assert types and all(isinstance(value, ast.Name) and value.id == "integer"
+                         for value in types)
+
+
+def test_main_maps_two_exception_types():
+    main = next(node for node in tree("cli").body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(handler.type) for node in ast.walk(main) if isinstance(node, ast.Try)
+              for handler in node.handlers]
+    assert caught == ["SystemExit", "BudgetExceededError", "ValueError"]
+
+
+def test_the_domain_table_defines_one_exception():
+    def is_exception(base):
+        builtin = getattr(builtins, getattr(base, "id", ""), None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    errors = [node.name for node in tree("domain").body
+              if isinstance(node, ast.ClassDef) and any(map(is_exception, node.bases))]
+    assert errors == ["BudgetExceededError"]
+
+
+def test_the_oracle_takes_only_the_prediction_from_contact():
+    oracle = tree("oracle")
+    imported = [alias.name for node in ast.walk(oracle)
+                if isinstance(node, ast.ImportFrom) and node.module == "contact"
+                for alias in node.names]
+    assert imported == ["order_counts"]
+    names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    assert not names & {"graded_pieces", "base_kind", "fiber_dim", "BASE_MILNOR_FIBER"}
