@@ -327,7 +327,8 @@ def cmd_verify(args):
     _check_size("verify", COHOMOLOGY, poly.nvars, poly.min_total_degree(), args.m)
     from .oracle import count_contact_jets  # only once the input is known to be valid
 
-    reports = [count_contact_jets(poly, args.m, p, budget=args.budget) for p in primes]
+    spent = [0]  # one budget for all primes
+    reports = [count_contact_jets(poly, args.m, p, args.budget, spent) for p in primes]
     all_match = all(report.matches for report in reports)
     doc = {
         "f": poly.to_doc(),

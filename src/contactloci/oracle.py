@@ -239,14 +239,15 @@ def _affine_solutions(lin: list[int], rhs: int, p: int) -> tuple[int, Iterator[t
                                   *r[pivot:]) for r in product(range(p), repeat=len(lin) - 1))
 
 
-def count_contact_jets(f: SparseIntPoly, m: int, p: int,
-                       budget: int = DEFAULT_BUDGET) -> JetCountReport:
+def count_contact_jets(f: SparseIntPoly, m: int, p: int, budget: int = DEFAULT_BUDGET,
+                       spent: Optional[list[int]] = None) -> JetCountReport:
     """Count the m-jets gamma with gamma(0) = 0 and f(gamma) = t^m mod t^{m+1}
     over F_p, stratified by the order of gamma.
 
     The budget caps the candidate vectors enumerated, each scan charged as
     p^n, and the split products of terms in several variables that their
-    lookups sum, charged before each enumeration.  A search deeper than
+    lookups sum, charged before each enumeration.  The units go to spent[0],
+    so calls given the same list spend one budget.  A search deeper than
     MAX_JET_DEPTH levels, m - d + 1, is refused before any.  The initial
     form must be smooth mod p away from 0, which is checked first.
     """
@@ -263,7 +264,7 @@ def count_contact_jets(f: SparseIntPoly, m: int, p: int,
         raise BudgetExceededError(
             f"jet search depth m - d + 1 = {kstar} is over the limit of {MAX_JET_DEPTH} "
             "levels, past any feasible budget")
-    spent = [0]
+    spent = [0] if spent is None else spent
 
     def charge(amount: int) -> None:
         spent[0] += amount

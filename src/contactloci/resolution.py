@@ -11,7 +11,7 @@ and log discrepancy are the linear forms N = kappa + r*d and nu = kappa + r*n.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .domain import CHAIN, Value
@@ -123,8 +123,8 @@ class ResolutionChain(Value):
     """The divisor chain of the minimal m-separating resolution, left to right
     from (0, 1) to (1, 0).  Iteration and len run over the divisors; a fifth
     item maps each pair to its position, so that nef_fiber_identity finds a
-    divisor's neighbours with one lookup, and verify_minimality and
-    m_divisors read its keys as the chain's set of pairs.
+    divisor's neighbours with one lookup, and m_divisors reads its keys as
+    the chain's set of pairs.
     """
 
     __slots__ = ()
@@ -159,9 +159,8 @@ class ResolutionChain(Value):
 def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
     """Build the chain by repeated mediant insertion from [(0,1), (1,0)].
 
-    The construction and its closed form (intermediate pairs are exactly the
-    coprime (kappa, r) with kappa, r >= 1 and kappa + r*d <= m) are kept
-    separate so one can be checked against the other; see verify_minimality.
+    The finished chain passes the walk of local invariants;
+    verify_minimality compares it with the closed form.
     """
     CHAIN.check(n, d, m)
     chain = ResolutionChain(n, d, m, tuple(_chain_divisors(n, d, m)))
@@ -170,19 +169,17 @@ def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
 
 
 def _check_chain_invariants(chain: ResolutionChain) -> None:
-    # Together with CHAIN.check, these imply the constructors' checks, which
-    # the build skips: a pair with determinant +-1 against a neighbour is
-    # coprime, and N = kappa + r*d and nu = kappa + r*n are >= 1 for
-    # kappa, r >= 0 not both 0, d >= 1 and n >= 2.
-    #
-    # One walk: each divisor's own fields, then its determinant and
-    # separation against the previous divisor, so the leftmost fault is the
-    # one raised.  The first divisor is (0, 1), and it has no predecessor;
-    # the start values (1, 0) and N = m + 1 let it pass the second half.
+    # One walk, so that the leftmost fault is the one raised: each divisor's
+    # fields, then its determinant against the previous divisor, -1 so that
+    # the slopes kappa/r increase, and separation.  With CHAIN.check these
+    # imply the constructors' checks, which the build skips: determinant -1
+    # makes a pair coprime, and N = kappa + r*d and nu = kappa + r*n are >= 1
+    # for kappa, r >= 0 not both 0, d >= 1 and n >= 2.  The start values
+    # (-1, 0) and N = m + 1 let (0, 1), which has no predecessor, pass both.
     n, d, m, divs = chain[:4]
-    if divs[0][0] != PAIR_FIRST or divs[-1][0] != PAIR_STRICT:
+    if not divs or divs[0][0] != PAIR_FIRST or divs[-1][0] != PAIR_STRICT:
         raise AssertionError("chain endpoints are wrong")
-    kappa_p, r_p, mult_p = 1, 0, m + 1
+    kappa_p, r_p, mult_p = -1, 0, m + 1
     for (kappa, r), mult, disc in divs:
         if kappa < 0 or r < 0:
             raise AssertionError(f"({kappa},{r}) has a negative entry")
@@ -190,7 +187,7 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
             raise AssertionError(f"multiplicity of ({kappa},{r}) is inconsistent")
         if disc != kappa + r * n:
             raise AssertionError(f"log discrepancy of ({kappa},{r}) is inconsistent")
-        if kappa_p * r - kappa * r_p not in (1, -1):
+        if kappa_p * r - kappa * r_p != -1:
             raise AssertionError(f"({kappa_p},{r_p}), ({kappa},{r}) are not Farey neighbors")
         if mult_p + mult <= m:
             raise AssertionError(
@@ -199,31 +196,30 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
 
 
 def verify_minimality(chain: ResolutionChain) -> bool:
-    """Check the closed-form membership predicate and the separation bound.
+    """Check the chain against its closed form, whose intermediate pairs are
+    the coprime (kappa, r) with kappa, r >= 1 and N = kappa + r*d <= m.
 
-    The predicted intermediate pairs are the coprime (kappa, r) with both
-    >= 1 and N <= m.  The chain's pairs hash and compare as plain tuples, so
-    the closed form is enumerated as tuples, never wrapped, and looked up in
-    the chain's own pair index, whose keys are the chain's pairs.  It is
-    enumerated one r at a time: the rows are disjoint, so if each lies in
-    the index and their sizes, with the endpoint pairs the index holds, add
-    up to the chain's length, the intermediate pairs are exactly the closed
-    form and no pair appears twice.
+    The build's walk gives both endpoints, increasing slopes (so no pair
+    repeats) and m-separation, so every closed-form pair is in the chain: one
+    strictly between Farey neighbours L and R is s*L + t*R with s, t >= 1, so
+    its N >= N_L + N_R > m.  Then the sets are equal if the sizes are, and by
+    Moebius inversion over r = e*j the closed form has
+    sum_e mu(e) * (J*(m//e) - d*J*(J + 1)/2) pairs, where J = m//d//e.
     """
-    d, m, divs, index = chain[1:5]
-    found = index.__contains__
-    predicted = sum(map(found, _ENDPOINT_KINDS))
-    for r in range(1, m // d + 1):
-        row = [(kappa, r) for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1]
-        if not all(map(found, row)):
-            return False
-        predicted += len(row)
-    # the index's keys are distinct, so a repeated pair makes the chain longer
-    if predicted != len(divs):
+    try:
+        _check_chain_invariants(chain)
+    except AssertionError:
         return False
-    # the smallest sum of adjacent multiplicities exceeds m
-    mults = list(map(itemgetter(1), divs))
-    return min(map(add, mults, mults[1:]), default=m + 1) > m
+    d, m = chain[1:3]
+    top = m // d
+    mu = [0, 1] + [0] * top  # the Moebius function, sieved as the loop reaches e
+    count = 2
+    for e in range(1, top + 1):
+        for k in range(2 * e, top + 1, e):
+            mu[k] -= mu[e]
+        j = top // e
+        count += mu[e] * (j * (m // e) - d * j * (j + 1) // 2)
+    return len(chain) == count
 
 
 def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:

@@ -175,6 +175,12 @@ def test_verify_budget_exit_code(capsys):
                        "--primes", "101", "--budget", "2500000")
     assert time.perf_counter() - started < 1
     assert code == 3 and "budget" in err
+    # one budget for all primes: the quadric at m = 4 spends 7,604 units per
+    # p = 13, so two copies of 13 need 15,208
+    for budget, message in (("15207", "more than 15207 candidates"), ("15208", "")):
+        code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "4",
+                           "--primes", "13,13", "--budget", budget)
+        assert code == (3 if message else 0) and message in err, budget
     # the same two primes at the default budget
     for prime in ("100000000000000000039", "1" + "0" * 399 + "1"):
         code, _, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "2",
@@ -314,7 +320,7 @@ def test_verify_bad_poly_exit_code(capsys):
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     # force a count mismatch to exercise the failure path
-    def fake_count(poly, m, p, budget=None):
+    def fake_count(poly, m, p, budget=None, spent=None):
         return JetCountReport(prime=p, m=m, by_order=((1, 1),), cone_count=0, milnor_count=0,
                               predicted_by_order=((1, 2),))
 

@@ -319,6 +319,22 @@ def test_budget_guard():
         count_contact_jets(QUADRIC, 0, 5)
 
 
+def test_calls_that_share_spent_share_one_budget():
+    # the quadric at m = 4 and p = 13 spends 7,604 units: 3 * 13^3 for the
+    # scans and 1,013 for the search
+    spent = [0]
+    first = count_contact_jets(QUADRIC, 4, 13, budget=15208, spent=spent)
+    assert spent == [7604]
+    assert count_contact_jets(QUADRIC, 4, 13, budget=15208, spent=spent) == first
+    assert spent == [15208]
+    spent = [7604]
+    with pytest.raises(BudgetExceededError, match="more than 15207 candidates"):
+        count_contact_jets(QUADRIC, 4, 13, budget=15207, spent=spent)
+    # without a list, each call has the whole budget
+    for _ in range(2):
+        assert count_contact_jets(QUADRIC, 4, 13, budget=7604) == first
+
+
 def test_depth_limit():
     # m - d + 1 levels: one past the limit is refused before any scan, even
     # at a prime the budget would refuse and at one that is not prime

@@ -60,7 +60,7 @@ def test_chain_invariants(n, d, m):
     assert verify_minimality(chain)
     for a, b in zip(chain.divisors, chain.divisors[1:]):
         det = a.pair.kappa * b.pair.r - b.pair.kappa * a.pair.r
-        assert det in (1, -1)
+        assert det == -1
         assert a.multiplicity + b.multiplicity > m
     for div in chain.intermediate_divisors():
         low, high = parents_from_cf(div.pair.kappa, div.pair.r)
@@ -224,22 +224,27 @@ def wrapped(rows, n=3, d=2, m=4):
     [(0, 1), (1, 0)],
     # (3, 1), N = 5, in place of (2, 1): as many divisors as the closed form
     [(0, 1), (1, 1), (3, 1), (1, 0)],
+    # no strict transform
+    [(0, 1), (1, 1), (2, 1)],
+    # no first blow-up
+    [(1, 1), (2, 1), (1, 0)],
 ])
 def test_verify_minimality_rejects_missing_divisor(pairs):
     assert not verify_minimality(chain_of(pairs))
 
 
 def minimality_by_sets(chain):
-    # the chain's intermediate pairs hashed into a set of their own, against
-    # the closed form as a set, no pair twice, and every adjacent
-    # multiplicity sum
+    # (0, 1) first and (1, 0) last, the slopes kappa/r strictly increasing,
+    # so no pair twice, the pairs between hashed into a set of their own
+    # against the closed form as a set, and every adjacent multiplicity sum
     d, m = chain.d, chain.m
-    pairs = {div.pair for div in chain}
-    actual = pairs - {(0, 1), (1, 0)}
+    pairs = [div.pair for div in chain]
     predicted = {(kappa, r) for r in range(1, m // d + 1)
                  for kappa in range(1, m - r * d + 1) if gcd(kappa, r) == 1}
     mults = [div.multiplicity for div in chain]
-    return (actual == predicted and len(pairs) == len(chain)
+    return (pairs[:1] == [(0, 1)] and pairs[-1:] == [(1, 0)]
+            and all(a[0] * b[1] < b[0] * a[1] for a, b in zip(pairs, pairs[1:]))
+            and set(pairs[1:-1]) == predicted
             and all(a + b > m for a, b in zip(mults, mults[1:])))
 
 
@@ -271,13 +276,16 @@ def edited_chains(draw):
 @given(edited_chains())
 @example(chain_of([(0, 1), (1, 1), (2, 1), (1, 0)]))
 @example(chain_of([(1, 1), (2, 1), (1, 0)]))
+# as many divisors as the closed form, Farey neighbours in slope order and
+# separated, but no first blow-up
+@example(chain_of([(1, 1), (2, 1), (3, 1), (1, 0)]))
 @example(chain_of([(1, 1), (0, 1), (2, 1), (1, 1), (1, 0)], m=3))
 # Farey neighbours and separated throughout, but every divisor of the built
 # chain (0, 1), (1, 1), (1, 0) but the last comes twice
 @example(chain_of([(0, 1), (1, 1), (0, 1), (1, 1), (1, 0)], 2, 1, 2))
 def test_verify_minimality_matches_a_set_based_check(chain):
-    # verify_minimality reads the chain's pair index and counts the endpoint
-    # pairs it holds; the reference builds sets of its own
+    # verify_minimality walks the chain and compares its length with a
+    # closed-form count; the reference builds sets of its own
     assert verify_minimality(chain) == minimality_by_sets(chain)
 
 
@@ -286,6 +294,26 @@ def test_verify_minimality_rejects_non_separating_chain():
     # next to (1, 0) and 2 + 1 <= 4
     chain = chain_of([(0, 1), (1, 0), (1, 1), (2, 1)])
     assert {div.pair for div in chain.intermediate_divisors()} == {(1, 1), (2, 1)}
+    assert not verify_minimality(chain)
+    # as many divisors as the closed form, Farey neighbours in slope order,
+    # but (1, 1) sits next to (1, 0) and 3 + 1 <= 4
+    assert not verify_minimality(chain_of([(0, 1), (1, 2), (1, 1), (1, 0)]))
+
+
+def test_verify_minimality_needs_the_count():
+    # the (3, 2, 5) chain relabelled m = 4: Farey neighbours in slope order
+    # and 4-separating, so it passes the walk, but it has 6 divisors, not 4
+    chain = chain_of(pairs_of(build_minimal_resolution(3, 2, 5)))
+    _check_chain_invariants(chain)
+    assert len(chain) == 6 and not verify_minimality(chain)
+
+
+def test_verify_minimality_needs_the_walk():
+    # as many divisors as the closed form, but (1, 1) comes twice
+    chain = chain_of([(0, 1), (1, 1), (1, 1), (1, 0)])
+    assert len(chain) == len(build_minimal_resolution(3, 2, 4))
+    with pytest.raises(AssertionError, match="Farey"):
+        _check_chain_invariants(chain)
     assert not verify_minimality(chain)
 
 
@@ -347,11 +375,15 @@ def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
     # two faults: (1, 1), (3, 1) have determinant -2, and (1, 0) has N = 2
     ([((0, 1), 2, 3), ((1, 1), 3, 4), ((3, 1), 5, 6), ((1, 0), 2, 1)],
      r"^\(1,1\), \(3,1\) are not Farey neighbors$"),
+    # determinant +1: Farey neighbours, but the slope falls from (1, 1) to (1, 2)
+    ([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 2), 5, 7), ((1, 0), 1, 1)],
+     r"^\(1,1\), \(1,2\) are not Farey neighbors$"),
 ])
 def test_chain_invariant_check_rejects_broken_chains(divisors, message):
     """The check walks the chain once, from the left: each divisor's own
-    fields (entries, N, nu), then its determinant and separation against
-    the previous divisor.  So the leftmost fault is the one reported."""
+    fields (entries, N, nu), then its determinant, which must be -1, and
+    separation against the previous divisor.  So the leftmost fault is the
+    one reported."""
     with pytest.raises(AssertionError, match=message):
         _check_chain_invariants(wrapped(divisors))
     _check_chain_invariants(build_minimal_resolution(3, 2, 4))

@@ -1,8 +1,8 @@
-"""Each decision on the verify path lives in one place, checked on the
-source: the command line reads every integer through one function and maps
-invalid input to exit 2 through one exception type, the domain table
-defines one exception, and the oracle takes its prediction from contact
-through one function and names no stratum field."""
+"""Each decision lives in one place, checked on the source: the command
+line reads every integer through one function and maps invalid input to
+exit 2 through one exception type, the domain table defines one exception,
+the oracle takes its prediction from contact through one function and names
+no stratum field, and two functions read a chain's pair index."""
 
 import ast
 import builtins
@@ -49,3 +49,25 @@ def test_the_oracle_takes_only_the_prediction_from_contact():
     names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
     assert not names & {"graded_pieces", "base_kind", "fiber_dim", "BASE_MILNOR_FIBER"}
+
+
+def test_two_functions_read_the_pair_index():
+    # a chain is the tuple (n, d, m, divisors, index): a subscript of a chain
+    # reads the index when it is item 4 or a slice that holds item 4, and
+    # any subscript that is not a literal counts as a read
+    def reads_index(node):
+        if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in ("chain", "self")):
+            return False
+        index = node.slice
+        try:
+            if isinstance(index, ast.Slice):
+                bounds = (index.lower, index.upper, index.step)
+                return 4 in range(5)[slice(*(b and ast.literal_eval(b) for b in bounds))]
+            return range(5)[ast.literal_eval(index)] == 4
+        except ValueError:
+            return True
+
+    readers = [node.name for node in ast.walk(tree("resolution"))
+               if isinstance(node, ast.FunctionDef) and any(map(reads_index, ast.walk(node)))]
+    assert readers == ["nef_fiber_identity", "m_divisors"]
