@@ -294,10 +294,11 @@ def cmd_scatter(args):
 
 def _load_poly(spec: str, budget: Optional[int]) -> SparseIntPoly:
     """The polynomial of verify --f, in at most as many variables as the n that
-    cohomology accepts.  Before the inline grammar builds an exponent vector,
-    its largest index is checked against that cap and against the oracle's
-    first charge, 2 * p^n >= 2^(n+1) candidates: over any budget of n bits."""
-    from .poly import TERM_RE, SparseIntPoly, parse_poly
+    cohomology accepts.  Once the inline grammar has accepted the text, and
+    before it builds an exponent vector, the variable count is checked
+    against that cap and against the oracle's first charge,
+    2 * p^n >= 2^(n+1) candidates: over any budget of n bits."""
+    from .poly import SparseIntPoly, poly_of_terms, read_terms
 
     max_vars = CLI_MAX_DEGREES // 2
     spec = spec.strip()
@@ -309,11 +310,11 @@ def _load_poly(spec: str, budget: Optional[int]) -> SparseIntPoly:
             raise ValueError(f"malformed polynomial document: {exc!r}") from None
         _check_cap("variables", poly.nvars, max_vars)
         return poly
-    nvars = 1 + max((int(term[2]) for term in TERM_RE.finditer(spec)), default=-1)
+    nvars, terms = read_terms(spec)
     _check_cap("variables", nvars, max_vars)
     if budget is not None and nvars >= budget.bit_length():
         raise BudgetExceededError(f"enumeration budget exceeded (more than {budget} candidates)")
-    return parse_poly(spec)
+    return poly_of_terms(nvars, terms)
 
 
 def cmd_verify(args):

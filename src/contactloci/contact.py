@@ -14,10 +14,10 @@ total cohomology is the degreewise direct sum over strata.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import namedtuple
 from typing import Iterable, NamedTuple, Optional
 
-from .domain import COHOMOLOGY, Value
+from .domain import COHOMOLOGY
 from .groups import GradedGroup, graded_sum
 from .surface import (
     cone_compact_cohomology,
@@ -107,10 +107,11 @@ BASIS_MILNOR = "Mh"
 _BASES = (BASIS_SURFACE, BASIS_MILNOR)
 
 
-class MotivicClass(Value):
+class MotivicClass(namedtuple("MotivicClass", ("terms",))):
     """Integer combination of L^e * [S] and L^e * [Mh], where L is the class
-    of the affine line.  The punctured cone never appears as a basis
-    element: it is always expanded as (L - 1)[S]."""
+    of the affine line, as (basis, L exponent, coeff) terms.  The punctured
+    cone never appears as a basis element: it is always expanded as
+    (L - 1)[S]."""
 
     __slots__ = ()
 
@@ -126,8 +127,6 @@ class MotivicClass(Value):
         if len(keys) != len(set(keys)):
             raise ValueError("duplicate terms")
         return tuple.__new__(cls, (tuple(sorted(terms)),))
-
-    terms = property(itemgetter(0))  # (basis, L exponent, coeff)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[str, int, int]]) -> "MotivicClass":

@@ -7,8 +7,7 @@ caps bound the work one invocation may start; the library is not capped,
 apart from the depth of the jet oracle's recursive search and the monomials
 of one degree of the Milnor oracle's Jacobian matrix.
 Exit 3's budget error lives here too, so that the command line catches it
-without loading the layers that raise it (exit 2 is any ValueError), and the
-base of the value types that check or normalise their fields.
+without loading the layers that raise it (exit 2 is any ValueError).
 """
 
 from __future__ import annotations
@@ -34,21 +33,9 @@ CLI_MAX_STRATA_BITS = 20_000_000
 # Digits of the largest integer any subcommand may print: Python's default
 # limit on int-to-str conversion, which is left in place.
 CLI_MAX_DIGITS = 4300
-DEFAULT_BUDGET = 10_000_000  # candidate vectors one finite-field jet count may enumerate
-
-
-class Value(tuple):
-    """An immutable value that is a tuple of its fields underneath.
-
-    A subclass declares ``__slots__ = ()``, checks and normalises its fields
-    in ``__new__`` and reads each one through an ``itemgetter`` property.
-    """
-
-    __slots__ = ()
-
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle call __new__ with these arguments
-        return tuple(self)
+# Candidate vectors one budget admits: a verify invocation charges all its
+# primes' jet counts to one budget.
+DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):

@@ -14,13 +14,11 @@ refuses any torsion that is not in that form.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import namedtuple
 from typing import Iterable, Mapping
 
-from .domain import Value
 
-
-class FgAbGroup(Value):
+class FgAbGroup(namedtuple("FgAbGroup", ("rank", "torsion"))):
     """A finitely generated abelian group in invariant-factor form."""
 
     __slots__ = ()
@@ -36,9 +34,6 @@ class FgAbGroup(Value):
             if b % a != 0:
                 raise ValueError(f"invariant factors {torsion} not ordered by divisibility")
         return tuple.__new__(cls, (rank, torsion))
-
-    rank = property(itemgetter(0))
-    torsion = property(itemgetter(1))
 
     @property
     def is_zero(self) -> bool:
@@ -61,7 +56,7 @@ def free_group(rank: int) -> FgAbGroup:
     return FgAbGroup(rank)
 
 
-class GradedGroup(Value):
+class GradedGroup(namedtuple("GradedGroup", ("entries",))):
     """A finitely supported map from integer degrees to FgAbGroup.
 
     Degrees that would carry the zero group are never stored, so equality of
@@ -79,8 +74,6 @@ class GradedGroup(Value):
             if group.is_zero:
                 raise ValueError(f"zero group stored at degree {degree}")
         return tuple.__new__(cls, (tuple(sorted(entries)),))
-
-    entries = property(itemgetter(0))
 
     @classmethod
     def from_dict(cls, mapping: Mapping[int, FgAbGroup]) -> "GradedGroup":

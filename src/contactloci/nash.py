@@ -16,13 +16,12 @@ n >= 3 on top of this.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import namedtuple
 
-from .domain import Value
 from .resolution import Divisor, exceptional_m_divisors
 
 
-class ValuationReport(Value):
+class ValuationReport(namedtuple("ValuationReport", ("n", "d", "m", "essential"))):
     """The essential m-divisors E_{-floor(m/d)}, ..., E_{-1}; the contact and
     dlt families and the codimensions are read off them and (n, d, m)."""
 
@@ -33,11 +32,6 @@ class ValuationReport(Value):
         if len(essential) != m // d:
             raise ValueError("wrong number of essential valuations")
         return tuple.__new__(cls, (n, d, m, essential))
-
-    n = property(itemgetter(0))
-    d = property(itemgetter(1))
-    m = property(itemgetter(2))
-    essential = property(itemgetter(3))
 
     @property
     def contact(self) -> tuple[Divisor, ...]:

@@ -8,14 +8,11 @@ compiling the counting code, and so that neither module is large to compile.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from operator import itemgetter
+from collections import Counter, namedtuple
 from typing import Mapping
 
-from .domain import Value
 
-
-class SparseIntPoly(Value):
+class SparseIntPoly(namedtuple("SparseIntPoly", ("nvars", "terms"))):
     """Integer polynomial in nvars variables, as (exponent vector, coeff) terms."""
 
     __slots__ = ()
@@ -36,9 +33,6 @@ class SparseIntPoly(Value):
                 raise ValueError(f"duplicate exponent vector {exps}")
             seen.add(exps)
         return tuple.__new__(cls, (nvars, tuple(sorted(terms))))
-
-    nvars = property(itemgetter(0))
-    terms = property(itemgetter(1))
 
     @classmethod
     def from_terms(cls, nvars: int, terms) -> "SparseIntPoly":
@@ -91,20 +85,22 @@ class SparseIntPoly(Value):
         return cls(doc["n"], tuple((tuple(t["exps"]), t["coeff"]) for t in doc["terms"]))
 
 
-TERM_RE = re.compile(r"\s*(?:([0-9]+)\s*\*\s*)?x([0-9]+)(?:\s*\^\s*([0-9]+))?\s*")
+_TERM_RE = re.compile(r"\s*(?:([0-9]+)\s*\*\s*)?x([0-9]+)(?:\s*\^\s*([0-9]+))?\s*")
 _SEP_RE = re.compile(r"\s*([+-])")
 
 
-def parse_poly(text: str) -> SparseIntPoly:
-    """Parse the inline grammar: term ("+"|"-") term ..., with
+def read_terms(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    """Read the inline grammar: term ("+"|"-") term ..., with
     term := [coeff "*"] var ("^" int)? over variables x0, x1, ...
 
     Anything outside the grammar is rejected, digits other than ASCII 0-9
-    included.  The variable count is the largest index used plus one.
+    included.  Returns the variable count, the largest index used plus one,
+    and each term's (index, exponent, signed coefficient); no exponent
+    vector is built, so a caller may cap the count first.
     """
     terms, pos, sign, max_index = [], 0, 1, -1
     while True:
-        match = TERM_RE.match(text, pos)
+        match = _TERM_RE.match(text, pos)
         if not match or match.end() == pos:
             raise ValueError(f"expected a term at position {pos} of {text!r}")
         coeff = int(match.group(1) or 1)
@@ -120,10 +116,19 @@ def parse_poly(text: str) -> SparseIntPoly:
             raise ValueError(f"expected '+' or '-' at position {pos} of {text!r}")
         sign = 1 if sep.group(1) == "+" else -1
         pos = sep.end()
-    width = max_index + 1
+    return max_index + 1, terms
+
+
+def poly_of_terms(width: int, terms: list[tuple[int, int, int]]) -> SparseIntPoly:
+    """The polynomial in width variables of read_terms' terms."""
     poly = SparseIntPoly.from_terms(
         width, [(tuple(exp * (j == index) for j in range(width)), coeff)
                 for index, exp, coeff in terms])
     if poly.is_zero:
         raise ValueError("polynomial cancels to zero")
     return poly
+
+
+def parse_poly(text: str) -> SparseIntPoly:
+    """The polynomial that text spells in the inline grammar of read_terms."""
+    return poly_of_terms(*read_terms(text))

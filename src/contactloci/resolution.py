@@ -10,11 +10,12 @@ and log discrepancy are the linear forms N = kappa + r*d and nu = kappa + r*n.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .domain import CHAIN, Value
+from .domain import CHAIN
 
 KIND_STRICT_TRANSFORM = "strict_transform"
 KIND_FIRST_EXCEPTIONAL = "first_exceptional"
@@ -23,7 +24,7 @@ KIND_INTERMEDIATE = "intermediate"
 _ENDPOINT_KINDS = {(1, 0): KIND_STRICT_TRANSFORM, (0, 1): KIND_FIRST_EXCEPTIONAL}
 
 
-class CoprimePair(Value):
+class CoprimePair(namedtuple("CoprimePair", ("kappa", "r"))):
     """A coprime pair (kappa, r) of non-negative integers.
 
     A tuple underneath, so hashing and equality run in C; it compares and
@@ -41,9 +42,6 @@ class CoprimePair(Value):
             raise ValueError(f"({kappa}, {r}) is not coprime")
         return tuple.__new__(cls, (kappa, r))
 
-    kappa = property(itemgetter(0))
-    r = property(itemgetter(1))
-
     @property
     def kind(self) -> str:
         return _ENDPOINT_KINDS.get(self, KIND_INTERMEDIATE)
@@ -56,7 +54,7 @@ PAIR_FIRST = CoprimePair(0, 1)
 PAIR_STRICT = CoprimePair(1, 0)
 
 
-class Divisor(Value):
+class Divisor(namedtuple("Divisor", ("pair", "multiplicity", "log_discrepancy"))):
     """One irreducible component of the total transform.
 
     multiplicity is the order of the pulled-back function along the divisor
@@ -72,10 +70,6 @@ class Divisor(Value):
         if multiplicity < 1 or log_discrepancy < 1:
             raise ValueError("multiplicity and log discrepancy must be positive")
         return tuple.__new__(cls, (pair, multiplicity, log_discrepancy))
-
-    pair = property(itemgetter(0))
-    multiplicity = property(itemgetter(1))
-    log_discrepancy = property(itemgetter(2))
 
     @property
     def kind(self) -> str:
@@ -119,12 +113,13 @@ def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
     return out
 
 
-class ResolutionChain(Value):
+class ResolutionChain(tuple):
     """The divisor chain of the minimal m-separating resolution, left to right
     from (0, 1) to (1, 0).  Iteration and len run over the divisors; a fifth
     item maps each pair to its position, so that nef_fiber_identity finds a
     divisor's neighbours with one lookup, and m_divisors reads its keys as
-    the chain's set of pairs.
+    the chain's set of pairs.  A plain tuple subclass, not a named tuple,
+    because it iterates its divisors: _asdict and _make would misread them.
     """
 
     __slots__ = ()
@@ -187,7 +182,10 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
             raise AssertionError(f"multiplicity of ({kappa},{r}) is inconsistent")
         if disc != kappa + r * n:
             raise AssertionError(f"log discrepancy of ({kappa},{r}) is inconsistent")
-        if kappa_p * r - kappa * r_p != -1:
+        det = kappa_p * r - kappa * r_p
+        if det == 1:
+            raise AssertionError(f"({kappa_p},{r_p}), ({kappa},{r}) are out of slope order")
+        if det != -1:
             raise AssertionError(f"({kappa_p},{r_p}), ({kappa},{r}) are not Farey neighbors")
         if mult_p + mult <= m:
             raise AssertionError(

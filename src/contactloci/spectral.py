@@ -14,11 +14,11 @@ iterate is determined by the contact cohomology.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .contact import contact_cohomology, contact_euler, graded_pieces, piece_compact_cohomology
-from .domain import COHOMOLOGY, Value
+from .domain import COHOMOLOGY
 from .surface import cover_homology, milnor_fiber_euler
 
 if TYPE_CHECKING:
@@ -30,7 +30,7 @@ COLOR_YELLOW = "yellow"
 COLOR_PINK = "pink"
 
 
-class SpectralPage(Value):
+class SpectralPage(namedtuple("SpectralPage", ("entries",))):
     """An E1 = Einfinity page: finitely many groups at (column, total degree).
 
     Columns are canonicalized to the m-divisor index i itself.  Any choice of
@@ -43,8 +43,6 @@ class SpectralPage(Value):
 
     def __new__(cls, entries: tuple[tuple[tuple[int, int], FgAbGroup], ...]) -> "SpectralPage":
         return tuple.__new__(cls, (tuple(sorted(entries)),))
-
-    entries = property(itemgetter(0))
 
 
 def mclean_e1(n: int, d: int, m: int) -> SpectralPage:

@@ -266,6 +266,17 @@ def test_verify_reads_ascii_variable_indices_only(capsys):
     assert err == f"error: expected a term at position 0 of {f!r}\n"
 
 
+def test_verify_caps_only_text_the_grammar_accepts(capsys):
+    # an index that the grammar would never read counts for no cap: each of
+    # these once exited 3, over the variable cap or the budget's first charge
+    for f, position in (("hello x99999", 0), ("x0^2+)x30^2", 5)):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--f", f, "--m", "3", "--primes", "3")
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err == f"error: expected a term at position {position} of {f!r}\n"
+
+
 def test_integers_take_a_sign_and_surrounding_blanks(capsys):
     plain = run(capsys, "resolve", "--n", "3", "--d", "2", "--m", "4")
     for n in ("+3", " 3", "3 ", "03"):

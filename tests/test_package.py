@@ -72,7 +72,7 @@ def test_unknown_name_raises_attribute_error():
 
 def test_first_access_loads_only_the_owning_layer(fresh_python):
     loaded, bound = first_access(fresh_python, "cl.parse_poly")
-    assert loaded == ["domain", "poly"]
+    assert loaded == ["poly"]
     assert bound == ["SparseIntPoly", "parse_poly"]
 
 

@@ -377,7 +377,7 @@ def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
      r"^\(1,1\), \(3,1\) are not Farey neighbors$"),
     # determinant +1: Farey neighbours, but the slope falls from (1, 1) to (1, 2)
     ([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 2), 5, 7), ((1, 0), 1, 1)],
-     r"^\(1,1\), \(1,2\) are not Farey neighbors$"),
+     r"^\(1,1\), \(1,2\) are out of slope order$"),
 ])
 def test_chain_invariant_check_rejects_broken_chains(divisors, message):
     """The check walks the chain once, from the left: each divisor's own

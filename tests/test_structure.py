@@ -2,7 +2,8 @@
 line reads every integer through one function and maps invalid input to
 exit 2 through one exception type, the domain table defines one exception,
 the oracle takes its prediction from contact through one function and names
-no stratum field, and two functions read a chain's pair index."""
+no stratum field, two functions read a chain's pair index, and every value
+type but the chain is a named tuple."""
 
 import ast
 import builtins
@@ -71,3 +72,23 @@ def test_two_functions_read_the_pair_index():
     readers = [node.name for node in ast.walk(tree("resolution"))
                if isinstance(node, ast.FunctionDef) and any(map(reads_index, ast.walk(node)))]
     assert readers == ["nef_fiber_identity", "m_divisors"]
+
+
+def test_only_the_chain_is_a_hand_written_tuple():
+    # every other value type has a named-tuple base, whose field readers are
+    # the named tuple's own; the chain iterates its divisors, not its fields
+    def is_reader(node):
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) == "property"
+                and bool(node.args) and isinstance(node.args[0], ast.Call)
+                and ast.unparse(node.args[0].func) in ("itemgetter", "operator.itemgetter"))
+
+    tuples, readers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        classes = [node for node in ast.walk(module) if isinstance(node, ast.ClassDef)]
+        tuples += [cls.name for cls in classes if "tuple" in map(ast.unparse, cls.bases)]
+        chain = {id(node) for cls in classes if cls.name == "ResolutionChain"
+                 for node in ast.walk(cls)}
+        readers += [path.stem for node in ast.walk(module)
+                    if is_reader(node) and id(node) not in chain]
+    assert tuples == ["ResolutionChain"] and not readers
