@@ -292,7 +292,7 @@ def cmd_scatter(args):
     return doc, text, True
 
 
-def _load_poly(spec: str, budget: Optional[int]) -> SparseIntPoly:
+def _load_poly(spec: str, budget: int) -> SparseIntPoly:
     """The polynomial of verify --f, in at most as many variables as the n that
     cohomology accepts.  Once the inline grammar has accepted the text, and
     before it builds an exponent vector, the variable count is checked
@@ -312,7 +312,7 @@ def _load_poly(spec: str, budget: Optional[int]) -> SparseIntPoly:
         return poly
     nvars, terms = read_terms(spec)
     _check_cap("variables", nvars, max_vars)
-    if budget is not None and nvars >= budget.bit_length():
+    if nvars >= budget.bit_length():
         raise BudgetExceededError(f"enumeration budget exceeded (more than {budget} candidates)")
     return poly_of_terms(nvars, terms)
 
@@ -323,8 +323,15 @@ def cmd_verify(args):
     primes = [integer(chunk, "--primes") for chunk in filter(str.strip, args.primes.split(","))]
     if not primes:
         raise ValueError("no primes given")
-    # the oracle refuses a negative budget and a first prime below 2 before any charge
-    poly = _load_poly(args.f, args.budget if args.budget >= 0 and primes[0] > 1 else None)
+    # what the oracle would refuse before its first charge, refused before --f is read
+    if args.m < M_MIN:
+        raise ValueError(f"m must be >= {M_MIN}")
+    if args.budget < 0:
+        raise ValueError("budget must be >= 0")
+    low = next((p for p in primes if p < 2), None)
+    if low is not None:
+        raise ValueError(f"{low} is not prime")
+    poly = _load_poly(args.f, args.budget)
     _check_size("verify", COHOMOLOGY, poly.nvars, poly.min_total_degree(), args.m)
     from .oracle import count_contact_jets  # only once the input is known to be valid
 

@@ -10,8 +10,8 @@ errors defined here are ValueErrors: input that the oracle cannot count.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, compress, islice, product
-from math import comb, gcd, isqrt, prod
+from itertools import combinations_with_replacement, compress, islice, product
+from math import comb, factorial, gcd, isqrt, prod
 from operator import add, getitem, mul, not_
 from typing import Iterator, NamedTuple, Optional
 
@@ -51,101 +51,74 @@ def _scalings(f: SparseIntPoly, p: int) -> list[set]:
     return [{c for c in range(1, p) if pow(c, g, p) == 1} for g in orders]
 
 
-def _symmetries(f: SparseIntPoly, p: int) -> tuple[list[set], list[tuple[list, list]]]:
-    """(subgroups, swaps): the symmetries of f term by term mod p.
+def _symmetries(f: SparseIntPoly, p: int) -> tuple[list[set], list[list[int]]]:
+    """(subgroups, blocks): the symmetries of f term by term mod p.
 
-    subgroups is _scalings(f, p).  swaps holds, for each pair i < j in
-    order, the first scaled transposition g(x)_k = scale[k] * x[perm[k]]
-    with f(g(x)) = f(x), as (perm, scale).  One per pair: the scalings give
-    the rest for diagonal f, and a subgroup only refines the orbits."""
-    n = f.nvars
+    subgroups is _scalings(f, p).  blocks partitions the coordinates, in
+    order of least member, into classes whose plain transpositions map f's
+    reduced terms onto themselves, each coefficient onto its own.  The
+    permutations that fix f form a group, so those transpositions form an
+    equivalence relation and one member of each block decides a coordinate's
+    block.  A swap that needs a scale as well is left out: a subgroup of the
+    symmetries only refines the orbits."""
     reduced = {exps: c % p for exps, c in f.terms if c % p}
-    subgroups = _scalings(f, p)
-
-    def fixes(c, c2, rows):
-        # x_i -> c x_i and x_j -> c2 x_j scale each term onto its image
-        return all(want == c0 * pow(c, e_i, p) * pow(c2, e_j, p) % p
-                   for want, c0, e_i, e_j in rows)
-
-    swaps = []
-    for i, j in combinations(range(n), 2):
-        perm = list(range(n))
-        perm[i], perm[j] = j, i
-        # scales are units mod p, so an image has f's support only if perm maps it
-        if {tuple(exps[q] for q in perm) for exps in reduced} != reduced.keys():
-            continue
-        # (coefficient of the image, c0, e_i, e_j) per term; the terms without
-        # x_j do not see c2, so they filter c before c2 is searched
-        terms = [(reduced[tuple(exps[q] for q in perm)], c0, exps[i], exps[j])
-                 for exps, c0 in reduced.items()]
-        free = [term for term in terms if not term[3]]
-        # the first accepted (c, c2) in product order
-        found = next(((c, c2) for c in range(1, p) if fixes(c, 1, free)
-                      for c2 in range(1, p) if fixes(c, c2, terms)), None)
-        if found:
-            scale = [1] * n
-            scale[i], scale[j] = found
-            swaps.append((perm, scale))
-    return subgroups, swaps
+    blocks = []
+    for i in range(f.nvars):
+        for block in blocks:
+            j = block[0]  # j < i: swap the exponents of x_j and x_i
+            if all(reduced.get((*exps[:j], exps[i], *exps[j + 1:i], exps[j], *exps[i + 1:])) == c
+                   for exps, c in reduced.items()):
+                block.append(i)
+                break
+        else:
+            blocks.append([i])
+    return _scalings(f, p), blocks
 
 
-def _cosets(group: set, p: int) -> tuple[list[int], list[int], list[int]]:
-    """(leasts, sizes, label) of F_p under the scalings by a subgroup S of
-    F_p^*: the least member and the size of {0}, then of each coset x*S in
-    order of least member, and label[x], the index of x's coset."""
-    leasts, sizes, label = [0], [1], [0] * p
+def _cosets(group: set, p: int) -> tuple[list[int], list[int]]:
+    """(leasts, sizes) of F_p under the scalings by a subgroup S of F_p^*:
+    the least member and the size of {0}, then of each coset x*S in order of
+    least member."""
+    leasts, seen = [0], set()
     for x in range(1, p):
-        if not label[x]:  # x is the least of its coset
-            for s in group:
-                label[x * s % p] = len(leasts)
+        if x not in seen:  # x is the least of its coset
+            seen.update(x * s % p for s in group)
             leasts.append(x)
-            sizes.append(len(group))
-    return leasts, sizes, label
+    return leasts, [1] + [len(group)] * (len(leasts) - 1)
 
 
-def _orbits(subgroups: list[set], swaps, p: int) -> list[tuple[tuple, int]]:
-    """(first member, size) of each orbit of F_p^n under the group generated
-    by the scalings in subgroups and the swaps, in product order of first
-    members.
+def _orbits(subgroups: list[set], blocks: list[list[int]], p: int) -> list[tuple[tuple, int]]:
+    """(first member, size) of each orbit of F_p^n under the scalings in
+    subgroups and the permutations of each block's coordinates, in product
+    order of first members.
 
-    The orbits of S = prod S_i are cells: products of {0} and cosets v S_i,
-    whose first member is the coordinatewise least.  The swaps must be
-    scaled transpositions of coordinates with equal S_i, which normalise S
-    and so map cells to cells; they are closed over cells with a seen-map.
-    Without swaps the cells are the orbits."""
-    n = len(subgroups)
-    leasts, cell_sizes, labels = zip(*(_cosets(group, p) for group in subgroups))
-    radix = list(map(len, leasts))
-    weights = [prod(radix[i + 1:]) for i in range(n)]
-    maps = []
-    for perm, scale in swaps:
-        i, j = (k for k, q in enumerate(perm) if k != q)
-        if subgroups[i] != subgroups[j]:
-            raise AssertionError(f"{perm} is no transposition of coordinates with equal scalings")
-        # g(c) has index high[c_0..c_(n-2)] + low[c_(n-1)], c in product
-        # order; factor c_k lands in coordinate perm^-1(k) = perm[k]
-        tables = [[labels[q][scale[q] * least % p] * weights[q] for least in leasts[k]]
-                  for k, q in enumerate(perm)]
-        maps.append((list(map(sum, product(*tables[:-1]))), tables[-1]))
-    firsts = product(*leasts)
-    sizes = list(map(prod, product(*cell_sizes)))
-    if not maps:
-        return list(zip(firsts, sizes))
-    seen = bytearray(len(sizes))
+    The orbits of S = prod S_i are cells: products of {0} and cosets v S_i.
+    The coordinates of a block share one S_i, so an orbit of the block's
+    group is a multiset of its cosets: its first member is the cosets' least
+    members in ascending order, and its size the number of arrangements
+    times the product of the coset sizes.  The orbits of F_p^n are the
+    products over blocks; without a block of two the cells are the orbits."""
+    leasts, sizes = zip(*(_cosets(group, p) for group in subgroups))
+    if all(len(block) == 1 for block in blocks):
+        return list(zip(product(*leasts), map(prod, product(*sizes))))
+    per_block = []
+    for block in blocks:
+        i = block[0]
+        if any(subgroups[j] != subgroups[i] for j in block):
+            raise AssertionError(f"block {block} holds coordinates of unequal scalings")
+        block_orbits = []
+        for cosets in combinations_with_replacement(range(len(leasts[i])), len(block)):
+            arrangements = factorial(len(block)) // prod(map(factorial, Counter(cosets).values()))
+            block_orbits.append(([leasts[i][c] for c in cosets],
+                                 arrangements * prod(sizes[i][c] for c in cosets)))
+        per_block.append(block_orbits)
+    # position in the blocks' concatenation of each coordinate
+    where = sorted(range(len(subgroups)), key=[i for block in blocks for i in block].__getitem__)
     orbits = []
-    for start, point in enumerate(firsts):
-        if not seen[start]:
-            seen[start] = 1
-            orbit = [start]
-            for x in orbit:  # grows as walked
-                x, v = divmod(x, radix[-1])
-                for high, low in maps:
-                    y = high[x] + low[v]
-                    if not seen[y]:
-                        seen[y] = 1
-                        orbit.append(y)
-            orbits.append((point, sum(sizes[c] for c in orbit)))
-    return orbits
+    for choice in product(*per_block):
+        flat = [x for values, _ in choice for x in values]
+        orbits.append((tuple(flat[k] for k in where), prod(size for _, size in choice)))
+    return sorted(orbits)
 
 
 def _grid(h: SparseIntPoly, p: int) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
@@ -154,8 +127,7 @@ def _grid(h: SparseIntPoly, p: int) -> tuple[tuple[list[int], ...], tuple[list[i
     each.  A scaling that fixes h term by term maps the zeros of h, of h - 1
     and of each partial of h onto themselves, so each is a union of cells;
     a cell's least member, the grid point, is its first in product order."""
-    axes, sizes, _ = zip(*(_cosets(group, p) for group in _scalings(h, p)))
-    return axes, sizes
+    return tuple(zip(*(_cosets(group, p) for group in _scalings(h, p))))
 
 
 def _slices(h: SparseIntPoly, axes, p: int) -> Iterator[list[int]]:

@@ -581,6 +581,20 @@ def test_verify_refuses_a_first_charge_over_the_budget(capsys):
         assert code == want and message in err, (primes, budget)
 
 
+def test_verify_refuses_an_invalid_budget_prime_or_m_before_reading_f(capsys):
+    # each once built the 10,000-variable polynomial first: 12-17 s and about
+    # 780 MB, and m = 0 then exited 3 on the budget's first charge
+    squares = "+".join(f"x{j}^2" for j in range(10000))
+    for m, primes, budget, message in (("3", "3", "-1", "budget must be >= 0"),
+                                       ("3", "1", "10", "1 is not prime"),
+                                       ("0", "3", "10", "m must be >= 1")):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--f", squares, "--m", m, "--primes", primes,
+                             "--budget", budget)
+        assert time.perf_counter() - started < 1, message
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_over_long_input_integers_name_their_argument(capsys):
     long = "1" * 4401
     for flag, value in (("--f", f"x0^2+x1^2+{long}*x2^2"), ("--f", f"x0^2+x1^2+x2^{long}"),

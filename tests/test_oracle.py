@@ -1,7 +1,8 @@
+import time
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import combinations, product
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -447,6 +448,23 @@ def test_counts_pinned_to_the_unreduced_search(poly, m, p, by_order):
     assert report.matches
 
 
+# units that count_contact_jets spends on the benchmark's jet forms, so that
+# a drift in what a unit charges shows
+PINNED_UNITS = [
+    (QUADRIC, 5, 5, 1180), (QUADRIC, 5, 7, 3882), (QUADRIC, 4, 5, 420), (QUADRIC, 4, 7, 1118),
+    (CUBIC, 6, 5, 8630), (CUBIC, 3, 13, 6626), (CUBIC, 5, 7, 1098),
+    (QUATERNARY, 3, 7, 7238), (QUATERNARY, 4, 3, 280),
+    (LOWSYM, 3, 13, 7774), (LOWSYM, 4, 7, 2597),
+]
+
+
+@pytest.mark.parametrize("poly,m,p,units", PINNED_UNITS)
+def test_units_spent_on_the_benchmark_forms(poly, m, p, units):
+    spent = [0]
+    count_contact_jets(poly, m, p, spent=spent)
+    assert spent[0] == units
+
+
 def _apply(g, point, p):
     perm, scale = g
     return tuple(scale[i] * point[perm[i]] % p for i in range(len(point)))
@@ -469,73 +487,78 @@ def _orbit_labels(gens, n, p):
     return label
 
 
+def _transposition(n, i, j):
+    perm = list(range(n))
+    perm[i], perm[j] = j, i
+    return perm, [1] * n
+
+
 def _family(n, p):
-    # every single-coordinate scaling and scaled transposition of F_p^n
+    # every single-coordinate scaling and plain transposition of F_p^n
     for i in range(n):
         for c in range(2, p):
             yield list(range(n)), [c if k == i else 1 for k in range(n)]
         for j in range(i + 1, n):
-            perm = list(range(n))
-            perm[i], perm[j] = j, i
-            for c, c2 in product(range(1, p), repeat=2):
-                yield perm, [c if k == i else c2 if k == j else 1 for k in range(n)]
+            yield _transposition(n, i, j)
 
 
 SYMMETRY_CASES = [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7), (LOWSYM, 3), (LOWSYM, 7),
                   (MIXED_CUBIC, 7), (HYPERBOLIC, 5), (QUATERNARY, 3)]
 
 
-def _generators(subgroups, swaps):
-    # every element of each coordinate's scaling subgroup, then the swaps
+def _generators(subgroups, blocks):
+    # every element of each coordinate's scaling subgroup, then every
+    # transposition of two coordinates of one block
     n = len(subgroups)
-    return [(list(range(n)), [c if k == i else 1 for k in range(n)])
-            for i, group in enumerate(subgroups) for c in sorted(group)] + swaps
+    return ([(list(range(n)), [c if k == i else 1 for k in range(n)])
+             for i, group in enumerate(subgroups) for c in sorted(group)]
+            + [_transposition(n, i, j) for block in blocks for i, j in combinations(block, 2)])
 
 
 @pytest.mark.parametrize("poly,p", SYMMETRY_CASES)
 def test_accepted_symmetries_fix_f_at_every_point(poly, p):
-    subgroups, swaps = _symmetries(poly, p)
+    subgroups, blocks = _symmetries(poly, p)
     assert len(subgroups) == poly.nvars and all(1 in group for group in subgroups)
-    assert swaps or any(len(group) > 1 for group in subgroups)
-    for g in _generators(subgroups, swaps):
+    assert sorted(i for block in blocks for i in block) == list(range(poly.nvars))
+    assert (any(len(block) > 1 for block in blocks)
+            or any(len(group) > 1 for group in subgroups))
+    for g in _generators(subgroups, blocks):
         for point in product(range(p), repeat=poly.nvars):
             assert value_mod(poly.terms, _apply(g, point, p), p) == value_mod(poly.terms, point, p)
 
 
 def unfiltered_symmetries(f, p):
-    # every candidate's substituted image compared with f, none rejected
-    # early by its exponent support
+    # every single-coordinate scaling and plain transposition whose
+    # substituted image is f term by term, each compared in full
     n = f.nvars
     reduced = {exps: c % p for exps, c in f.terms if c % p}
-    found, pairs = [], set()
-    for i, j, c, c2 in product(range(n), range(n), range(1, p), range(1, p)):
-        if i < j and (i, j) not in pairs or i == j and c2 == 1 < c:
-            perm, scale = list(range(n)), [1] * n
-            perm[i], perm[j] = j, i
-            scale[j], scale[i] = c2, c
-            image = {tuple(exps[q] for q in perm):
-                     c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
-                     for exps, c0 in reduced.items()}
-            if image == reduced:
-                found.append((perm, scale))
-                pairs.add((i, j))
+    found = []
+    for perm, scale in _family(n, p):
+        image = {tuple(exps[q] for q in perm):
+                 c0 * prod(pow(s, e, p) for s, e in zip(scale, exps)) % p
+                 for exps, c0 in reduced.items()}
+        if image == reduced:
+            found.append((perm, scale))
     return found
 
 
 @pytest.mark.parametrize("poly,p", SYMMETRY_CASES + [(LOWSYM, 11), (LOWSYM, 13)])
 def test_symmetries_match_the_unfiltered_search(poly, p):
-    # the support filter and the filter on c by the terms without x_j lose
-    # no generator: each coordinate's subgroup is 1 and the unfiltered
-    # search's scalings of it, and the swaps are its transpositions in the
-    # same order.  LOWSYM's supports match under x0 <-> x1, and from p = 7
-    # on no scale pair is accepted, so every c is tried.
+    # each coordinate's subgroup is 1 and the unfiltered search's scalings
+    # of it, and the pairs in a block are exactly the transpositions that
+    # search accepts: comparing a coordinate with one member of each block
+    # loses none.  LOWSYM's supports match under x0 <-> x1, but its
+    # coefficients do not.
     n = poly.nvars
     unfiltered = unfiltered_symmetries(poly, p)
-    subgroups, swaps = _symmetries(poly, p)
+    subgroups, blocks = _symmetries(poly, p)
     assert subgroups == [{1} | {scale[i] for perm, scale in unfiltered
                                 if perm == list(range(n)) and scale[i] != 1}
                          for i in range(n)]
-    assert swaps == [g for g in unfiltered if g[0] != list(range(n))]
+    assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+    accepted = {tuple(k for k, q in enumerate(perm) if k != q)
+                for perm, _ in unfiltered if perm != list(range(n))}
+    assert accepted == {pair for block in blocks for pair in combinations(block, 2)}
 
 
 @pytest.mark.parametrize("poly,p", [(poly, p) for poly in (QUADRIC, CUBIC, LOWSYM)
@@ -546,16 +569,18 @@ def test_symmetries_match_the_unfiltered_search(poly, p):
 def test_one_scaling_per_coordinate_keeps_the_orbits(poly, p):
     # each S_i is the cyclic group that its element of maximal order
     # generates, so that one scaling per coordinate, closed point by point
-    # with the swaps, gives the orbits
+    # with the transpositions of adjacent members of each block, gives the
+    # orbits
     n = poly.nvars
-    subgroups, swaps = _symmetries(poly, p)
+    subgroups, blocks = _symmetries(poly, p)
     gens = []
     for i, group in enumerate(subgroups):
         c = max(group, key=lambda c: len({pow(c, e, p) for e in range(p)}))
         assert {pow(c, e, p) for e in range(p)} == group
         gens.append((list(range(n)), [c if k == i else 1 for k in range(n)]))
-    sizes = Counter(_orbit_labels(gens + swaps, n, p).values())
-    assert _orbits(subgroups, swaps, p) == sorted(sizes.items())
+    gens += [_transposition(n, i, j) for block in blocks for i, j in zip(block, block[1:])]
+    sizes = Counter(_orbit_labels(gens, n, p).values())
+    assert _orbits(subgroups, blocks, p) == sorted(sizes.items())
 
 
 @pytest.mark.parametrize("poly,p", [(QUADRIC, 5), (QUADRIC, 7), (CUBIC, 7), (SCALED, 7),
@@ -572,9 +597,27 @@ def test_diagonal_forms_lose_no_symmetry_of_the_family(poly, p):
 
 
 def test_scaled_form_needs_scaled_transpositions():
-    _, swaps = _symmetries(SCALED, 7)
-    assert swaps and all(perm == [1, 0, 2] for perm, _ in swaps)
-    assert all(scale[0] ** 2 % 7 == 2 for _, scale in swaps)
+    # x0 and x1 swap over F_7 only with scales c, c' where c^2 = 2, so they
+    # form no block and the orbits are those of the scalings: finer than with
+    # the scaled swaps, and the counts are the same
+    subgroups, blocks = _symmetries(SCALED, 7)
+    assert blocks == [[0], [1], [2]]
+
+    def fixes(g):
+        return all(value_mod(SCALED.terms, _apply(g, x, 7), 7) == value_mod(SCALED.terms, x, 7)
+                   for x in product(range(7), repeat=3))
+
+    swaps = [([1, 0, 2], [c, c2, 1]) for c, c2 in product(range(1, 7), repeat=2)]
+    scaled = [g for g in swaps if fixes(g)]
+    assert scaled and all(scale[0] ** 2 % 7 == 2 for _, scale in scaled)
+    scalings = _generators(subgroups, [])
+    sizes = Counter(_orbit_labels(scalings, 3, 7).values())
+    assert _orbits(subgroups, blocks, 7) == sorted(sizes.items())
+    assert len(set(_orbit_labels(scalings + scaled, 3, 7).values())) < len(sizes)
+
+
+# a block whose coordinates are not adjacent: {x0, x2} beside {x1}
+INTERLEAVED = parse_poly("x0^2+2*x1^2+x2^2")
 
 
 @pytest.mark.parametrize("poly,p", [(SCALED, 7), (CUBIC, 7), (HYPERBOLIC, 5), (LOWSYM, 5),
@@ -584,10 +627,10 @@ def test_scaled_form_needs_scaled_transpositions():
                                     (CUBIC, 13), (LOWSYM, 13), (QUATERNARY, 7), (QUARTIC, 13),
                                     (SEXTIC, 7),
                                     (QUADRIC, 5), (QUADRIC, 7), (QUADRIC, 13), (CUBIC, 5),
-                                    (LOWSYM, 7), (QUARTIC, 5)])
+                                    (LOWSYM, 7), (QUARTIC, 5), (INTERLEAVED, 7), (LOWSYM, 3)])
 def test_orbits_are_the_closures_under_the_generators(poly, p):
-    # every accepted scaling, as the unfiltered search finds them, closed
-    # point by point
+    # every accepted scaling and transposition, as the unfiltered search
+    # finds them, closed point by point
     sizes = Counter(_orbit_labels(unfiltered_symmetries(poly, p), poly.nvars, p).values())
     assert _orbits(*_symmetries(poly, p), p) == sorted(sizes.items())
 
@@ -595,8 +638,8 @@ def test_orbits_are_the_closures_under_the_generators(poly, p):
 @st.composite
 def diagonal_forms(draw):
     # (sum of a_j x_j^(e_j) over three variables, p): S_j has order
-    # gcd(e_j, p - 1), and x_i, x_j swap when e_i = e_j and a_j / a_i is an
-    # e_i-th power mod p
+    # gcd(e_j, p - 1), and x_i, x_j share a block when a_i = a_j mod p and,
+    # unless both vanish mod p, e_i = e_j
     terms = []
     for j in range(3):
         e, a = draw(st.integers(1, 6)), draw(st.integers(1, 12))
@@ -615,10 +658,21 @@ def test_orbits_of_diagonal_forms_are_the_closures(case):
 
 
 def test_orbits_refuse_a_transposition_of_unequal_scaling_subgroups():
-    # x0 is scaled by -1 and x1 not at all, so the swap does not map the
-    # cells of the scalings to cells
+    # x0 is scaled by -1 and x1 not at all, so a block of the two does not
+    # map the cells of the scalings to cells
     with pytest.raises(AssertionError):
-        _orbits([{1, 4}, {1}, {1}], [([1, 0, 2], [1, 1, 1])], 5)
+        _orbits([{1, 4}, {1}, {1}], [[0, 1], [2]], 5)
+
+
+def test_a_block_of_seventeen_coordinates_has_eighteen_orbits():
+    # the 17-variable Fermat cubic over F_2: S_i = {1} and one block, so an
+    # orbit is the number k of coordinates that are 1, of size C(17, k)
+    fermat = parse_poly("+".join(f"x{j}^3" for j in range(17)))
+    start = time.perf_counter()
+    orbits = _orbits(*_symmetries(fermat, 2), 2)
+    assert time.perf_counter() - start < 1.0
+    assert orbits == [((0,) * (17 - k) + (1,) * k, comb(17, k)) for k in range(18)]
+    assert sum(size for _, size in orbits) == 2 ** 17
 
 
 def _dense_rank(matrix):

@@ -1,17 +1,25 @@
-"""Second routes to the class of X_m and to the Lefschetz numbers of the
-monodromy iterates, kept as test-side references: Denef-Loeser over the
-chain (tests/denef_loeser.py), and the motivic zeta function and A'Campo's
-formula of the one-blow-up resolution (tests/zeta_function.py).  Each is
-compared over a grid with the strata sum of contact_class and with
-lefschetz_closed_form, and each imports only what its docstring allows."""
+"""Second routes to the class of X_m, to the Lefschetz numbers of the
+monodromy iterates and to the cone's cohomology, kept as test-side
+references: Denef-Loeser over the chain (tests/denef_loeser.py), the motivic
+zeta function and A'Campo's formula of the one-blow-up resolution
+(tests/zeta_function.py), and the Smith normal form of the monodromy on the
+Milnor lattice (tests/milnor_lattice.py).  Each is compared over a grid with
+contact_class, lefschetz_closed_form or cone_compact_cohomology, and each
+imports only what its docstring allows."""
 
 import ast
 from pathlib import Path
 
 from contactloci.contact import contact_class
 from contactloci.spectral import lefschetz_closed_form
-from contactloci.surface import euler_characteristic, milnor_fiber_euler
+from contactloci.surface import (
+    cone_compact_cohomology,
+    euler_characteristic,
+    middle_rank,
+    milnor_fiber_euler,
+)
 from denef_loeser import denef_loeser_class
+from milnor_lattice import cone_cohomology
 from zeta_function import a_campo_lefschetz, surface_euler, zeta_class
 
 TESTS = Path(__file__).resolve().parent
@@ -49,9 +57,27 @@ def test_a_campo_gives_the_lefschetz_numbers():
                 assert a_campo_lefschetz(n, d, m) == lefschetz_closed_form(n, d, m), (n, d, m)
 
 
+# (n, d) with n >= 3, d >= 2 and a lattice of rank (d-1)^n <= 256; the
+# quadrics, of rank 1, up to n = 12
+LATTICE_PAIRS = [(n, d) for n in range(3, 13) for d in range(2, 8) if (d - 1) ** n <= 256]
+
+
+def test_the_milnor_lattice_gives_the_cone_profile():
+    # torsion included: Z/d in degree n for odd n, none for even n.  The rank
+    # c in degree n - 1 is b for odd n and b - 1 for even n, so the lattice
+    # gives the middle rank b for both parities: 2 for the quadric surface
+    for n, d in LATTICE_PAIRS:
+        lattice = cone_cohomology(n, d)
+        profile = {k: (group.rank, group.torsion) for k, group in cone_compact_cohomology(n, d).entries}
+        assert lattice == profile, (n, d)
+        assert middle_rank(n, d) == lattice.get(n - 1, (0, ()))[0] + (n % 2 == 0), (n, d)
+    assert cone_cohomology(4, 2)[3] == (1, ())
+
+
 def test_each_reference_imports_only_what_it_may():
     allowed = {"denef_loeser": [("contactloci.resolution", "build_minimal_resolution")],
-               "zeta_function": [("math", "comb")]}
+               "zeta_function": [("math", "comb")],
+               "milnor_lattice": [("itertools", "product")]}
     for module, imports in allowed.items():
         tree = ast.parse((TESTS / f"{module}.py").read_text(encoding="utf-8"))
         found = [(node.module, alias.name) for node in ast.walk(tree)

@@ -1,6 +1,5 @@
 import pytest
 
-from alternating_sum import middle_rank_alternating_sum
 from contactloci.groups import FgAbGroup, GradedGroup, free_group
 from contactloci.surface import (
     cone_compact_cohomology,
@@ -33,19 +32,6 @@ def test_middle_rank_rejects_small_n():
 def test_plane_curve_rank_is_twice_genus():
     for d in range(1, 11):
         assert middle_rank(3, d) == (d - 1) * (d - 2)
-
-
-def test_alternating_sum_matches_in_odd_dimension():
-    for n in range(3, 16, 2):
-        for d in range(1, 11):
-            assert middle_rank_alternating_sum(n, d) == middle_rank(n, d), (n, d)
-
-
-def test_alternating_sum_breaks_on_the_quadric_surface():
-    # the binomial-sum identity only holds in odd dimension; n = 4, d = 2 is
-    # the smallest counterexample (true rank 2)
-    assert middle_rank_alternating_sum(4, 2) == 0
-    assert middle_rank(4, 2) == 2
 
 
 @pytest.mark.parametrize("n,d,b,mu,chi", [
