@@ -54,14 +54,23 @@ SCATTER_CLASSES = {
 }
 
 
+def _max_digits() -> int:
+    """The digits of the longest integer the command line reads or prints:
+    CLI_MAX_DIGITS, or the interpreter's own limit when that is lower.  A
+    limit of 0 is none, and 3.10.0-3.10.6 have none to read."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(CLI_MAX_DIGITS, limit) if limit else CLI_MAX_DIGITS
+
+
 def integer(text: str, flag: str = "argument") -> int:
     """Every integer the command line reads: blanks around, an optional sign, then
-    at most CLI_MAX_DIGITS ASCII digits.  argparse names this function when it refuses."""
+    at most _max_digits() ASCII digits.  argparse names this function when it refuses."""
     match = re.fullmatch(r"\s*([+-]?([0-9]+))\s*", text)
     if not match:
         raise ValueError(f"{flag}: {text.strip()!r} is not an integer")
-    if len(match[2]) > CLI_MAX_DIGITS:
-        raise ValueError(f"{flag} holds an integer of more than {CLI_MAX_DIGITS} digits")
+    cap = _max_digits()
+    if len(match[2]) > cap:
+        raise ValueError(f"{flag} holds an integer of more than {cap} digits")
     return int(match[1])
 
 
@@ -78,15 +87,16 @@ def _write(args, payload: str) -> None:
 
 def _check_output(doc) -> None:
     """Refuse a document that holds an integer Python would not print, one of
-    more than CLI_MAX_DIGITS digits; text prints only what the document holds."""
-    limit, stack = 10 ** CLI_MAX_DIGITS, [doc]
+    more than _max_digits() digits; text prints only what the document holds."""
+    cap = _max_digits()
+    limit, stack = 10 ** cap, [doc]
     while stack:  # containers only: each one's leaves are tested in place
         item = stack.pop()
         for value in item.values() if isinstance(item, dict) else item:
             if isinstance(value, int):
                 if abs(value) >= limit:
                     raise BudgetExceededError(
-                        f"output: an integer of more than {CLI_MAX_DIGITS} digits is over "
+                        f"output: an integer of more than {cap} digits is over "
                         "the command-line cap")
             elif isinstance(value, (dict, list)):
                 stack.append(value)
@@ -318,8 +328,9 @@ def _load_poly(spec: str, budget: int) -> SparseIntPoly:
 
 
 def cmd_verify(args):
-    if re.search(f"[0-9]{{{CLI_MAX_DIGITS + 1}}}", args.f):  # Python reads no such int
-        raise ValueError(f"--f holds an integer of more than {CLI_MAX_DIGITS} digits")
+    cap = _max_digits()
+    if re.search(f"[0-9]{{{cap + 1}}}", args.f):  # Python reads no such int
+        raise ValueError(f"--f holds an integer of more than {cap} digits")
     primes = [integer(chunk, "--primes") for chunk in filter(str.strip, args.primes.split(","))]
     if not primes:
         raise ValueError("no primes given")
@@ -374,7 +385,7 @@ def _add_ndm(sub, domain) -> None:
 
 def _check_cap(what: str, size: int, cap: int) -> None:
     if size > cap:
-        shown = size if size < 10 ** CLI_MAX_DIGITS else "a number too long to print"
+        shown = size if size < 10 ** _max_digits() else "a number too long to print"
         raise BudgetExceededError(f"{what}: {shown} is over the command-line cap of {cap}")
 
 

@@ -30,8 +30,9 @@ CLI_MAX_MILNOR_BITS = 1_000_000
 # m // d strata; measured, they print at most 1.7 characters per stratum and
 # bit once that product passes 10^5, so it bounds their output.
 CLI_MAX_STRATA_BITS = 20_000_000
-# Digits of the largest integer any subcommand may print: Python's default
-# limit on int-to-str conversion, which is left in place.
+# Digits of the largest integer any subcommand may read or print: Python's
+# default limit on int-to-str conversion, which is left in place.  The command
+# line takes the interpreter's own limit instead when that is set lower.
 CLI_MAX_DIGITS = 4300
 # Candidate vectors one budget admits: a verify invocation charges all its
 # primes' jet counts to one budget.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations_with_replacement, compress, islice, product
 from math import comb, factorial, gcd, isqrt, prod
-from operator import add, getitem, mul, not_
+from operator import add, getitem, mul, not_, or_
 from typing import Iterator, NamedTuple, Optional
 
 from .contact import order_counts
@@ -130,35 +130,33 @@ def _grid(h: SparseIntPoly, p: int) -> tuple[tuple[list[int], ...], tuple[list[i
     return tuple(zip(*(_cosets(group, p) for group in _scalings(h, p))))
 
 
-def _slices(h: SparseIntPoly, axes, p: int) -> Iterator[list[int]]:
-    """h mod p over the grid prod axes in product order, one list per
-    member of axes[0].  Each term is its x_0 power times its vector over
-    the other axes, built once from per-axis power tables."""
-    tails = []
+def _values(h: SparseIntPoly, axes, p: int) -> list[int]:
+    """h mod p at every point of the grid prod axes, in product order.  Each
+    term's vector over the grid is built once from per-axis power tables, and
+    repeats along the axis of each coordinate the term lacks."""
+    total = [0] * prod(map(len, axes))
     for exps, c in h.terms:
-        rows = [[pow(x, e, p) for x in axis] for axis, e in zip(axes, exps)]
         vector = [c % p]
-        for row in rows[1:]:
-            vector = [a * b % p for a in vector for b in row]
-        tails.append((rows[0], vector))
-    width = prod(map(len, axes[1:]))
-    for x in range(len(axes[0])):
-        total = [0] * width
-        for row, vector in tails:
-            total = list(map(add, total, map(row[x].__mul__, vector)))
-        yield [v % p for v in total]
+        for axis, e in zip(axes, exps):
+            if e:
+                row = [pow(x, e, p) for x in axis]
+                vector = [a * b % p for a in vector for b in row]
+            else:
+                vector = [a for a in vector for _ in axis]
+        total = list(map(add, total, vector))
+    return [v % p for v in total]
 
 
 def singular_point_mod_p(h: SparseIntPoly, p: int) -> Optional[tuple[int, ...]]:
     """The first common zero of the partials of h on F_p^n minus the origin,
     in product order, if any: the first such grid point of h's cells."""
     axes, _ = _grid(h, p)
-    for x, values in enumerate(zip(*(_slices(h.partial(j), axes, p) for j in range(h.nvars)))):
-        common = list(map(any, zip(*values)))  # False where every partial vanishes
-        if False in common[x == 0:]:  # the origin skipped
-            rest = common.index(False, x == 0)
-            return (axes[0][x], *next(islice(product(*axes[1:]), rest, None)))
-    return None
+    smooth = [1] + [0] * (prod(map(len, axes)) - 1)  # 0: every partial vanishes; origin skipped
+    for j in range(h.nvars):
+        smooth = list(map(or_, smooth, _values(h.partial(j), axes, p)))
+    if 0 not in smooth:
+        return None
+    return next(islice(product(*axes), smooth.index(0), None))
 
 
 def count_base(h: SparseIntPoly, p: int) -> tuple[int, int]:
@@ -168,12 +166,12 @@ def count_base(h: SparseIntPoly, p: int) -> tuple[int, int]:
     if not h.is_homogeneous() or h.is_zero or h.min_total_degree() < 1:
         raise ValueError("base counting expects a homogeneous form of positive degree")
     axes, sizes = _grid(h, p)
-    tail = list(map(prod, product(*sizes[1:])))
-    zeros = ones = 0
-    for size, values in zip(sizes[0], _slices(h, axes, p)):
-        zeros += size * sum(compress(tail, map(not_, values)))
-        ones += size * sum(compress(tail, map((1).__eq__, values)))
-    return zeros - 1, ones
+    weights = [1]
+    for row in sizes:
+        weights = [a * b for a in weights for b in row]
+    values = _values(h, axes, p)
+    return (sum(compress(weights, map(not_, values))) - 1,
+            sum(compress(weights, map((1).__eq__, values))))
 
 
 class JetCountReport(NamedTuple):

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -606,6 +607,56 @@ def test_over_long_input_integers_name_their_argument(capsys):
                              "--primes", argv["--primes"])
         assert code == 2 and out == "", value[:20]
         assert err == f"error: {flag} holds an integer of more than 4300 digits\n", value[:20]
+
+
+@pytest.fixture
+def digit_limit():
+    # sets the interpreter's int-str digit limit for one test, then restores it
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-str digit limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_a_lowered_digit_limit_lowers_the_input_cap(capsys, digit_limit):
+    # 640 digits is Python's least limit: over it, int() refuses to read
+    digit_limit(640)
+    long = "1" * 700
+    for flag, value in (("--f", f"x0^2+x1^2+{long}*x2^2"),
+                        ("--f", '{"n":3,"terms":[{"exps":[2,0,0],"coeff":%s}]}' % long),
+                        ("--primes", f"5,{long}")):
+        argv = {"--f": "x0^2+x1^2+x2^2", "--primes": "5", flag: value}
+        code, out, err = run(capsys, "verify", "--f", argv["--f"], "--m", "4",
+                             "--primes", argv["--primes"])
+        assert code == 2 and out == "", value[:20]
+        assert err == f"error: {flag} holds an integer of more than 640 digits\n", value[:20]
+    code, out, err = run(capsys, "resolve", "--n", "9" * 641, "--d", "2", "--m", "4")
+    assert code == 2 and out == "" and "error: argument --n: invalid integer value" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_a_lowered_digit_limit_lowers_the_output_cap(capsys, digit_limit):
+    digit_limit(640)
+    big = str(10 ** 250)
+    code, out, err = run(capsys, "euler", "--n", "3", "--d", big, "--m", big)
+    assert code == 3 and out == ""
+    assert err == ("error: output: an integer of more than 640 digits is over "
+                   "the command-line cap\n")
+    # a cap's message shows no size the interpreter would refuse to print
+    code, out, err = run(capsys, "cohomology", "--n", "9" * 640, "--d", "2", "--m", "4")
+    assert code == 3 and out == ""
+    assert err.startswith("error: degrees of S (2n): a number too long to print is over")
+    # the longest integer the interpreter prints still prints
+    code, out, err = run(capsys, "nash", "--n", "9" * 640, "--d", "2", "--m", "1")
+    assert code == 0 and "9" * 640 in out
+
+
+def test_no_digit_limit_keeps_the_cap_of_4300(capsys, digit_limit):
+    digit_limit(0)  # 0 lifts the interpreter's limit
+    code, out, err = run(capsys, "verify", "--f", "x0^2+x1^2+x2^2", "--m", "4",
+                         "--primes", "1" * 4301)
+    assert code == 2 and err == "error: --primes holds an integer of more than 4300 digits\n"
 
 
 def test_help_text_reads_the_domain_table(capsys):

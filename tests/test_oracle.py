@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -161,6 +162,19 @@ def test_scans_agree_with_evaluating_every_point(p, n):
 def test_a_free_coordinate_gives_its_axis_as_witness(p):
     assert _scalings(BINARY_CUBIC, p)[2] == set(range(1, p))
     assert singular_point_mod_p(BINARY_CUBIC, p) == (0, 0, 1)
+
+
+def test_scans_hold_one_value_list_at_a_time():
+    # the 15-variable Fermat cubic over F_2: 2^15 cells, each partial's
+    # values read over all of them, then folded into one list
+    h = parse_poly("+".join(f"x{j}^3" for j in range(15)))
+    tracemalloc.start()
+    try:
+        assert singular_point_mod_p(h, 2) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 @st.composite
