@@ -1,4 +1,4 @@
-"""Minimal m-separating resolution chains built by iterated mediant insertion.
+"""Minimal m-separating resolution chains, listed by the Farey next-term rule.
 
 For the parameters (n, d, m) the exceptional divisors of the minimal
 m-separating log resolution of a semihomogeneous singularity of degree d in
@@ -6,6 +6,9 @@ n variables are indexed by coprime pairs (kappa, r).  The chain runs from
 (0, 1), the first blow-up, to (1, 0), the strict transform, and blowing up
 an intersection inserts the mediant of the two adjacent pairs.  Multiplicity
 and log discrepancy are the linear forms N = kappa + r*d and nu = kappa + r*n.
+The finished chain holds the pairs with N <= m in slope order, so the build
+lists them left to right, each from its two left neighbours, without
+replaying the blow-ups.
 """
 
 from __future__ import annotations
@@ -91,25 +94,30 @@ class Divisor(namedtuple("Divisor", ("pair", "multiplicity", "log_discrepancy"))
 
 
 def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
-    # In-order expansion of the mediant tree: an adjacent pair of divisors
-    # gets its intersection blown up exactly when the multiplicities sum to
-    # at most m, which inserts the mediant between them.  The stack holds
-    # the right ends (kappa, r, N, nu) still to be reached from the current
-    # left end; N and nu add under mediants as kappa and r do.  (1, 0) sits
-    # at the bottom of the stack, so it is the one divisor popped last.
+    # The next-term rule that build_minimal_resolution proves, from (0, 1)
+    # and (1, (m - 1) // d) until P is (1, 0), whose r is 0.  Each kappa and
+    # r comes from a table over [0, m - d], each intermediate N from one over
+    # [d + 1, m] that shares the first's entries, and each nu from a dict
+    # seeded with the second, so each field holds one int object per value;
+    # no table is longer than the chain, which holds the m - d pairs (k, 1).
     # Pairs and divisors are wrapped without their constructors' checks;
     # _check_chain_invariants covers those on the finished chain.
     new = tuple.__new__
+    values = list(range(m - d + 1))
+    mults = values[d + 1:] + list(range(max(m - d, d) + 1, m + 1))
+    nus = dict(zip(mults, mults))
     out = [new(Divisor, (PAIR_FIRST, d, n))]
-    kappa, r, mult, disc = 0, 1, d, n
-    stack = [(1, 0, 1, 1)]
-    while stack:
-        right = stack[-1]
-        if mult + right[2] <= m:
-            stack.append((kappa + right[0], r + right[1], mult + right[2], disc + right[3]))
-        else:
-            kappa, r, mult, disc = stack.pop()
-            out.append(new(Divisor, (new(CoprimePair, (kappa, r)), mult, disc)))
+    kappa_l, r_l, mult_l = 0, 1, d
+    kappa, r = 1, (m - 1) // d
+    mult = 1 + r * d
+    while r:
+        nu = kappa + r * n
+        out.append(new(Divisor, (new(CoprimePair, (values[kappa], values[r])),
+                                 mults[mult - d - 1], nus.setdefault(nu, nu))))
+        t = (m + mult_l) // mult
+        kappa_l, r_l, mult_l, kappa, r, mult = (
+            kappa, r, mult, t * kappa - kappa_l, t * r - r_l, t * mult - mult_l)
+    out.append(new(Divisor, (PAIR_STRICT, 1, 1)))
     return out
 
 
@@ -152,7 +160,21 @@ class ResolutionChain(tuple):
 
 
 def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
-    """Build the chain by repeated mediant insertion from [(0,1), (1,0)].
+    """Build the chain left to right by the Farey next-term rule.
+
+    Mediant insertion from [(0,1), (1,0)] stops when every adjacent pair
+    has N_L + N_R > m, which leaves the endpoints and the coprime (kappa, r)
+    with kappa, r >= 1 and N <= m, in increasing slope kappa/r, adjacent
+    pairs with determinant -1.  The first pair after (0, 1) has kappa = 1
+    and the largest r with N <= m, r = (m - 1) // d; when that is 0 it is
+    (1, 0).  After the neighbours L and P the next pair is t*P - L with
+    t = (m + N_L) // N_P.  Indeed det(P, t*P - L) = det(L, P) = -1 for
+    every integer t, and P is primitive, so these are all the pairs with
+    determinant -1 against P, the successor Q among them.  Its N is
+    t*N_P - N_L <= m, so its t is at most (m + N_L) // N_P.  If it were
+    smaller, adding P to Q would give a coprime pair with N <= m strictly
+    between P and Q in slope, a pair of the chain between neighbours; so t
+    is the largest value with N <= m.
 
     The finished chain passes the walk of local invariants;
     verify_minimality compares it with the closed form.

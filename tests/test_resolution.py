@@ -1,7 +1,8 @@
 import copy
 import pickle
+import tracemalloc
 from math import gcd
-from operator import add
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -17,7 +18,7 @@ from contactloci.resolution import (
     nef_fiber_identity,
     verify_minimality,
 )
-from sternbrocot import parents_from_cf
+from sternbrocot import mediant_chain, parents_from_cf
 
 GRID = [(n, d, m) for n in (2, 3, 5) for d in (1, 2, 3, 5, 8) for m in range(1, 26)]
 
@@ -77,6 +78,52 @@ def test_built_divisors_pass_the_checking_constructors():
                 assert {(type(div), type(div.pair)) for div in chain} == {(Divisor, CoprimePair)}
                 assert list(chain) == [Divisor.for_params(CoprimePair(*div.pair), n, d)
                                        for div in chain], (n, d, m)
+
+
+def test_built_chain_is_the_mediant_insertion_order():
+    # the build lists the chain by the Farey next-term rule; the reference
+    # replays the blow-ups, whose pairs do not depend on n
+    for d in range(1, 9):
+        for m in range(1, 61):
+            expected = mediant_chain(d, m)
+            for n in range(2, 10):
+                assert pairs_of(build_minimal_resolution(n, d, m)) == expected, (n, d, m)
+    assert pairs_of(build_minimal_resolution(3, 2, 800)) == mediant_chain(2, 800)
+
+
+FIELDS = {"kappa": lambda div: div[0][0], "r": lambda div: div[0][1],
+          "N": itemgetter(1), "nu": itemgetter(2)}
+
+
+def test_each_field_holds_one_int_object_per_value():
+    # the values past 256, which the interpreter does not cache, are drawn
+    # from per-build tables, so equal values are one object
+    for n, d, m in [(n, d, m) for n in (2, 3, 8) for d in (1, 3, 7) for m in (270, 400)] + [
+            (3, 400, 1000), (10**6, 2, 300)]:
+        chain = build_minimal_resolution(n, d, m)
+        for name, field in FIELDS.items():
+            values = list(map(field, chain))
+            assert len(set(map(id, values))) == len(set(values)), (n, d, m, name)
+    # with n >= d each nu <= m is an N table entry, and the N table shares
+    # the kappa table's entries, so the fields share their objects too
+    chain = build_minimal_resolution(8, 2, 770)
+    values = [field(div) for div in chain for field in FIELDS.values()]
+    assert len(chain) == 90209
+    assert len(set(map(id, values))) == len(set(values)) == 3057
+
+
+@pytest.mark.parametrize("n,d,m", [(10**8, 1, 30), (3, 10**9, 10**9 + 1),
+                                   (3, 10**9 - 5, 10**9 + 1), (10**6, 2, 60)])
+def test_value_tables_are_no_longer_than_the_chain(n, d, m):
+    # a table over range(nu) or range(m) would hold billions of entries here
+    tracemalloc.start()
+    try:
+        chain = build_minimal_resolution(n, d, m)
+        assert verify_minimality(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_closed_form_equivalence_over_grid():

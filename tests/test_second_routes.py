@@ -5,7 +5,8 @@ zeta function and A'Campo's formula of the one-blow-up resolution
 (tests/zeta_function.py), and the Smith normal form of the monodromy on the
 Milnor lattice (tests/milnor_lattice.py).  Each is compared over a grid with
 contact_class, lefschetz_closed_form or cone_compact_cohomology, and each
-imports only what its docstring allows."""
+imports only what its docstring allows.  So does the chain's Stern-Brocot
+reference (tests/sternbrocot.py), which imports nothing."""
 
 import ast
 from pathlib import Path
@@ -77,7 +78,8 @@ def test_the_milnor_lattice_gives_the_cone_profile():
 def test_each_reference_imports_only_what_it_may():
     allowed = {"denef_loeser": [("contactloci.resolution", "build_minimal_resolution")],
                "zeta_function": [("math", "comb")],
-               "milnor_lattice": [("itertools", "product")]}
+               "milnor_lattice": [("itertools", "product")],
+               "sternbrocot": []}
     for module, imports in allowed.items():
         tree = ast.parse((TESTS / f"{module}.py").read_text(encoding="utf-8"))
         found = [(node.module, alias.name) for node in ast.walk(tree)
