@@ -115,24 +115,20 @@ def cmd_resolve(args):
     from .resolution import build_minimal_resolution, m_divisors
 
     chain = build_minimal_resolution(args.n, args.d, args.m)
-    mlist = m_divisors(chain)
     doc = chain.to_doc()
-    doc["m_divisors"] = mlist.to_doc()
+    doc["m_divisors"] = m_divisors(chain).to_doc()
 
     def text():
+        # the rows of the document, so that text and JSON print one set of values
         lines = [f"minimal {args.m}-separating resolution for n={args.n}, d={args.d}, m={args.m}",
                  "chain (left to right):",
                  "  kappa  r      N     nu  kind"]
-        for div in chain:
-            lines.append(f"  {div.pair.kappa:>5}  {div.pair.r:<4} {div.multiplicity:>4} "
-                         f"{div.log_discrepancy:>6}  {div.kind}")
+        lines += map("  {kappa:>5}  {r:<4} {N:>4} {nu:>6}  {kind}".format_map, doc["divisors"])
         lines.append("m-divisors (multiplicity divides m):")
         lines.append("      i  kappa  r      N     nu  exceptional")
-        for entry in mlist.entries:
-            div = entry.divisor
-            lines.append(f"  {entry.index:>5}  {div.pair.kappa:>5}  {div.pair.r:<4} "
-                         f"{div.multiplicity:>4} {div.log_discrepancy:>6}  "
-                         f"{'yes' if entry.exceptional else 'no'}")
+        for row in doc["m_divisors"]:
+            lines.append("  {i:>5}  {kappa:>5}  {r:<4} {N:>4} {nu:>6}  ".format_map(row)
+                         + ("yes" if row["exceptional"] else "no"))
         return lines
 
     return doc, text, True

@@ -8,14 +8,16 @@ an intersection inserts the mediant of the two adjacent pairs.  Multiplicity
 and log discrepancy are the linear forms N = kappa + r*d and nu = kappa + r*n.
 The finished chain holds the pairs with N <= m in slope order, so the build
 lists them left to right, each from its two left neighbours, without
-replaying the blow-ups.
+replaying the blow-ups.  A chain keeps the four ints of each divisor in one
+flat list and wraps pair and divisor objects only when they are read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress, islice, repeat
 from math import gcd
-from operator import itemgetter
+from operator import add, itemgetter, mul, not_
 from typing import Iterator, NamedTuple
 
 from .domain import CHAIN
@@ -53,10 +55,6 @@ class CoprimePair(namedtuple("CoprimePair", ("kappa", "r"))):
         return f"({self[0]},{self[1]})"
 
 
-PAIR_FIRST = CoprimePair(0, 1)
-PAIR_STRICT = CoprimePair(1, 0)
-
-
 class Divisor(namedtuple("Divisor", ("pair", "multiplicity", "log_discrepancy"))):
     """One irreducible component of the total transform.
 
@@ -83,80 +81,86 @@ class Divisor(namedtuple("Divisor", ("pair", "multiplicity", "log_discrepancy"))
         return cls(pair, pair[0] + pair[1] * d, pair[0] + pair[1] * n)
 
     def to_doc(self) -> dict:
-        pair, multiplicity, log_discrepancy = self
-        return {
-            "kappa": pair[0],
-            "r": pair[1],
-            "N": multiplicity,
-            "nu": log_discrepancy,
-            "kind": pair.kind,
-        }
+        (kappa, r), multiplicity, log_discrepancy = self
+        return _row_doc(kappa, r, multiplicity, log_discrepancy)
 
 
-def _chain_divisors(n: int, d: int, m: int) -> list[Divisor]:
+def _chain_rows(n: int, d: int, m: int) -> list[int]:
     # The next-term rule that build_minimal_resolution proves, from (0, 1)
     # and (1, (m - 1) // d) until P is (1, 0), whose r is 0.  Each kappa and
     # r comes from a table over [0, m - d], each intermediate N from one over
     # [d + 1, m] that shares the first's entries, and each nu from a dict
     # seeded with the second, so each field holds one int object per value;
     # no table is longer than the chain, which holds the m - d pairs (k, 1).
-    # Pairs and divisors are wrapped without their constructors' checks;
-    # _check_chain_invariants covers those on the finished chain.
-    new = tuple.__new__
     values = list(range(m - d + 1))
     mults = values[d + 1:] + list(range(max(m - d, d) + 1, m + 1))
     nus = dict(zip(mults, mults))
-    out = [new(Divisor, (PAIR_FIRST, d, n))]
+    rows = [0, 1, d, n]
     kappa_l, r_l, mult_l = 0, 1, d
     kappa, r = 1, (m - 1) // d
     mult = 1 + r * d
     while r:
         nu = kappa + r * n
-        out.append(new(Divisor, (new(CoprimePair, (values[kappa], values[r])),
-                                 mults[mult - d - 1], nus.setdefault(nu, nu))))
+        rows += (values[kappa], values[r], mults[mult - d - 1], nus.setdefault(nu, nu))
         t = (m + mult_l) // mult
         kappa_l, r_l, mult_l, kappa, r, mult = (
             kappa, r, mult, t * kappa - kappa_l, t * r - r_l, t * mult - mult_l)
-    out.append(new(Divisor, (PAIR_STRICT, 1, 1)))
-    return out
+    rows += (1, 0, 1, 1)
+    return rows
+
+
+def _row_doc(kappa: int, r: int, mult: int, disc: int) -> dict:
+    return {"kappa": kappa, "r": r, "N": mult, "nu": disc,
+            "kind": _ENDPOINT_KINDS.get((kappa, r), KIND_INTERMEDIATE)}
 
 
 class ResolutionChain(tuple):
     """The divisor chain of the minimal m-separating resolution, left to right
-    from (0, 1) to (1, 0).  Iteration and len run over the divisors; a fifth
-    item maps each pair to its position, so that nef_fiber_identity finds a
-    divisor's neighbours with one lookup, and m_divisors reads its keys as
-    the chain's set of pairs.  A plain tuple subclass, not a named tuple,
-    because it iterates its divisors: _asdict and _make would misread them.
+    from (0, 1) to (1, 0), as (n, d, m, rows, index): rows lists kappa, r, N
+    and nu of each divisor in turn, and index maps kappa*(m + 1) + r, one
+    pair's key when r <= m, to the pair's row.  Iteration, len and divisors
+    wrap Divisor objects from the rows on demand.  A plain tuple subclass,
+    not a named tuple: _asdict and _make would misread the iteration.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, m: int, divisors: tuple[Divisor, ...]) -> "ResolutionChain":
-        index = dict(zip(map(itemgetter(0), divisors), range(len(divisors))))
-        return tuple.__new__(cls, (n, d, m, divisors, index))
+        return _wrap(n, d, m, [value for (kappa, r), mult, disc in divisors
+                               for value in (kappa, r, mult, disc)])
 
     n = property(itemgetter(0))
     d = property(itemgetter(1))
     m = property(itemgetter(2))
-    divisors = property(itemgetter(3))
+    divisors = property(lambda self: tuple(iter(self)))
 
-    def intermediate_divisors(self) -> tuple[Divisor, ...]:
-        return tuple(div for div in self[3] if div[0] not in _ENDPOINT_KINDS)
+    def intermediate_divisors(self) -> Iterator[Divisor]:
+        """The divisors with a pair other than an endpoint, wrapped lazily."""
+        rows = self[3]
+        pairs = zip(islice(rows, 0, None, 4), islice(rows, 1, None, 4))
+        return compress(self, map(not_, map(_ENDPOINT_KINDS.__contains__, pairs)))
 
     def __iter__(self) -> Iterator[Divisor]:
-        return iter(self.divisors)
+        # without the constructors' checks: _check_chain_invariants covers them
+        rows = self[3]
+        kappas, rs, mults, discs = (islice(rows, i, None, 4) for i in range(4))
+        pairs = map(tuple.__new__, repeat(CoprimePair), zip(kappas, rs))
+        return map(tuple.__new__, repeat(Divisor), zip(pairs, mults, discs))
 
     def __len__(self) -> int:
-        return len(self.divisors)
+        return len(self[3]) // 4
 
     def to_doc(self) -> dict:
         return {"n": self.n, "d": self.d, "m": self.m,
-                "divisors": [div.to_doc() for div in self.divisors]}
+                "divisors": list(map(_row_doc, *[iter(self[3])] * 4))}
 
     def __getnewargs__(self) -> tuple:
-        # the index is rebuilt; tuple(self) would iterate the divisors
-        return self[:4]
+        return (*self[:3], self.divisors)
+
+
+def _wrap(n: int, d: int, m: int, rows: list[int]) -> ResolutionChain:
+    keys = map(add, map(mul, islice(rows, 0, None, 4), repeat(m + 1)), islice(rows, 1, None, 4))
+    return tuple.__new__(ResolutionChain, (n, d, m, rows, dict(zip(keys, range(0, len(rows), 4)))))
 
 
 def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
@@ -180,7 +184,7 @@ def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
     verify_minimality compares it with the closed form.
     """
     CHAIN.check(n, d, m)
-    chain = ResolutionChain(n, d, m, tuple(_chain_divisors(n, d, m)))
+    chain = _wrap(n, d, m, _chain_rows(n, d, m))
     _check_chain_invariants(chain)
     return chain
 
@@ -193,11 +197,11 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
     # makes a pair coprime, and N = kappa + r*d and nu = kappa + r*n are >= 1
     # for kappa, r >= 0 not both 0, d >= 1 and n >= 2.  The start values
     # (-1, 0) and N = m + 1 let (0, 1), which has no predecessor, pass both.
-    n, d, m, divs = chain[:4]
-    if not divs or divs[0][0] != PAIR_FIRST or divs[-1][0] != PAIR_STRICT:
+    n, d, m, rows = chain[:4]
+    if rows[:2] != [0, 1] or rows[-4:-2] != [1, 0]:
         raise AssertionError("chain endpoints are wrong")
     kappa_p, r_p, mult_p = -1, 0, m + 1
-    for (kappa, r), mult, disc in divs:
+    for kappa, r, mult, disc in zip(*[iter(rows)] * 4):
         if kappa < 0 or r < 0:
             raise AssertionError(f"({kappa},{r}) has a negative entry")
         if mult != kappa + r * d:
@@ -259,26 +263,40 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     The tests check the factor against the parents that their Stern-Brocot
     reference, tests/sternbrocot.py, derives.
     """
-    # one lookup and the determinant test; every refusal, the endpoint test
-    # among them, comes after them, so a call that succeeds hashes once
-    idx = chain[4].get(pair)  # the pair index
-    divs = chain[3]  # the divisors
-    if idx is not None and 0 < idx < len(divs) - 1:
-        (kappa_l, r_l), mult_l, disc_l = divs[idx - 1]
-        _, mult, disc = divs[idx]
-        (kappa_r, r_r), mult_r, disc_r = divs[idx + 1]
-        kappa, r = pair
-        if kappa_l * r - kappa * r_l == -1 and kappa * r_r - r * kappa_r == -1:
-            factor = (r_l + r_r) // r
-            return disc_l + disc_r == factor * disc and mult_l + mult_r == factor * mult
+    # one lookup, one slice and the determinant test; every refusal, the
+    # endpoint test among them, comes after them, so a call that succeeds
+    # hashes one int and does not search
+    kappa, r = pair
+    rows = chain[3]
+    at = chain[4].get(kappa * (chain[2] + 1) + r)  # the index
+    if at:  # not a miss, None, nor the first row, which has no left neighbour
+        try:
+            (kappa_l, r_l, mult_l, disc_l, kappa_at, r_at, mult, disc,
+             kappa_r, r_r, mult_r, disc_r) = rows[at - 4:at + 8]
+        except ValueError:  # the last row's slice is short
+            pass
+        else:
+            if (kappa_at == kappa and r_at == r
+                    and kappa_l * r - kappa * r_l == -1 and kappa * r_r - r * kappa_r == -1):
+                factor = (r_l + r_r) // r
+                return disc_l + disc_r == factor * disc and mult_l + mult_r == factor * mult
+    if at is not None and rows[at:at + 2] != [kappa, r]:
+        # a shared key, from a hand-made chain with r > m or a negative entry:
+        # look again with the key at the pair's last row.  A loop: a generator
+        # here would make kappa, r and rows closure cells on every call.
+        found = {}
+        for i in range(0, len(rows), 4):
+            if rows[i] == kappa and rows[i + 1] == r:
+                found = {kappa * (chain[2] + 1) + r: i}
+        return nef_fiber_identity(tuple.__new__(ResolutionChain, (*chain[:4], found)), pair)
     # an endpoint held inside a hand-made chain fails the determinant test:
     # det(L, (0, 1)) is kappa_L >= 0 and det((1, 0), R) is r_R >= 0
     if pair in _ENDPOINT_KINDS:
         raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
-    if idx is None:
+    if at is None:
         raise ValueError(f"pair {pair} is not a divisor of this chain")
-    if not 0 < idx < len(divs) - 1:
-        side = "left" if idx == 0 else "right"
+    if not 0 < at < len(rows) - 4:
+        side = "left" if at == 0 else "right"
         raise ValueError(f"{pair} has no {side} neighbour in this chain")
     raise AssertionError(f"non-integral blow-up count at {pair}")
 
@@ -318,12 +336,13 @@ def m_divisors(chain: ResolutionChain) -> MDivisorList:
     """The m-divisors of a chain, indexed by i in [-floor(m/d), 0]: the
     exceptional ones, then the strict transform E_0.
 
-    Each listed pair is checked to be present in the chain.
+    Each listed pair is checked against the chain's rows whose N divides m.
     """
-    n, d, m, _, index = chain[:5]
+    n, d, m, rows = chain[:4]
     divs = exceptional_m_divisors(n, d, m) + (_m_divisor(n, d, m, 0),)
+    present = {(kappa, r) for kappa, r, mult, _ in zip(*[iter(rows)] * 4) if m % mult == 0}
     for div in divs:
-        if div.pair not in index:
+        if div.pair not in present:
             raise AssertionError(f"m-divisor {div.pair} missing from chain")
     return MDivisorList(tuple(map(MDivisor, range(-(m // d), 1), divs)))
 

@@ -126,6 +126,19 @@ def test_value_tables_are_no_longer_than_the_chain(n, d, m):
     assert peak < 2**20, peak
 
 
+def test_a_chain_holds_its_rows_and_index_not_its_divisors():
+    # 90,209 divisors: one Divisor and one CoprimePair each would hold about
+    # 11 MB, and a pair index keyed by those pairs about 8 MB more
+    tracemalloc.start()
+    try:
+        chain = build_minimal_resolution(8, 2, 770)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chain) == 90209
+    assert held < 15 * 2**20 and peak < 19 * 2**20, (held, peak)
+
+
 def test_closed_form_equivalence_over_grid():
     for n, d, m in GRID:
         chain = build_minimal_resolution(n, d, m)
@@ -386,6 +399,38 @@ def test_flanks_refuse_a_missing_neighbour(pairs, pair, side):
 def test_flanks_messages(pairs, pair, message):
     with pytest.raises(ValueError, match=message):
         nef_fiber_identity(chain_of(pairs), CoprimePair(*pair))
+
+
+def unchecked(pairs, n=3, d=2, m=4):
+    # a chain of pairs with their linear forms, which CoprimePair may refuse
+    return wrapped([(p, p[0] + p[1] * d, p[0] + p[1] * n) for p in pairs], n, d, m)
+
+
+# at (3, 2, 4) the index keys a pair by kappa*5 + r, which is one pair's only
+# for r <= 4 and no negative entry; (0, 6) shares the key 6 with (1, 1)
+SHARED_KEY_3_2_4 = [(0, 1), (1, 1), (1, 0), (0, 6)]
+
+
+def test_a_shared_key_finds_the_pair_by_its_row():
+    # the index maps the key 6 to (0, 6), the last row that holds it
+    assert nef_fiber_identity(unchecked(SHARED_KEY_3_2_4), CoprimePair(1, 1)) is True
+    # (1, 7) shares the key 12 with its right neighbour (2, 2)
+    with pytest.raises(AssertionError, match="non-integral blow-up count"):
+        nef_fiber_identity(unchecked([(0, 1), (1, 7), (2, 2)]), CoprimePair(1, 7))
+    # (1, 1) comes first, and the row of (0, 6) that holds its key sits
+    # between neighbours that pass the determinant test for (1, 1)
+    with pytest.raises(ValueError, match=r"\(1,1\) has no left neighbour"):
+        nef_fiber_identity(unchecked([(1, 1), (0, 1), (0, 6), (1, 0)]), CoprimePair(1, 1))
+
+
+@pytest.mark.parametrize("pairs,pair", [
+    (SHARED_KEY_3_2_4, (3, 1)),
+    # (1, 1) is absent, and (0, 6) holds its key
+    ([(0, 1), (0, 6), (1, 0)], (1, 1)),
+])
+def test_a_shared_key_refuses_an_absent_pair(pairs, pair):
+    with pytest.raises(ValueError, match=r"pair \(\d,\d\) is not a divisor of this chain"):
+        nef_fiber_identity(unchecked(pairs), CoprimePair(*pair))
 
 
 @pytest.mark.parametrize("pairs,pair", [

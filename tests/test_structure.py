@@ -2,7 +2,7 @@
 line reads every integer through one function and maps invalid input to
 exit 2 through one exception type, the domain table defines one exception,
 the oracle takes its prediction from contact through one function and names
-no stratum field, two functions read a chain's pair index, and every value
+no stratum field, one function reads a chain's pair index, and every value
 type but the chain is a named tuple."""
 
 import ast
@@ -52,8 +52,8 @@ def test_the_oracle_takes_only_the_prediction_from_contact():
     assert not names & {"graded_pieces", "base_kind", "fiber_dim", "BASE_MILNOR_FIBER"}
 
 
-def test_two_functions_read_the_pair_index():
-    # a chain is the tuple (n, d, m, divisors, index): a subscript of a chain
+def test_one_function_reads_the_pair_index():
+    # a chain is the tuple (n, d, m, rows, index): a subscript of a chain
     # reads the index when it is item 4 or a slice that holds item 4, and
     # any subscript that is not a literal counts as a read
     def reads_index(node):
@@ -71,7 +71,7 @@ def test_two_functions_read_the_pair_index():
 
     readers = [node.name for node in ast.walk(tree("resolution"))
                if isinstance(node, ast.FunctionDef) and any(map(reads_index, ast.walk(node)))]
-    assert readers == ["nef_fiber_identity", "m_divisors"]
+    assert readers == ["nef_fiber_identity"]
 
 
 def test_only_the_chain_is_a_hand_written_tuple():
