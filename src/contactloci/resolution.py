@@ -8,16 +8,17 @@ an intersection inserts the mediant of the two adjacent pairs.  Multiplicity
 and log discrepancy are the linear forms N = kappa + r*d and nu = kappa + r*n.
 The finished chain holds the pairs with N <= m in slope order, so the build
 lists them left to right, each from its two left neighbours, without
-replaying the blow-ups.  A chain keeps the four ints of each divisor in one
-flat list and wraps pair and divisor objects only when they are read.
+replaying the blow-ups.  A chain, (n, d, m, rows, tables), keeps each
+divisor's four ints in one flat list and wraps objects only when read.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from itertools import compress, islice, repeat
 from math import gcd
-from operator import add, itemgetter, mul, not_
+from operator import itemgetter, not_
 from typing import Iterator, NamedTuple
 
 from .domain import CHAIN
@@ -116,11 +117,11 @@ def _row_doc(kappa: int, r: int, mult: int, disc: int) -> dict:
 
 class ResolutionChain(tuple):
     """The divisor chain of the minimal m-separating resolution, left to right
-    from (0, 1) to (1, 0), as (n, d, m, rows, index): rows lists kappa, r, N
-    and nu of each divisor in turn, and index maps kappa*(m + 1) + r, one
-    pair's key when r <= m, to the pair's row.  Iteration, len and divisors
-    wrap Divisor objects from the rows on demand.  A plain tuple subclass,
-    not a named tuple: _asdict and _make would misread the iteration.
+    from (0, 1) to (1, 0), as (n, d, m, rows, tables): rows lists kappa, r, N
+    and nu of each divisor in turn; tables[r][kappa] is the row of (kappa, r)
+    or -1, for 1 <= r <= m // d and kappa <= m - r*d.  Iteration, len and
+    divisors wrap Divisor objects from the rows on demand.  A plain tuple
+    subclass, not a named tuple: _asdict and _make would misread the iteration.
     """
 
     __slots__ = ()
@@ -159,8 +160,17 @@ class ResolutionChain(tuple):
 
 
 def _wrap(n: int, d: int, m: int, rows: list[int]) -> ResolutionChain:
-    keys = map(add, map(mul, islice(rows, 0, None, 4), repeat(m + 1)), islice(rows, 1, None, 4))
-    return tuple.__new__(ResolutionChain, (n, d, m, rows, dict(zip(keys, range(0, len(rows), 4)))))
+    # under 1.7 slots per divisor for a built chain; none for a hand-made one
+    # outside the domain, or whose m needs more slots than its rows hold ints
+    top = m // d if d > 0 else -1
+    tables = []
+    if top >= 0 and top * (m + 1) - d * top * (top + 1) // 2 <= len(rows):
+        tables = [array("i")] + [array("i", [-1]) * (m - r * d + 1) for r in range(1, top + 1)]
+        kappas, rs = islice(rows, 0, None, 4), islice(rows, 1, None, 4)
+        for at, kappa, r in zip(range(0, len(rows), 4), kappas, rs):
+            if 0 <= kappa <= m - r * d and r > 0:
+                tables[r][kappa] = at
+    return tuple.__new__(ResolutionChain, (n, d, m, rows, tables))
 
 
 def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
@@ -263,32 +273,32 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     The tests check the factor against the parents that their Stern-Brocot
     reference, tests/sternbrocot.py, derives.
     """
-    # one lookup, one slice and the determinant test; every refusal, the
+    # one table slot, one slice and the determinant test; every refusal, the
     # endpoint test among them, comes after them, so a call that succeeds
-    # hashes one int and does not search
+    # does not search
     kappa, r = pair
     rows = chain[3]
-    at = chain[4].get(kappa * (chain[2] + 1) + r)  # the index
-    if at:  # not a miss, None, nor the first row, which has no left neighbour
+    try:
+        at = chain[4][r][kappa] if kappa >= 0 <= r else -1  # the tables
+    except IndexError:  # r = 0, a pair past the tables, or no tables
+        at = -1
+    if at < 0:
+        # the pair's last row, if any, by a loop: a generator here would
+        # make kappa, r and rows closure cells on every call
+        at = None
+        for i in range(0, len(rows), 4):
+            if rows[i] == kappa and rows[i + 1] == r:
+                at = i
+    if at:  # not None, nor the first row, which has no left neighbour
         try:
-            (kappa_l, r_l, mult_l, disc_l, kappa_at, r_at, mult, disc,
+            (kappa_l, r_l, mult_l, disc_l, _, _, mult, disc,
              kappa_r, r_r, mult_r, disc_r) = rows[at - 4:at + 8]
         except ValueError:  # the last row's slice is short
             pass
         else:
-            if (kappa_at == kappa and r_at == r
-                    and kappa_l * r - kappa * r_l == -1 and kappa * r_r - r * kappa_r == -1):
+            if kappa_l * r - kappa * r_l == -1 and kappa * r_r - r * kappa_r == -1:
                 factor = (r_l + r_r) // r
                 return disc_l + disc_r == factor * disc and mult_l + mult_r == factor * mult
-    if at is not None and rows[at:at + 2] != [kappa, r]:
-        # a shared key, from a hand-made chain with r > m or a negative entry:
-        # look again with the key at the pair's last row.  A loop: a generator
-        # here would make kappa, r and rows closure cells on every call.
-        found = {}
-        for i in range(0, len(rows), 4):
-            if rows[i] == kappa and rows[i + 1] == r:
-                found = {kappa * (chain[2] + 1) + r: i}
-        return nef_fiber_identity(tuple.__new__(ResolutionChain, (*chain[:4], found)), pair)
     # an endpoint held inside a hand-made chain fails the determinant test:
     # det(L, (0, 1)) is kappa_L >= 0 and det((1, 0), R) is r_R >= 0
     if pair in _ENDPOINT_KINDS:

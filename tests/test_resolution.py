@@ -128,7 +128,8 @@ def test_value_tables_are_no_longer_than_the_chain(n, d, m):
 
 def test_a_chain_holds_its_rows_and_index_not_its_divisors():
     # 90,209 divisors: one Divisor and one CoprimePair each would hold about
-    # 11 MB, and a pair index keyed by those pairs about 8 MB more
+    # 11 MB, and a dict from the pairs or their int keys to rows 8-10 MB more;
+    # the rows take about 2.9 MiB and the 148,225 table slots 0.6 MiB
     tracemalloc.start()
     try:
         chain = build_minimal_resolution(8, 2, 770)
@@ -136,7 +137,23 @@ def test_a_chain_holds_its_rows_and_index_not_its_divisors():
     finally:
         tracemalloc.stop()
     assert len(chain) == 90209
-    assert held < 15 * 2**20 and peak < 19 * 2**20, (held, peak)
+    assert held < 6 * 2**20 and peak < 6 * 2**20, (held, peak)
+
+
+def test_tables_grow_with_the_chain_not_with_m_squared():
+    # the pairs, and so the tables, do not depend on n, so each (d, m) is
+    # built once, with n running through 2..9; the most slots per divisor,
+    # 136/81, are at d = 1, m = 16
+    for d in range(1, 12):
+        for m in range(1, 201):
+            chain = build_minimal_resolution(2 + (d + m) % 8, d, m)
+            tables = chain[4]
+            assert len(tables) == m // d + 1 and not tables[0]
+            assert sum(map(len, tables)) <= 1.7 * len(chain), (d, m)
+            # a pair has a slot when r >= 1 and N <= m: all but (1, 0), and
+            # but (0, 1), whose N is d, when d > m
+            filled = sum(len(t) - t.count(-1) for t in tables)
+            assert filled == len(chain) - 1 - (d > m), (d, m)
 
 
 def test_closed_form_equivalence_over_grid():
@@ -406,31 +423,75 @@ def unchecked(pairs, n=3, d=2, m=4):
     return wrapped([(p, p[0] + p[1] * d, p[0] + p[1] * n) for p in pairs], n, d, m)
 
 
-# at (3, 2, 4) the index keys a pair by kappa*5 + r, which is one pair's only
-# for r <= 4 and no negative entry; (0, 6) shares the key 6 with (1, 1)
+# at (3, 2, 4) the tables cover 1 <= r <= 2 and kappa <= 4 - 2r, so (0, 6)
+# has no slot, though kappa*5 + r would key it as 6, like (1, 1): a pair in
+# the tables is found by its slot, and one outside them by the scan
 SHARED_KEY_3_2_4 = [(0, 1), (1, 1), (1, 0), (0, 6)]
 
 
 def test_a_shared_key_finds_the_pair_by_its_row():
-    # the index maps the key 6 to (0, 6), the last row that holds it
+    # (1, 1) is found by its slot, whatever row (0, 6) takes
     assert nef_fiber_identity(unchecked(SHARED_KEY_3_2_4), CoprimePair(1, 1)) is True
-    # (1, 7) shares the key 12 with its right neighbour (2, 2)
+    # (1, 7) lies past the tables, and the scan finds it between (0, 1) and
+    # (2, 2), which fails the determinant test
     with pytest.raises(AssertionError, match="non-integral blow-up count"):
         nef_fiber_identity(unchecked([(0, 1), (1, 7), (2, 2)]), CoprimePair(1, 7))
-    # (1, 1) comes first, and the row of (0, 6) that holds its key sits
-    # between neighbours that pass the determinant test for (1, 1)
+    # (1, 1) comes first, and the row of (0, 6), outside the tables, sits
+    # between neighbours that would pass the determinant test for (1, 1)
     with pytest.raises(ValueError, match=r"\(1,1\) has no left neighbour"):
         nef_fiber_identity(unchecked([(1, 1), (0, 1), (0, 6), (1, 0)]), CoprimePair(1, 1))
 
 
 @pytest.mark.parametrize("pairs,pair", [
+    # (3, 1) lies past the tables, so the scan looks for it
     (SHARED_KEY_3_2_4, (3, 1)),
-    # (1, 1) is absent, and (0, 6) holds its key
+    # (1, 1) has a slot of -1, and the scan finds no row of it beside (0, 6)
     ([(0, 1), (0, 6), (1, 0)], (1, 1)),
 ])
 def test_a_shared_key_refuses_an_absent_pair(pairs, pair):
     with pytest.raises(ValueError, match=r"pair \(\d,\d\) is not a divisor of this chain"):
         nef_fiber_identity(unchecked(pairs), CoprimePair(*pair))
+
+
+def outcome(chain, pair):
+    try:
+        return nef_fiber_identity(chain, CoprimePair(*pair))
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("pairs", [
+    BUILT_3_2_4, [(0, 1), (1, 1), (1, 0)], [(1, 1), (2, 1), (1, 0)],
+    [(0, 1), (1, 1), (3, 1), (1, 0)], [(1, 1), (0, 1), (2, 1), (1, 0)]])
+def test_a_hand_made_chain_past_its_slots_takes_the_scan(pairs):
+    # tables for m = 10**9 would hold 2.5 * 10**17 slots: the chain gets
+    # none, and every pair is looked up by the scan
+    tracemalloc.start()
+    try:
+        chain = chain_of(pairs, m=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert chain[4] == []
+    small = chain_of(pairs)
+    for pair in {*pairs, (0, 1), (1, 0), (1, 2), (3, 1)}:
+        assert outcome(chain, pair) == outcome(small, pair), pair
+
+
+def test_values_outside_the_domain_take_the_scan():
+    # a negative entry would read a table from its end: (-2, 2) the slot of
+    # (7, 2), and (1, -2) that of (1, 5)
+    chain = build_minimal_resolution(3, 2, 12)
+    for pair in ((-2, 2), (1, -2)):
+        with pytest.raises(ValueError, match="is not a divisor of this chain"):
+            nef_fiber_identity(chain, pair)
+    # nor does a row with a negative entry take another pair's slot: (-1, 1)
+    # would write to the slot of (2, 1)
+    assert nef_fiber_identity(unchecked(BUILT_3_2_4 + [(-1, 1)]), CoprimePair(2, 1)) is True
+    # at d = 0 there is no m // d, and a hand-made chain gets no tables
+    chain = chain_of([(1, 1), (2, 1), (1, 0)], d=0)
+    assert chain[4] == [] and nef_fiber_identity(chain, CoprimePair(2, 1))
 
 
 @pytest.mark.parametrize("pairs,pair", [
@@ -510,6 +571,9 @@ def test_value_semantics():
     for obj in (a, div, chain):
         assert pickle.loads(pickle.dumps(obj)) == obj
         assert copy.deepcopy(obj) == obj
+    for clone in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
+        assert clone[4] == chain[4]
+        assert all(nef_fiber_identity(clone, div.pair) for div in chain.intermediate_divisors())
 
     for obj, attr in ((a, "kappa"), (a, "r"), (a, "other"), (div, "multiplicity"),
                       (div, "pair"), (div, "kind"), (div, "other")):

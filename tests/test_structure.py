@@ -53,9 +53,9 @@ def test_the_oracle_takes_only_the_prediction_from_contact():
 
 
 def test_one_function_reads_the_pair_index():
-    # a chain is the tuple (n, d, m, rows, index): a subscript of a chain
-    # reads the index when it is item 4 or a slice that holds item 4, and
-    # any subscript that is not a literal counts as a read
+    # a chain is the tuple (n, d, m, rows, tables): a subscript of a chain
+    # reads the pair tables when it is item 4 or a slice that holds item 4,
+    # and any subscript that is not a literal counts as a read
     def reads_index(node):
         if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
                 and node.value.id in ("chain", "self")):
