@@ -9,7 +9,7 @@ and log discrepancy are the linear forms N = kappa + r*d and nu = kappa + r*n.
 The finished chain holds the pairs with N <= m in slope order, so the build
 lists them left to right, each from its two left neighbours, without
 replaying the blow-ups.  A chain, (n, d, m, rows, tables), keeps each
-divisor's four ints in one flat list and wraps objects only when read.
+divisor's pair in one flat list, and makes objects, N and nu when read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from array import array
 from collections import namedtuple
 from itertools import compress, islice, repeat
 from math import gcd
-from operator import itemgetter, not_
+from operator import add, itemgetter, mul, not_
 from typing import Iterator, NamedTuple
 
 from .domain import CHAIN
@@ -86,28 +86,25 @@ class Divisor(namedtuple("Divisor", ("pair", "multiplicity", "log_discrepancy"))
         return _row_doc(kappa, r, multiplicity, log_discrepancy)
 
 
-def _chain_rows(n: int, d: int, m: int) -> list[int]:
+def _chain_rows(d: int, m: int) -> list[int]:
     # The next-term rule that build_minimal_resolution proves, from (0, 1)
     # and (1, (m - 1) // d) until P is (1, 0), whose r is 0.  Each kappa and
-    # r comes from a table over [0, m - d], each intermediate N from one over
-    # [d + 1, m] that shares the first's entries, and each nu from a dict
-    # seeded with the second, so each field holds one int object per value;
-    # no table is longer than the chain, which holds the m - d pairs (k, 1).
+    # r comes from one table over [0, m - d], so each holds one int object per
+    # value; the table is no longer than the chain's m - d pairs (k, 1).
     values = list(range(m - d + 1))
-    mults = values[d + 1:] + list(range(max(m - d, d) + 1, m + 1))
-    nus = dict(zip(mults, mults))
-    rows = [0, 1, d, n]
-    kappa_l, r_l, mult_l = 0, 1, d
-    kappa, r = 1, (m - 1) // d
-    mult = 1 + r * d
+    rows = [0, 1]
+    kappa_l, r_l, kappa, r = 0, 1, 1, (m - 1) // d
     while r:
-        nu = kappa + r * n
-        rows += (values[kappa], values[r], mults[mult - d - 1], nus.setdefault(nu, nu))
-        t = (m + mult_l) // mult
-        kappa_l, r_l, mult_l, kappa, r, mult = (
-            kappa, r, mult, t * kappa - kappa_l, t * r - r_l, t * mult - mult_l)
-    rows += (1, 0, 1, 1)
+        rows += (values[kappa], values[r])
+        t = (m + kappa_l + r_l * d) // (kappa + r * d)
+        kappa_l, r_l, kappa, r = kappa, r, t * kappa - kappa_l, t * r - r_l
+    rows += (1, 0)
     return rows
+
+
+def _linear_form(rows: list[int], c: int) -> Iterator[int]:
+    # kappa + r*c of each row in C-level steps: N for c = d, nu for c = n
+    return map(add, islice(rows, 0, None, 2), map(mul, islice(rows, 1, None, 2), repeat(c)))
 
 
 def _row_doc(kappa: int, r: int, mult: int, disc: int) -> dict:
@@ -117,18 +114,23 @@ def _row_doc(kappa: int, r: int, mult: int, disc: int) -> dict:
 
 class ResolutionChain(tuple):
     """The divisor chain of the minimal m-separating resolution, left to right
-    from (0, 1) to (1, 0), as (n, d, m, rows, tables): rows lists kappa, r, N
-    and nu of each divisor in turn; tables[r][kappa] is the row of (kappa, r)
-    or -1, for 1 <= r <= m // d and kappa <= m - r*d.  Iteration, len and
-    divisors wrap Divisor objects from the rows on demand.  A plain tuple
+    from (0, 1) to (1, 0), as (n, d, m, rows, tables): rows lists kappa and r
+    of each divisor in turn; tables[r][kappa] is the row of (kappa, r) or -1,
+    for 1 <= r <= m // d and kappa <= m - r*d.  Iteration, len and divisors
+    wrap Divisor objects from the rows on demand, with N and nu computed, so
+    the constructor refuses a divisor with other N or nu.  A plain tuple
     subclass, not a named tuple: _asdict and _make would misread the iteration.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, m: int, divisors: tuple[Divisor, ...]) -> "ResolutionChain":
-        return _wrap(n, d, m, [value for (kappa, r), mult, disc in divisors
-                               for value in (kappa, r, mult, disc)])
+        rows = []
+        for (kappa, r), mult, disc in divisors:
+            if mult != kappa + r * d or disc != kappa + r * n:
+                raise ValueError(f"({kappa},{r}) has N, nu = {mult}, {disc}, off its linear forms")
+            rows += (kappa, r)
+        return _wrap(n, d, m, rows)
 
     n = property(itemgetter(0))
     d = property(itemgetter(1))
@@ -137,23 +139,24 @@ class ResolutionChain(tuple):
 
     def intermediate_divisors(self) -> Iterator[Divisor]:
         """The divisors with a pair other than an endpoint, wrapped lazily."""
-        rows = self[3]
-        pairs = zip(islice(rows, 0, None, 4), islice(rows, 1, None, 4))
+        pairs = zip(*[iter(self[3])] * 2)
         return compress(self, map(not_, map(_ENDPOINT_KINDS.__contains__, pairs)))
 
     def __iter__(self) -> Iterator[Divisor]:
         # without the constructors' checks: _check_chain_invariants covers them
-        rows = self[3]
-        kappas, rs, mults, discs = (islice(rows, i, None, 4) for i in range(4))
-        pairs = map(tuple.__new__, repeat(CoprimePair), zip(kappas, rs))
-        return map(tuple.__new__, repeat(Divisor), zip(pairs, mults, discs))
+        n, d, _, rows = self[:4]
+        pairs = map(tuple.__new__, repeat(CoprimePair), zip(*[iter(rows)] * 2))
+        return map(tuple.__new__, repeat(Divisor),
+                   zip(pairs, _linear_form(rows, d), _linear_form(rows, n)))
 
     def __len__(self) -> int:
-        return len(self[3]) // 4
+        return len(self[3]) // 2
 
     def to_doc(self) -> dict:
-        return {"n": self.n, "d": self.d, "m": self.m,
-                "divisors": list(map(_row_doc, *[iter(self[3])] * 4))}
+        n, d, m, rows = self[:4]
+        mults, discs = _linear_form(rows, d), _linear_form(rows, n)
+        return {"n": n, "d": d, "m": m,
+                "divisors": list(map(_row_doc, rows[::2], rows[1::2], mults, discs))}
 
     def __getnewargs__(self) -> tuple:
         return (*self[:3], self.divisors)
@@ -161,13 +164,12 @@ class ResolutionChain(tuple):
 
 def _wrap(n: int, d: int, m: int, rows: list[int]) -> ResolutionChain:
     # under 1.7 slots per divisor for a built chain; none for a hand-made one
-    # outside the domain, or whose m needs more slots than its rows hold ints
+    # outside the domain, or whose m needs more than four slots per divisor
     top = m // d if d > 0 else -1
     tables = []
-    if top >= 0 and top * (m + 1) - d * top * (top + 1) // 2 <= len(rows):
+    if top >= 0 and top * (m + 1) - d * top * (top + 1) // 2 <= 2 * len(rows):
         tables = [array("i")] + [array("i", [-1]) * (m - r * d + 1) for r in range(1, top + 1)]
-        kappas, rs = islice(rows, 0, None, 4), islice(rows, 1, None, 4)
-        for at, kappa, r in zip(range(0, len(rows), 4), kappas, rs):
+        for at, kappa, r in zip(range(0, len(rows), 2), *[iter(rows)] * 2):
             if 0 <= kappa <= m - r * d and r > 0:
                 tables[r][kappa] = at
     return tuple.__new__(ResolutionChain, (n, d, m, rows, tables))
@@ -194,35 +196,32 @@ def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
     verify_minimality compares it with the closed form.
     """
     CHAIN.check(n, d, m)
-    chain = _wrap(n, d, m, _chain_rows(n, d, m))
+    chain = _wrap(n, d, m, _chain_rows(d, m))
     _check_chain_invariants(chain)
     return chain
 
 
 def _check_chain_invariants(chain: ResolutionChain) -> None:
     # One walk, so that the leftmost fault is the one raised: each divisor's
-    # fields, then its determinant against the previous divisor, -1 so that
+    # entries, then its determinant against the previous divisor, -1 so that
     # the slopes kappa/r increase, and separation.  With CHAIN.check these
     # imply the constructors' checks, which the build skips: determinant -1
     # makes a pair coprime, and N = kappa + r*d and nu = kappa + r*n are >= 1
     # for kappa, r >= 0 not both 0, d >= 1 and n >= 2.  The start values
     # (-1, 0) and N = m + 1 let (0, 1), which has no predecessor, pass both.
-    n, d, m, rows = chain[:4]
-    if rows[:2] != [0, 1] or rows[-4:-2] != [1, 0]:
+    d, m, rows = chain[1:4]
+    if rows[:2] != [0, 1] or rows[-2:] != [1, 0]:
         raise AssertionError("chain endpoints are wrong")
     kappa_p, r_p, mult_p = -1, 0, m + 1
-    for kappa, r, mult, disc in zip(*[iter(rows)] * 4):
+    for kappa, r in zip(*[iter(rows)] * 2):
         if kappa < 0 or r < 0:
             raise AssertionError(f"({kappa},{r}) has a negative entry")
-        if mult != kappa + r * d:
-            raise AssertionError(f"multiplicity of ({kappa},{r}) is inconsistent")
-        if disc != kappa + r * n:
-            raise AssertionError(f"log discrepancy of ({kappa},{r}) is inconsistent")
         det = kappa_p * r - kappa * r_p
         if det == 1:
             raise AssertionError(f"({kappa_p},{r_p}), ({kappa},{r}) are out of slope order")
         if det != -1:
             raise AssertionError(f"({kappa_p},{r_p}), ({kappa},{r}) are not Farey neighbors")
+        mult = kappa + r * d
         if mult_p + mult <= m:
             raise AssertionError(
                 f"chain is not {m}-separating at ({kappa_p},{r_p}), ({kappa},{r})")
@@ -286,26 +285,26 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
         # the pair's last row, if any, by a loop: a generator here would
         # make kappa, r and rows closure cells on every call
         at = None
-        for i in range(0, len(rows), 4):
+        for i in range(0, len(rows), 2):
             if rows[i] == kappa and rows[i + 1] == r:
                 at = i
     if at:  # not None, nor the first row, which has no left neighbour
         try:
-            (kappa_l, r_l, mult_l, disc_l, _, _, mult, disc,
-             kappa_r, r_r, mult_r, disc_r) = rows[at - 4:at + 8]
+            kappa_l, r_l, _, _, kappa_r, r_r = rows[at - 2:at + 4]
         except ValueError:  # the last row's slice is short
             pass
         else:
             if kappa_l * r - kappa * r_l == -1 and kappa * r_r - r * kappa_r == -1:
-                factor = (r_l + r_r) // r
-                return disc_l + disc_r == factor * disc and mult_l + mult_r == factor * mult
+                n, d, factor = chain[0], chain[1], (r_l + r_r) // r
+                return (kappa_l + kappa_r + (r_l + r_r) * n == factor * (kappa + r * n)
+                        and kappa_l + kappa_r + (r_l + r_r) * d == factor * (kappa + r * d))
     # an endpoint held inside a hand-made chain fails the determinant test:
     # det(L, (0, 1)) is kappa_L >= 0 and det((1, 0), R) is r_R >= 0
     if pair in _ENDPOINT_KINDS:
         raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
     if at is None:
         raise ValueError(f"pair {pair} is not a divisor of this chain")
-    if not 0 < at < len(rows) - 4:
+    if not 0 < at < len(rows) - 2:
         side = "left" if at == 0 else "right"
         raise ValueError(f"{pair} has no {side} neighbour in this chain")
     raise AssertionError(f"non-integral blow-up count at {pair}")
@@ -350,7 +349,7 @@ def m_divisors(chain: ResolutionChain) -> MDivisorList:
     """
     n, d, m, rows = chain[:4]
     divs = exceptional_m_divisors(n, d, m) + (_m_divisor(n, d, m, 0),)
-    present = {(kappa, r) for kappa, r, mult, _ in zip(*[iter(rows)] * 4) if m % mult == 0}
+    present = {(kappa, r) for kappa, r in zip(*[iter(rows)] * 2) if m % (kappa + r * d) == 0}
     for div in divs:
         if div.pair not in present:
             raise AssertionError(f"m-divisor {div.pair} missing from chain")

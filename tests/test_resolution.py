@@ -2,7 +2,7 @@ import copy
 import pickle
 import tracemalloc
 from math import gcd
-from operator import add, itemgetter
+from operator import add
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -91,25 +91,21 @@ def test_built_chain_is_the_mediant_insertion_order():
     assert pairs_of(build_minimal_resolution(3, 2, 800)) == mediant_chain(2, 800)
 
 
-FIELDS = {"kappa": lambda div: div[0][0], "r": lambda div: div[0][1],
-          "N": itemgetter(1), "nu": itemgetter(2)}
-
-
 def test_each_field_holds_one_int_object_per_value():
-    # the values past 256, which the interpreter does not cache, are drawn
-    # from per-build tables, so equal values are one object
+    # the values of kappa and r past 256, which the interpreter does not
+    # cache, are drawn from a per-build table, so equal values are one
+    # object; a chain holds no N or nu
     for n, d, m in [(n, d, m) for n in (2, 3, 8) for d in (1, 3, 7) for m in (270, 400)] + [
             (3, 400, 1000), (10**6, 2, 300)]:
         chain = build_minimal_resolution(n, d, m)
-        for name, field in FIELDS.items():
-            values = list(map(field, chain))
-            assert len(set(map(id, values))) == len(set(values)), (n, d, m, name)
-    # with n >= d each nu <= m is an N table entry, and the N table shares
-    # the kappa table's entries, so the fields share their objects too
+        for field in ("kappa", "r"):
+            values = [getattr(div.pair, field) for div in chain]
+            assert len(set(map(id, values))) == len(set(values)), (n, d, m, field)
+    # kappa and r come from the one table, so the fields share their objects too
     chain = build_minimal_resolution(8, 2, 770)
-    values = [field(div) for div in chain for field in FIELDS.values()]
+    values = [value for div in chain for value in div.pair]
     assert len(chain) == 90209
-    assert len(set(map(id, values))) == len(set(values)) == 3057
+    assert len(set(map(id, values))) == len(set(values)) == 769
 
 
 @pytest.mark.parametrize("n,d,m", [(10**8, 1, 30), (3, 10**9, 10**9 + 1),
@@ -129,7 +125,8 @@ def test_value_tables_are_no_longer_than_the_chain(n, d, m):
 def test_a_chain_holds_its_rows_and_index_not_its_divisors():
     # 90,209 divisors: one Divisor and one CoprimePair each would hold about
     # 11 MB, and a dict from the pairs or their int keys to rows 8-10 MB more;
-    # the rows take about 2.9 MiB and the 148,225 table slots 0.6 MiB
+    # the rows' 180,418 ints take about 1.4 MiB and the 148,225 table slots
+    # 0.6 MiB; rows that held N and nu too would take 2.9 MiB
     tracemalloc.start()
     try:
         chain = build_minimal_resolution(8, 2, 770)
@@ -137,7 +134,7 @@ def test_a_chain_holds_its_rows_and_index_not_its_divisors():
     finally:
         tracemalloc.stop()
     assert len(chain) == 90209
-    assert held < 6 * 2**20 and peak < 6 * 2**20, (held, peak)
+    assert held < 2.5 * 2**20 and peak < 2.5 * 2**20, (held, peak)
 
 
 def test_tables_grow_with_the_chain_not_with_m_squared():
@@ -286,7 +283,8 @@ def chain_of(pairs, n=3, d=2, m=4):
 
 
 def wrapped(rows, n=3, d=2, m=4):
-    # a chain of (pair, N, nu) rows, wrapped without the constructors' checks
+    # a chain of (pair, N, nu) rows, wrapped without the pair and divisor
+    # constructors' checks; the chain's own refuses N or nu off the pair
     new = tuple.__new__
     return ResolutionChain(n, d, m, tuple(
         new(Divisor, (new(CoprimePair, pair), mult, disc)) for pair, mult, disc in rows))
@@ -519,27 +517,43 @@ def test_blowup_counts_rejects_wrong_neighbours(pairs, pair):
 @pytest.mark.parametrize("divisors,message", [
     ([((1, 1), 3, 4), ((2, 1), 4, 5), ((1, 0), 1, 1)], "endpoints"),
     ([((0, 1), 2, 3), ((1, 1), 3, 4), ((2, 1), 4, 5)], "endpoints"),
-    ([((0, 1), 2, 3), ((1, 1), 4, 4), ((2, 1), 4, 5), ((1, 0), 1, 1)], "multiplicity"),
-    ([((0, 1), 2, 3), ((1, 1), 3, 5), ((2, 1), 4, 5), ((1, 0), 1, 1)], "log discrepancy"),
+    # Farey neighbours in slope order, but (1, 1) next to (1, 0), and 3 + 1 <= 4
+    ([((0, 1), 2, 3), ((1, 2), 5, 7), ((1, 1), 3, 4), ((1, 0), 1, 1)],
+     r"^chain is not 4-separating at \(1,1\), \(1,0\)$"),
+    # a negative r: without the entry check (0, 1), (1, -1) would pass as
+    # Farey neighbours and fail separation
+    ([((0, 1), 2, 3), ((1, -1), -1, -2), ((1, 0), 1, 1)], r"^\(1,-1\) has a negative entry$"),
     ([((0, 1), 2, 3), ((2, 1), 4, 5), ((1, 1), 3, 4), ((1, 0), 1, 1)], "Farey"),
     ([((0, 1), 2, 3), ((1, 0), 1, 1)], "separating"),
     # CoprimePair refuses (-1, 1), so the rows are wrapped without the checks
     ([((0, 1), 2, 3), ((-1, 1), 1, 2), ((1, 0), 1, 1)], "negative"),
-    # two faults: (1, 1), (3, 1) have determinant -2, and (1, 0) has N = 2
-    ([((0, 1), 2, 3), ((1, 1), 3, 4), ((3, 1), 5, 6), ((1, 0), 2, 1)],
+    # two faults: (1, 1), (3, 1) have determinant -2, and (3, 1), (2, 1) +1
+    ([((0, 1), 2, 3), ((1, 1), 3, 4), ((3, 1), 5, 6), ((2, 1), 4, 5), ((1, 0), 1, 1)],
      r"^\(1,1\), \(3,1\) are not Farey neighbors$"),
     # determinant +1: Farey neighbours, but the slope falls from (1, 1) to (1, 2)
     ([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 2), 5, 7), ((1, 0), 1, 1)],
      r"^\(1,1\), \(1,2\) are out of slope order$"),
 ])
 def test_chain_invariant_check_rejects_broken_chains(divisors, message):
-    """The check walks the chain once, from the left: each divisor's own
-    fields (entries, N, nu), then its determinant, which must be -1, and
-    separation against the previous divisor.  So the leftmost fault is the
-    one reported."""
+    """The check walks the chain once, from the left: each divisor's
+    entries, then its determinant, which must be -1, and separation against
+    the previous divisor.  So the leftmost fault is the one reported."""
     with pytest.raises(AssertionError, match=message):
         _check_chain_invariants(wrapped(divisors))
     _check_chain_invariants(build_minimal_resolution(3, 2, 4))
+
+
+@pytest.mark.parametrize("mult,disc", [(4, 4), (3, 5)])
+def test_a_chain_refuses_n_or_nu_off_the_linear_forms(mult, disc):
+    # a chain holds the pairs alone and reads N = kappa + r*d and
+    # nu = kappa + r*n off them, so the constructor, the one entry point for
+    # outside values, refuses others: (1, 1) has N = 3 and nu = 4 at (3, 2, 4)
+    divisors = [Divisor.for_params(CoprimePair(*pair), 3, 2) for pair in BUILT_3_2_4]
+    divisors[1] = Divisor(CoprimePair(1, 1), mult, disc)
+    with pytest.raises(ValueError, match=r"^\(1,1\) has N, nu = "):
+        ResolutionChain(3, 2, 4, tuple(divisors))
+    divisors[1] = Divisor(CoprimePair(1, 1), 3, 4)
+    assert ResolutionChain(3, 2, 4, tuple(divisors)) == build_minimal_resolution(3, 2, 4)
 
 
 def test_m_divisors_rejects_chain_without_an_m_divisor():
@@ -738,9 +752,7 @@ def flanked_chains(draw):
     # three-divisor chain.  Each neighbour is its parent plus a multiple of
     # the pair, such a point moved by one in either entry, or arbitrary, so
     # that integral counts, near misses, non-coprime neighbours and the
-    # multiples below the parent all come up.  Each N and nu is its linear
-    # form or one off it, so that the identity can fail where the counts
-    # are integral.
+    # multiples below the parent all come up.
     n, d = draw(st.integers(min_value=2, max_value=5)), draw(st.integers(min_value=1, max_value=8))
     kappa, r = draw(st.builds(reduced, st.integers(min_value=1, max_value=40),
                               st.integers(min_value=1, max_value=40)))
@@ -755,17 +767,12 @@ def flanked_chains(draw):
                               st.integers(min_value=0, max_value=300))
         sides.append(draw(st.one_of(multiples, moved, arbitrary).filter(
             lambda v: min(v) >= 0 and v != (kappa, r))))
-    off = st.sampled_from((0, 0, 0, 1, -1))
-    return wrapped([((k, q), k + q * d + draw(off), k + q * n + draw(off))
-                    for k, q in (sides[0], (kappa, r), sides[1])], n, d)
+    return unchecked([sides[0], (kappa, r), sides[1]], n, d)
 
 
 @example(wrapped([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 0), 1, 1)]))
 @example(wrapped([((1, 1), 3, 4), ((2, 1), 4, 5), ((1, 0), 1, 1)]))
 @example(wrapped([((0, 1), 2, 3), ((1, 3), 7, 10), ((1, 2), 5, 7)]))
-# integral counts where only nu, or only N, fails to add up
-@example(wrapped([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 0), 1, 2)]))
-@example(wrapped([((0, 1), 2, 3), ((1, 1), 3, 4), ((1, 0), 2, 1)]))
 @given(flanked_chains())
 def test_counts_match_the_parents_on_any_neighbours(chain):
     left, div, right = chain.divisors
