@@ -112,7 +112,7 @@ def _graded_lines(profile: GradedGroup, label: str) -> list[str]:
 
 
 def cmd_resolve(args):
-    from .resolution import build_minimal_resolution, m_divisors
+    from .resolution import build_minimal_resolution, m_divisors, verify_minimality
 
     chain = build_minimal_resolution(args.n, args.d, args.m)
     doc = chain.to_doc()
@@ -131,7 +131,8 @@ def cmd_resolve(args):
                          + ("yes" if row["exceptional"] else "no"))
         return lines
 
-    return doc, text, True
+    # the closed-form count against the chain's length: a mismatch exits 1
+    return doc, text, verify_minimality(chain)
 
 
 def cmd_cohomology(args):

@@ -10,6 +10,8 @@ The finished chain holds the pairs with N <= m in slope order, so the build
 lists them left to right, each from its two left neighbours, without
 replaying the blow-ups.  A chain, (n, d, m, rows, tables), keeps each
 divisor's pair in one flat list, and makes objects, N and nu when read.
+Every chain is the minimal one: one walk of its rows proves it before the
+tables are built, so no other chain can be made.
 """
 
 from __future__ import annotations
@@ -118,18 +120,24 @@ class ResolutionChain(tuple):
     of each divisor in turn; tables[r][kappa] is the row of (kappa, r) or -1,
     for 1 <= r <= m // d and kappa <= m - r*d.  Iteration, len and divisors
     wrap Divisor objects from the rows on demand, with N and nu computed, so
-    the constructor refuses a divisor with other N or nu.  A plain tuple
+    the constructor refuses a divisor with other N or nu, and it refuses
+    divisors that are not the minimal chain of (n, d, m).  A plain tuple
     subclass, not a named tuple: _asdict and _make would misread the iteration.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, m: int, divisors: tuple[Divisor, ...]) -> "ResolutionChain":
+        CHAIN.check(n, d, m)
         rows = []
         for (kappa, r), mult, disc in divisors:
             if mult != kappa + r * d or disc != kappa + r * n:
                 raise ValueError(f"({kappa},{r}) has N, nu = {mult}, {disc}, off its linear forms")
             rows += (kappa, r)
+        try:
+            _check_chain_invariants(d, m, rows)
+        except AssertionError as exc:
+            raise ValueError(f"not the minimal {m}-separating chain: {exc}") from None
         return _wrap(n, d, m, rows)
 
     n = property(itemgetter(0))
@@ -163,15 +171,12 @@ class ResolutionChain(tuple):
 
 
 def _wrap(n: int, d: int, m: int, rows: list[int]) -> ResolutionChain:
-    # under 1.7 slots per divisor for a built chain; none for a hand-made one
-    # outside the domain, or whose m needs more than four slots per divisor
-    top = m // d if d > 0 else -1
-    tables = []
-    if top >= 0 and top * (m + 1) - d * top * (top + 1) // 2 <= 2 * len(rows):
-        tables = [array("i")] + [array("i", [-1]) * (m - r * d + 1) for r in range(1, top + 1)]
-        for at, kappa, r in zip(range(0, len(rows), 2), *[iter(rows)] * 2):
-            if 0 <= kappa <= m - r * d and r > 0:
-                tables[r][kappa] = at
+    # for rows that passed the walk, so the minimal chain's: under 1.7 slots
+    # per divisor, and a slot for every pair but (1, 0), whose r is 0, and
+    # (0, 1) when its N = d is past m
+    tables = [array("i")] + [array("i", [-1]) * (m - r * d + 1) for r in range(1, m // d + 1)]
+    for at in range(0 if d <= m else 2, len(rows) - 2, 2):
+        tables[rows[at + 1]][rows[at]] = at
     return tuple.__new__(ResolutionChain, (n, d, m, rows, tables))
 
 
@@ -192,24 +197,26 @@ def build_minimal_resolution(n: int, d: int, m: int) -> ResolutionChain:
     between P and Q in slope, a pair of the chain between neighbours; so t
     is the largest value with N <= m.
 
-    The finished chain passes the walk of local invariants;
-    verify_minimality compares it with the closed form.
+    The built rows pass the walk that the constructor runs, before the
+    tables are built; verify_minimality counts the closed form.
     """
     CHAIN.check(n, d, m)
-    chain = _wrap(n, d, m, _chain_rows(d, m))
-    _check_chain_invariants(chain)
-    return chain
+    rows = _chain_rows(d, m)
+    _check_chain_invariants(d, m, rows)
+    return _wrap(n, d, m, rows)
 
 
-def _check_chain_invariants(chain: ResolutionChain) -> None:
+def _check_chain_invariants(d: int, m: int, rows: list[int]) -> None:
     # One walk, so that the leftmost fault is the one raised: each divisor's
     # entries, then its determinant against the previous divisor, -1 so that
-    # the slopes kappa/r increase, and separation.  With CHAIN.check these
-    # imply the constructors' checks, which the build skips: determinant -1
-    # makes a pair coprime, and N = kappa + r*d and nu = kappa + r*n are >= 1
-    # for kappa, r >= 0 not both 0, d >= 1 and n >= 2.  The start values
-    # (-1, 0) and N = m + 1 let (0, 1), which has no predecessor, pass both.
-    d, m, rows = chain[1:4]
+    # the slopes kappa/r increase, then N <= m for an intermediate pair, and
+    # separation.  With CHAIN.check these imply the constructors' checks,
+    # which the build skips: determinant -1 makes a pair coprime, and
+    # N = kappa + r*d and nu = kappa + r*n are >= 1 for kappa, r >= 0 not
+    # both 0, d >= 1 and n >= 2.  The start values (-1, 0) and N = m + 1 let
+    # (0, 1), which has no predecessor, pass both; a pair with kappa or r 0
+    # between the endpoints fails the determinant test.  verify_minimality
+    # proves that rows which pass are the minimal chain's.
     if rows[:2] != [0, 1] or rows[-2:] != [1, 0]:
         raise AssertionError("chain endpoints are wrong")
     kappa_p, r_p, mult_p = -1, 0, m + 1
@@ -222,6 +229,8 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
         if det != -1:
             raise AssertionError(f"({kappa_p},{r_p}), ({kappa},{r}) are not Farey neighbors")
         mult = kappa + r * d
+        if mult > m and kappa and r:
+            raise AssertionError(f"({kappa},{r}) has N = {mult} > {m}")
         if mult_p + mult <= m:
             raise AssertionError(
                 f"chain is not {m}-separating at ({kappa_p},{r_p}), ({kappa},{r})")
@@ -229,20 +238,20 @@ def _check_chain_invariants(chain: ResolutionChain) -> None:
 
 
 def verify_minimality(chain: ResolutionChain) -> bool:
-    """Check the chain against its closed form, whose intermediate pairs are
-    the coprime (kappa, r) with kappa, r >= 1 and N = kappa + r*d <= m.
+    """Count the closed form, whose intermediate pairs are the coprime
+    (kappa, r) with kappa, r >= 1 and N = kappa + r*d <= m, and compare the
+    count with the chain's length: the second route to the chain's size.
 
-    The build's walk gives both endpoints, increasing slopes (so no pair
+    The walk that every chain passed proves the chain is the closed form in
+    slope order.  It gives both endpoints, increasing slopes (so no pair
     repeats) and m-separation, so every closed-form pair is in the chain: one
     strictly between Farey neighbours L and R is s*L + t*R with s, t >= 1, so
-    its N >= N_L + N_R > m.  Then the sets are equal if the sizes are, and by
-    Moebius inversion over r = e*j the closed form has
+    its N >= N_L + N_R > m.  Conversely a pair between the endpoints has a
+    slope strictly between 0 and infinity, so kappa, r >= 1; determinant -1
+    makes it coprime, and the walk bounds its N by m.  By Moebius inversion
+    over r = e*j the closed form has
     sum_e mu(e) * (J*(m//e) - d*J*(J + 1)/2) pairs, where J = m//d//e.
     """
-    try:
-        _check_chain_invariants(chain)
-    except AssertionError:
-        return False
     d, m = chain[1:3]
     top = m // d
     mu = [0, 1] + [0] * top  # the Moebius function, sieved as the loop reaches e
@@ -263,51 +272,30 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     creation.
 
     The mediant parents low and high of the pair add up to it, and each has
-    determinant -1 with it.  So det(L, pair) = -1 holds exactly when
-    L - low is parallel to the pair, and the pair is primitive, so L - low
-    is an integer multiple n' of it; likewise R - high is n'' times the pair
-    exactly when det(pair, R) = -1.  Then
-    L + R = (1 + n' + n'')*(kappa, r), and r_L + r_R fixes the factor.  A
-    determinant other than -1 means the chain was built wrong and raises.
-    The tests check the factor against the parents that their Stern-Brocot
-    reference, tests/sternbrocot.py, derives.
+    determinant -1 with it.  The walk every chain passed gives
+    det(L, pair) = -1, which holds exactly when L - low is parallel to the
+    pair, and the pair is primitive, so L - low is an integer multiple n' of
+    it; likewise R - high is n'' times the pair, as det(pair, R) = -1.  Then
+    L + R = (1 + n' + n'')*(kappa, r), and r_L + r_R fixes the factor; the
+    identity is evaluated, so a wrong neighbour read shows.  The tests check
+    the factor against the parents that their Stern-Brocot reference,
+    tests/sternbrocot.py, derives.
     """
-    # one table slot, one slice and the determinant test; every refusal, the
-    # endpoint test among them, comes after them, so a call that succeeds
-    # does not search
+    # one table slot and one slice; a negative entry would read a table from
+    # its end, so it is no slot
     kappa, r = pair
-    rows = chain[3]
     try:
-        at = chain[4][r][kappa] if kappa >= 0 <= r else -1  # the tables
-    except IndexError:  # r = 0, a pair past the tables, or no tables
+        at = chain[4][r][kappa] if kappa >= 0 <= r else -1
+    except IndexError:  # r = 0, or a pair past the tables
         at = -1
-    if at < 0:
-        # the pair's last row, if any, by a loop: a generator here would
-        # make kappa, r and rows closure cells on every call
-        at = None
-        for i in range(0, len(rows), 2):
-            if rows[i] == kappa and rows[i + 1] == r:
-                at = i
-    if at:  # not None, nor the first row, which has no left neighbour
-        try:
-            kappa_l, r_l, _, _, kappa_r, r_r = rows[at - 2:at + 4]
-        except ValueError:  # the last row's slice is short
-            pass
-        else:
-            if kappa_l * r - kappa * r_l == -1 and kappa * r_r - r * kappa_r == -1:
-                n, d, factor = chain[0], chain[1], (r_l + r_r) // r
-                return (kappa_l + kappa_r + (r_l + r_r) * n == factor * (kappa + r * n)
-                        and kappa_l + kappa_r + (r_l + r_r) * d == factor * (kappa + r * d))
-    # an endpoint held inside a hand-made chain fails the determinant test:
-    # det(L, (0, 1)) is kappa_L >= 0 and det((1, 0), R) is r_R >= 0
-    if pair in _ENDPOINT_KINDS:
-        raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
-    if at is None:
+    if at <= 0:  # (0, 1) has row 0, and no left neighbour
+        if pair in _ENDPOINT_KINDS:
+            raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
         raise ValueError(f"pair {pair} is not a divisor of this chain")
-    if not 0 < at < len(rows) - 2:
-        side = "left" if at == 0 else "right"
-        raise ValueError(f"{pair} has no {side} neighbour in this chain")
-    raise AssertionError(f"non-integral blow-up count at {pair}")
+    kappa_l, r_l, _, _, kappa_r, r_r = chain[3][at - 2:at + 4]
+    n, d, factor = chain[0], chain[1], (r_l + r_r) // r
+    return (kappa_l + kappa_r + (r_l + r_r) * n == factor * (kappa + r * n)
+            and kappa_l + kappa_r + (r_l + r_r) * d == factor * (kappa + r * d))
 
 
 def _m_divisor(n: int, d: int, m: int, i: int) -> Divisor:

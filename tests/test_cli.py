@@ -35,6 +35,16 @@ def test_resolve_json_round_trips(capsys):
     assert len(doc["divisors"]) == 4
 
 
+def test_resolve_mismatch_exit_code(capsys, monkeypatch):
+    # a closed-form count that disagrees with the chain's length exits 1
+    from contactloci import resolution
+
+    monkeypatch.setattr(resolution, "verify_minimality", lambda chain: False)
+    for argv in ((), ("--format", "json")):
+        code, out, _ = run(capsys, "resolve", "--n", "3", "--d", "2", "--m", "4", *argv)
+        assert code == 1 and "strict_transform" in out
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "resolve", "--n", "1", "--d", "2", "--m", "4")
     assert code == 2

@@ -95,7 +95,9 @@ def test_chain_iterates_and_measures_its_divisors():
     chain = build_minimal_resolution(3, 2, 12)
     assert len(chain) == len(chain.divisors) and list(chain) == list(chain.divisors)
     assert ResolutionChain(3, 2, 12, chain.divisors) == chain
-    assert ResolutionChain(3, 2, 13, chain.divisors) != chain
+    # the (3, 2, 12) pairs are not 13-separating
+    with pytest.raises(ValueError):
+        ResolutionChain(3, 2, 13, chain.divisors)
 
 
 def test_constructors_normalise():
