@@ -11,16 +11,17 @@ lists them left to right, each from its two left neighbours, without
 replaying the blow-ups.  A chain, (n, d, m, rows, tables), keeps each
 divisor's pair in one flat list, and makes objects, N and nu when read.
 Every chain is the minimal one: one walk of its rows proves it before the
-tables are built, so no other chain can be made.
+tables are built, so no other chain can be made, and its intermediate
+divisors are the rows between its first, (0, 1), and its last, (1, 0).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from math import gcd
-from operator import add, itemgetter, mul, not_
+from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .domain import CHAIN
@@ -93,13 +94,16 @@ def _chain_rows(d: int, m: int) -> list[int]:
     # and (1, (m - 1) // d) until P is (1, 0), whose r is 0.  Each kappa and
     # r comes from one table over [0, m - d], so each holds one int object per
     # value; the table is no longer than the chain's m - d pairs (k, 1).
+    # N is linear in the pair, so it follows the same rule: N_Q = t*N_P - N_L.
     values = list(range(m - d + 1))
     rows = [0, 1]
-    kappa_l, r_l, kappa, r = 0, 1, 1, (m - 1) // d
+    kappa_l, r_l, mult_l, kappa, r = 0, 1, d, 1, (m - 1) // d
+    mult = 1 + r * d
     while r:
         rows += (values[kappa], values[r])
-        t = (m + kappa_l + r_l * d) // (kappa + r * d)
-        kappa_l, r_l, kappa, r = kappa, r, t * kappa - kappa_l, t * r - r_l
+        t = (m + mult_l) // mult
+        kappa_l, r_l, mult_l, kappa, r, mult = (
+            kappa, r, mult, t * kappa - kappa_l, t * r - r_l, t * mult - mult_l)
     rows += (1, 0)
     return rows
 
@@ -121,8 +125,10 @@ class ResolutionChain(tuple):
     for 1 <= r <= m // d and kappa <= m - r*d.  Iteration, len and divisors
     wrap Divisor objects from the rows on demand, with N and nu computed, so
     the constructor refuses a divisor with other N or nu, and it refuses
-    divisors that are not the minimal chain of (n, d, m).  A plain tuple
-    subclass, not a named tuple: _asdict and _make would misread the iteration.
+    divisors that are not the minimal chain of (n, d, m).  So the walk fixes
+    (0, 1) as the first row, (1, 0) as the last and kappa, r >= 1 for every
+    row between, an intermediate divisor.  A plain tuple subclass, not a
+    named tuple: _asdict and _make would misread the iteration.
     """
 
     __slots__ = ()
@@ -146,9 +152,9 @@ class ResolutionChain(tuple):
     divisors = property(lambda self: tuple(iter(self)))
 
     def intermediate_divisors(self) -> Iterator[Divisor]:
-        """The divisors with a pair other than an endpoint, wrapped lazily."""
-        pairs = zip(*[iter(self[3])] * 2)
-        return compress(self, map(not_, map(_ENDPOINT_KINDS.__contains__, pairs)))
+        """The divisors with a pair other than an endpoint, wrapped lazily:
+        every row but the first, (0, 1), and the last, (1, 0)."""
+        return islice(self, 1, len(self) - 1)
 
     def __iter__(self) -> Iterator[Divisor]:
         # without the constructors' checks: _check_chain_invariants covers them
@@ -276,13 +282,16 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
     det(L, pair) = -1, which holds exactly when L - low is parallel to the
     pair, and the pair is primitive, so L - low is an integer multiple n' of
     it; likewise R - high is n'' times the pair, as det(pair, R) = -1.  Then
-    L + R = (1 + n' + n'')*(kappa, r), and r_L + r_R fixes the factor; the
-    identity is evaluated, so a wrong neighbour read shows.  The tests check
-    the factor against the parents that their Stern-Brocot reference,
-    tests/sternbrocot.py, derives.
+    L + R = (1 + n' + n'')*(kappa, r), and r_L + r_R fixes the factor.
+    That vector identity is what is evaluated, from four row entries, so a
+    wrong neighbour read shows.  N and nu are linear in the pair, so it
+    implies both identities above: it is never weaker than they are, and
+    stricter when n == d, where they coincide; on every chain that can be
+    built all of them hold.  The tests check the factor against the parents
+    that their Stern-Brocot reference, tests/sternbrocot.py, derives.
     """
-    # one table slot and one slice; a negative entry would read a table from
-    # its end, so it is no slot
+    # one table slot and four row entries; a negative entry would read a
+    # table from its end, so it is no slot
     kappa, r = pair
     try:
         at = chain[4][r][kappa] if kappa >= 0 <= r else -1
@@ -292,10 +301,10 @@ def nef_fiber_identity(chain: ResolutionChain, pair: CoprimePair) -> bool:
         if pair in _ENDPOINT_KINDS:
             raise ValueError(f"{pair} is a chain endpoint, adjacency is undefined")
         raise ValueError(f"pair {pair} is not a divisor of this chain")
-    kappa_l, r_l, _, _, kappa_r, r_r = chain[3][at - 2:at + 4]
-    n, d, factor = chain[0], chain[1], (r_l + r_r) // r
-    return (kappa_l + kappa_r + (r_l + r_r) * n == factor * (kappa + r * n)
-            and kappa_l + kappa_r + (r_l + r_r) * d == factor * (kappa + r * d))
+    rows = chain[3]
+    r_sum = rows[at - 1] + rows[at + 3]
+    factor = r_sum // r
+    return rows[at - 2] + rows[at + 2] == factor * kappa and r_sum == factor * r
 
 
 def _m_divisor(n: int, d: int, m: int, i: int) -> Divisor:

@@ -1,10 +1,11 @@
 """The tests' Stern-Brocot reference: the mediant parents of a coprime pair,
 and the chain's pairs in the order that mediant insertion leaves them.
 
-No library function derives parents; nef_fiber_identity reads the factor
-of its identity off two neighbours, whose determinants the chain's walk
-checked.  The tests check that factor, and the chain's neighbours, against
-the parents given here, and
+No library function derives parents; nef_fiber_identity reads the
+kappa and r of two neighbours, four row entries whose determinants the
+chain's walk checked, takes the factor of its identity off their r and
+checks L + R = factor*(kappa, r).  The tests check that factor, and the
+chain's neighbours, against the parents given here, and
 tests/test_resolution.py checks this function against a descent of the
 Stern-Brocot tree and against the continued-fraction convergents.  The
 library lists the chain by the Farey next-term rule; the tests check its

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import tracemalloc
+from collections import deque
+from collections.abc import Iterator
 from math import gcd
 from operator import add
 
@@ -90,6 +92,34 @@ def test_built_divisors_pass_the_checking_constructors():
                 assert {(type(div), type(div.pair)) for div in chain} == {(Divisor, CoprimePair)}
                 assert list(chain) == [Divisor.for_params(CoprimePair(*div.pair), n, d)
                                        for div in chain], (n, d, m)
+
+
+def test_intermediate_divisors_are_the_rows_between_the_endpoints():
+    # taken by position: the walk puts (0, 1) first, (1, 0) last and only
+    # pairs with kappa, r >= 1 between them; d > m and m = 1 leave none
+    for n in range(2, 10):
+        for d in range(1, 9):
+            for m in range(1, 61):
+                chain = build_minimal_resolution(n, d, m)
+                divisors = chain.intermediate_divisors()
+                assert isinstance(divisors, Iterator)
+                assert list(divisors) == list(chain.divisors[1:-1]), (n, d, m)
+
+
+def test_intermediate_divisors_are_wrapped_one_at_a_time():
+    # 90,207 intermediates: held at once as objects they would take about
+    # 11 MB, which exact-sweep's peak memory would show
+    chain = build_minimal_resolution(8, 2, 770)
+    tracemalloc.start()
+    try:
+        divisors = chain.intermediate_divisors()
+        assert iter(divisors) is divisors
+        deque(divisors, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chain) - 2 == 90207
+    assert peak < 64 * 2**10, peak
 
 
 def test_built_chain_is_the_mediant_insertion_order():
@@ -240,6 +270,30 @@ def test_nef_fiber_identity_examples_and_grid():
                 c = build_minimal_resolution(n, d, m)
                 assert all(nef_fiber_identity(c, div.pair)
                            for div in c.intermediate_divisors()), (n, d, m)
+
+
+def test_nef_fiber_identity_checks_both_entries_of_the_neighbours():
+    # a chain whose rows are edited past the walk stands in for a wrong
+    # neighbour read.  The right neighbour's r one too high keeps the factor
+    # (r_L + r_R) // r where r >= 2, so only the r entry shows it; moving its
+    # kappa down by n as well keeps both N and nu sums when n == d
+    for n, d, m in ((3, 2, 12), (3, 3, 20)):
+        chain = build_minimal_resolution(n, d, m)
+        rows = chain[3]
+        edited_pairs = 0
+        for at in range(2, len(rows) - 2, 2):
+            kappa, r = rows[at:at + 2]
+            if r < 2:
+                continue
+            assert nef_fiber_identity(chain, (kappa, r)) is True
+            for edit in ({at + 3: 1}, {at + 3: 1, at + 2: -n}):
+                edited = list(rows)
+                for index, step in edit.items():
+                    edited[index] += step
+                forged = tuple.__new__(ResolutionChain, (n, d, m, edited, chain[4]))
+                assert nef_fiber_identity(forged, (kappa, r)) is False, (n, d, m, kappa, r, edit)
+            edited_pairs += 1
+        assert edited_pairs, (n, d, m)
 
 
 @given(st.integers(min_value=2, max_value=5),
